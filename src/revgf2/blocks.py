@@ -45,8 +45,9 @@ def build_swap() -> Circuit:
     return c
 
 
-def _shift_swaps(n: int, direction: str, reg: str = "r"):
-    """Adjacent-wire swap chain for a one-position cyclic rotation.
+def _rotation_pairs(reg: str, n: int, amount: int, direction: str):
+    """Adjacent-wire pairs whose swaps, in order, rotate an n-wire register
+    cyclically by `amount` positions.
 
     "left" rotates toward higher indices (multiply by z); "right" is the
     inverse rotation.
@@ -57,7 +58,13 @@ def _shift_swaps(n: int, direction: str, reg: str = "r"):
         pairs = [(i, i + 1) for i in range(n - 1)]
     else:
         raise BadParameter(f"direction must be left or right, not {direction!r}")
-    return [((reg, i), (reg, j)) for i, j in pairs]
+    return [((reg, i), (reg, j)) for _ in range(amount) for i, j in pairs]
+
+
+def rotation_gates(reg: str, n: int, amount: int, direction: str) -> list[Gate]:
+    """`amount` one-position cyclic rotations of an n-wire register, each an
+    adjacent-wire SWAP chain."""
+    return [swap(w1, w2) for w1, w2 in _rotation_pairs(reg, n, amount, direction)]
 
 
 def build_cyclic_shift(n: int, direction: str = "left") -> Circuit:
@@ -65,8 +72,7 @@ def build_cyclic_shift(n: int, direction: str = "left") -> Circuit:
     if n < 2:
         raise BadParameter("cyclic shift needs n >= 2")
     c = Circuit({"r": n})
-    for w1, w2 in _shift_swaps(n, direction):
-        c.add(swap(w1, w2))
+    c.extend(rotation_gates("r", n, 1, direction))
     return c
 
 
@@ -80,20 +86,24 @@ def _controlled_swap_gates(w1, w2, controls):
     ]
 
 
+def controlled_rotation_gates(data: str, n: int, shift: str, k: int, direction: str) -> list[Gate]:
+    """Rotate the n-wire register `data` by the value of the k-wire register
+    `shift`: control bit j gates a block of 2^j one-position rotations, each
+    SWAP made a controlled swap (no ancillas)."""
+    gates = []
+    for j in range(k):
+        for w1, w2 in _rotation_pairs(data, n, 1 << j, direction):
+            gates.extend(_controlled_swap_gates(w1, w2, [((shift, j), 1)]))
+    return gates
+
+
 def build_controlled_shift(n: int, k: int, direction: str = "left") -> Circuit:
     """|theta>|s> <-> |theta rotated by s>|s> with an n-wire data register
-    and a k-wire shift register.
-
-    Control bit j gates a block of 2^j single-position rotations; no
-    ancillas are used (controlled swaps are CNOT/Toffoli triples).
-    """
+    and a k-wire shift register."""
     if n < 2 or k < 1:
         raise BadParameter("controlled shift needs n >= 2 and k >= 1")
     c = Circuit({"data": n, "shift": k})
-    for j in range(k):
-        for _ in range(1 << j):
-            for w1, w2 in _shift_swaps(n, direction, reg="data"):
-                c.extend(_controlled_swap_gates(w1, w2, [(("shift", j), 1)]))
+    c.extend(controlled_rotation_gates("data", n, "shift", k, direction))
     return c
 
 
@@ -134,13 +144,26 @@ def build_decrement(w: int) -> Circuit:
     return c
 
 
+def prefix_zero_increments(a: str, m: int, reg: str, w: int, anc: str) -> list[list[Gate]]:
+    """The prefix-zero counter: one gated increment of the w-wire register
+    `reg` (ancilla `anc`) for each prefix length t = 1..m-1, firing when the
+    top t coefficients of the m-wire register `a` are all zero (0-controls).
+
+    Run in order the blocks count a's leading zeros up from 0; each block
+    run reversed is a decrement, so from m-1 they count down to deg(a).
+    """
+    return [
+        _increment_gates(reg, w, anc, extra_controls=[((a, m - 1 - u), 0) for u in range(t)])
+        for t in range(1, m)
+    ]
+
+
 def build_degree(m: int) -> Circuit:
     """Compute deg(A) of a nonzero A into a ceil(log m)-wire register.
 
-    The degree register is initialized to m-1; then, for each prefix
-    length t, a decrement fires when the top t coefficients of A are all
-    zero (0-controls), leaving deg(A).  One shared ancilla serves all the
-    decrements, so the block costs ceil(log m)+1 qubits beyond |A>.
+    The degree register is initialized to m-1, then the prefix-zero
+    counter's gated decrements leave deg(A).  One shared ancilla serves all
+    the decrements, so the block costs ceil(log m)+1 qubits beyond |A>.
     """
     spec = BlockSpec(m)
     L = spec.logm
@@ -149,9 +172,8 @@ def build_degree(m: int) -> Circuit:
     for j in range(L):
         if (init >> j) & 1:
             c.add(gate_not(("deg", j)))
-    for t in range(1, m):
-        prefix = [(("a", m - 1 - s), 0) for s in range(t)]
-        c.extend(reversed(_increment_gates("deg", L, "anc", extra_controls=prefix)))
+    for block in prefix_zero_increments("a", m, "deg", L, "anc"):
+        c.extend(reversed(block))
     return c
 
 
@@ -169,7 +191,7 @@ def _times_z_gates(reg: str, m: int, modulus: int):
     """In-place y <- y*z mod f on an m-wire register: cyclic left rotation,
     then XOR the (classical) modulus tail conditioned on the wrapped-around
     leading bit."""
-    gates = [swap(w1, w2) for w1, w2 in _shift_swaps(m, "left", reg=reg)]
+    gates = rotation_gates(reg, m, 1, "left")
     for j in range(1, m):
         if (modulus >> j) & 1:
             gates.append(cnot([((reg, 0), 1)], (reg, j)))

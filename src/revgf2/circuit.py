@@ -9,7 +9,6 @@ a basis state is one int of bits per register.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import LayoutMismatch, WidthTooLarge
@@ -113,10 +112,6 @@ class BasisState:
         if value < 0 or value.bit_length() > self.layout[name]:
             raise ValueError(f"value {value} does not fit register {name!r}")
         self.bits[name] = value
-
-    def get_bit(self, wire: Wire) -> int:
-        reg, idx = wire
-        return (self.bits[reg] >> idx) & 1
 
     def copy(self) -> "BasisState":
         return BasisState(self.layout, dict(self.bits))
@@ -292,10 +287,3 @@ def parse_netlist(text: str) -> Circuit:
             raise ValueError(f"unknown netlist line {line!r}")
     return Circuit(layout, gates)
 
-
-def enumerate_register_states(widths: dict[str, int]):
-    """All assignments of values to the given registers (cartesian product)."""
-    names = list(widths)
-    ranges = [range(1 << widths[n]) for n in names]
-    for combo in itertools.product(*ranges):
-        yield dict(zip(names, combo))

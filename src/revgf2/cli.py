@@ -11,15 +11,13 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
-from . import blocks, circuit, naive, optimized
+from . import blocks, naive, optimized
 from .circuit import BasisState, apply, check_permutation, emit_netlist, report
 from .curve import CurvePoint, ec_add, enumerate_points, load_curve
 from .ecgroup import FixedPointParams, generic_points, simulate_group_add
 from .errors import (
     BadParameter,
-    NonGenericInput,
     RevGF2Error,
     ScopeTooLarge,
     UnknownBlock,
@@ -29,14 +27,6 @@ from .poly import degree, format_poly, parse_poly, poly_divmod
 
 DEFAULT_SEED = 12345
 EXHAUSTIVE_STATE_LIMIT = 1 << 20
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: the command plus whatever it needs."""
-
-    command: str
-    args: argparse.Namespace
 
 
 def _emit(payload: dict):
@@ -139,12 +129,12 @@ def _scope(args, space: int):
     """Input sample for a verify sweep: everything, or a seeded sample."""
     if args.sample:
         rng = random.Random(args.seed)
-        return [rng.randrange(1, space) for _ in range(args.sample)], False
+        return [rng.randrange(1, space) for _ in range(args.sample)]
     if space > EXHAUSTIVE_STATE_LIMIT:
         raise ScopeTooLarge(
             f"{space} states exceed the exhaustive limit; use --sample <n>"
         )
-    return range(1, space), True
+    return range(1, space)
 
 
 def _verify_payload(target: str, checked: int, mismatches: list, extra: dict | None = None):
@@ -217,7 +207,7 @@ def verify_naive_div(args) -> int:
 
 def verify_naive_invert(args) -> int:
     field = _field_from_args(args)
-    inputs, _ = _scope(args, 1 << field.m)
+    inputs = _scope(args, 1 << field.m)
     mismatches = []
     for c in inputs:
         if naive.run_naive_inversion(c, field) != field_invert(c, field):
@@ -227,8 +217,7 @@ def verify_naive_invert(args) -> int:
 
 def verify_opt_invert(args) -> int:
     field = _field_from_args(args)
-    inputs, _ = _scope(args, 1 << field.m)
-    inputs = list(inputs)
+    inputs = list(_scope(args, 1 << field.m))
     traces = optimized.run_synchronized(inputs, field, args.cycles or None)
     mismatches = []
     flagged = 0
@@ -333,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve")
     p.add_argument("--fixed")
     p.add_argument("--backend", choices=("naive", "opt"), default="naive")
-    p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--cycles", type=int)

@@ -18,10 +18,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .blocks import build_mul_accumulate, log2_ceil
+from .blocks import build_mul_accumulate
 from .circuit import BasisState, apply
 from .curve import CurveKind, CurvePoint, CurveSpec, ec_add, on_curve
-from .errors import DivisionByZero, NonGenericInput, PointNotOnCurve
+from .errors import DivisionByZero, InvariantViolation, NonGenericInput, PointNotOnCurve
 from .field import FieldSpec, field_sqr
 from .naive import euclid_iteration_layout, run_naive_inversion
 from .optimized import halting_counter_width, optimized_invert, qubit_budget
@@ -56,8 +56,6 @@ class DivisionWithUncompute:
     inverse operand uncomputed, |x>|t> <-> |x>|t*x>.
     """
 
-    STEPS = ("E", "m", "E", "m")
-
     def __init__(self, field: FieldSpec, backend: str = "naive"):
         if backend not in ("naive", "opt"):
             raise ValueError(f"backend must be naive or opt, not {backend!r}")
@@ -74,7 +72,8 @@ class DivisionWithUncompute:
         """t ^= x*y mod f, through the simulated multiplier circuit."""
         state = BasisState.from_values(self._mul.layout, x=x, y=y, t=t)
         out = apply(self._mul, state)
-        assert out.get_reg("x") == x and out.get_reg("y") == y
+        if out.get_reg("x") != x or out.get_reg("y") != y:
+            raise InvariantViolation("multiplier operands not restored")
         return out.get_reg("t")
 
     def divide(self, x: int, y: int) -> int:
@@ -84,9 +83,10 @@ class DivisionWithUncompute:
         inv = self._invert(x)  # E
         quot = self._mul_acc(inv, y, 0)  # m
         x_back = self._invert(inv)  # E
-        assert x_back == x, "inversion pass failed to restore the operand"
-        y_cleared = self._mul_acc(x, quot, y)  # m (uncompute y)
-        assert y_cleared == 0, "dividend scratch not cleared"
+        if x_back != x:
+            raise InvariantViolation("inversion pass failed to restore the operand")
+        if self._mul_acc(x, quot, y) != 0:  # m (uncompute y)
+            raise InvariantViolation("dividend scratch not cleared")
         return quot
 
     def multiply(self, x: int, t: int) -> int:
@@ -96,8 +96,10 @@ class DivisionWithUncompute:
         prod = self._mul_acc(x, t, 0)
         inv = self._invert(x)
         t_cleared = self._mul_acc(inv, prod, t)
-        assert self._invert(inv) == x
-        assert t_cleared == 0, "multiplier scratch not cleared"
+        if self._invert(inv) != x:
+            raise InvariantViolation("inversion pass failed to restore the operand")
+        if t_cleared != 0:
+            raise InvariantViolation("multiplier scratch not cleared")
         return prod
 
 

@@ -49,6 +49,11 @@ class CycleBudgetExceeded(RevGF2Error):
     """An input did not terminate within the synchronized cycle budget."""
 
 
+class InvariantViolation(RevGF2Error):
+    """A runtime consistency check failed: an algebraic invariant, a scratch
+    register left dirty, or a loop past its termination bound."""
+
+
 class ScopeTooLarge(RevGF2Error):
     """Verification scope exceeds the exhaustive enumeration limit."""
 

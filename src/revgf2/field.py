@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, NotIrreducible, ZeroElement
+from .errors import DivisionByZero, InvariantViolation, NotIrreducible, ZeroElement
 from .poly import degree, extended_euclid, parse_poly, poly_divmod, poly_mul
 
 
@@ -80,7 +80,8 @@ def field_invert(c: int, field: FieldSpec) -> int:
     if c == 0:
         raise ZeroElement("0 has no inverse")
     g, k, _ = extended_euclid(c, field.modulus)
-    assert g == 1, "modulus is irreducible, so gcd(c, f) = 1"
+    if g != 1:
+        raise InvariantViolation("modulus is irreducible, so gcd(c, f) = 1")
     return reduce_mod(k, field)
 
 

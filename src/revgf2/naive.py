@@ -22,11 +22,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .blocks import _controlled_swap_gates, _increment_gates, _shift_swaps, log2_ceil
+from .blocks import controlled_rotation_gates, log2_ceil, prefix_zero_increments, rotation_gates
 from .circuit import BasisState, Circuit, apply, cnot, gate_not, swap
-from .errors import ZeroElement
+from .errors import InvariantViolation, ZeroElement
 from .field import FieldSpec
-from .poly import degree, format_poly
+from .poly import degree
 
 
 @dataclass(frozen=True)
@@ -40,40 +40,12 @@ class EuclideanPairs:
 
     def check_invariants(self, m: int):
         """Degree ordering and the shared-register degree bound."""
-        assert degree(self.A) < degree(self.B), "deg(A) < deg(B) violated"
-        if self.b != 0:
-            assert degree(self.a) > degree(self.b), "deg(a) > deg(b) violated"
-        if self.a != 0 and self.B != 0:
-            assert degree(self.a) + degree(self.B) == m, "deg(aB) = m violated"
-
-    def as_dict(self, m: int) -> dict:
-        width = m + 1
-        return {
-            "a": format_poly(self.a, width),
-            "A": format_poly(self.A, width),
-            "b": format_poly(self.b, width),
-            "B": format_poly(self.B, width),
-        }
-
-
-def _rotation_gates(reg: str, n: int, amount: int, direction: str):
-    """`amount` unit cyclic rotations of an n-wire register."""
-    gates = []
-    for _ in range(amount):
-        for w1, w2 in _shift_swaps(n, direction, reg=reg):
-            gates.append(swap(w1, w2))
-    return gates
-
-
-def _controlled_rotation_gates(data: str, n: int, shift: str, k: int, direction: str):
-    """Rotate `data` by the value of `shift` (k wires), as in the
-    controlled-shift block but over caller-supplied register names."""
-    gates = []
-    for j in range(k):
-        for _ in range(1 << j):
-            for w1, w2 in _shift_swaps(n, direction, reg=data):
-                gates.extend(_controlled_swap_gates(w1, w2, [((shift, j), 1)]))
-    return gates
+        if degree(self.A) >= degree(self.B):
+            raise InvariantViolation("deg(A) < deg(B) violated")
+        if self.b != 0 and degree(self.a) <= degree(self.b):
+            raise InvariantViolation("deg(a) > deg(b) violated")
+        if self.a != 0 and self.B != 0 and degree(self.a) + degree(self.B) != m:
+            raise InvariantViolation("deg(aB) = m violated")
 
 
 def _pattern_controls(reg: str, width: int, value: int):
@@ -91,17 +63,11 @@ def _division_gates(m: int, div: str, dvd: str, quo: str, s: str, anc: str, flg:
     gates = []
 
     # 1. s <- number of leading zeros of div (= m-1-deg).
-    def s_count():
-        out = []
-        for t in range(1, m):
-            prefix = [((div, m - 1 - u), 0) for u in range(t)]
-            out.extend(_increment_gates(s, L, anc, extra_controls=prefix))
-        return out
-
-    gates.extend(s_count())
+    s_count = [g for block in prefix_zero_increments(div, m, s, L, anc) for g in block]
+    gates.extend(s_count)
 
     # 2. normalize: rotate div left by s (top coefficient to wire m-1).
-    gates.extend(_controlled_rotation_gates(div, m, s, L, "left"))
+    gates.extend(controlled_rotation_gates(div, m, s, L, "left"))
 
     # 3. quotient rounds.  Round t examines dvd bit m-t; the flag starts 1
     # and flips to 0 when t passes the quotient length (t = s+2).
@@ -118,16 +84,13 @@ def _division_gates(m: int, div: str, dvd: str, quo: str, s: str, anc: str, flg:
 
     # 4. the stored quotient word is q << deg(div); rotate right by the
     # degree, i.e. left by 2+s over the m+1 quotient wires.
-    gates.extend(_rotation_gates(quo, m + 1, 2, "left"))
-    gates.extend(_controlled_rotation_gates(quo, m + 1, s, L, "left"))
+    gates.extend(rotation_gates(quo, m + 1, 2, "left"))
+    gates.extend(controlled_rotation_gates(quo, m + 1, s, L, "left"))
 
     # 5. un-normalize div and uncompute s.
-    gates.extend(_controlled_rotation_gates(div, m, s, L, "right"))
-    gates.extend(reversed(s_count()))
+    gates.extend(controlled_rotation_gates(div, m, s, L, "right"))
+    gates.extend(reversed(s_count))
     return gates
-
-
-NAIVE_DIVISION_LAYOUT = ("a", "b", "q", "s", "anc", "flg")
 
 
 def naive_division_layout(m: int) -> dict[str, int]:
@@ -200,7 +163,8 @@ def run_naive_inversion(c_elem: int, field: FieldSpec, trace: list | None = None
     while state.get_reg("ra") != 1:
         state = apply(iteration, state)
         steps += 1
-        assert steps <= 2 * m, "Euclid failed to terminate"
+        if steps > 2 * m:
+            raise InvariantViolation("Euclid failed to terminate")
         pairs = EuclideanPairs(
             state.get_reg("ka"),
             state.get_reg("ra"),
@@ -210,5 +174,6 @@ def run_naive_inversion(c_elem: int, field: FieldSpec, trace: list | None = None
         if trace is not None:
             trace.append(pairs)
         for scratch in ("q", "s", "anc", "flg"):
-            assert state.get_reg(scratch) == 0, f"scratch {scratch} not restored"
+            if state.get_reg(scratch) != 0:
+                raise InvariantViolation(f"scratch {scratch} not restored")
     return state.get_reg("ka")

@@ -21,11 +21,10 @@ blocks, reported separately.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field as dc_field
 
 from .blocks import log2_ceil
-from .errors import CycleBudgetExceeded, PackOverflow, ZeroElement
+from .errors import CycleBudgetExceeded, InvariantViolation, PackOverflow, ZeroElement
 from .field import FieldSpec
 from .poly import degree, euclid_quotients, poly_divmod
 
@@ -168,7 +167,6 @@ class SyncState:
     h: int = 0
     done: bool = False
     iterations: int = 0
-    fired: list = dc_field(default_factory=list)
 
     @staticmethod
     def initial(c_elem: int, modulus: int, m: int) -> "SyncState":
@@ -179,29 +177,15 @@ class SyncState:
             st.done = True
         return st
 
-    def packed_registers(self) -> tuple[int, int]:
-        """Fig-7 packing of both shared registers (boundary states only)."""
-        r1 = pack(self.a, self.A, self.m)
-        r2 = pack(self.b, self.B, self.m)
-        return r1, r2
-
 
 def advance_counter(state: SyncState) -> None:
     """ac: c <- (c + f) mod 4; a bijection on the (f, c) wires."""
     state.c = (state.c + state.f) % 4
 
 
-def o1_first_predicate(state: SyncState) -> bool:
-    """First in a sequence of quotient reads: empty quotient register."""
-    return state.q_len == 0
-
-
-def o1_last_predicate(state: SyncState) -> bool:
-    """Last quotient bit: the working alignment has reached deg(A)."""
-    return state.degA == state.degB
-
-
-def o2_first_predicate(state: SyncState) -> bool:
+def aligned_with_divisor(state: SyncState) -> bool:
+    """The working alignment has reached deg(A): o1a's last quotient read,
+    and o2's first shift after a division."""
     return state.degA == state.degB
 
 
@@ -210,59 +194,75 @@ def o2_last_predicate(state: SyncState) -> bool:
     return _coeff(state.B, state.degB) == 1
 
 
-def step_o1(state: SyncState, phase: str) -> None:
-    """One sub-step of the adaptive long division.
+# The four scheduled slots of the adaptive long division.  run_round calls
+# a slot only when the counter selects it; the slot returns whether it
+# acted (False when flag-suppressed).
 
-    phase "a": the bit at the working alignment becomes the next quotient
-    bit; on the last read of a division the final conditional subtract,
-    the quotient uncompute, and the coefficient co-update fold in here
-    (parts b and c are flag-suppressed afterwards).
-    phase "b": conditioned on the new quotient bit, subtract the aligned
-    divisor from B, and fold the same update into the coefficient pair.
-    phase "c": shift B one slot toward the high-order end.
-    """
-    if phase == "a":
-        bit = _coeff(state.B, state.degB)
-        state.q = (state.q << 1) | bit
-        state.q_len += 1
-        if state.q_len > quotient_capacity(state.m):
-            state.q_overflow = True
-        if o1_last_predicate(state):
-            if bit:
-                state.B ^= state.A
-                state.b ^= state.a
-            _uncompute_quotient(state)
-    elif phase == "b":
-        bit = state.q & 1
+
+def step_o1a(state: SyncState) -> bool:
+    """The bit at the working alignment becomes the next quotient bit; on
+    the last read of a division the final conditional subtract, the
+    quotient uncompute, and the coefficient co-update fold in here (o1b and
+    o1c are flag-suppressed afterwards)."""
+    bit = _coeff(state.B, state.degB)
+    state.q = (state.q << 1) | bit
+    state.q_len += 1
+    if state.q_len > quotient_capacity(state.m):
+        state.q_overflow = True
+    if aligned_with_divisor(state):
         if bit:
-            shift = state.degB - state.degA
-            state.B ^= state.A << shift
-            state.b ^= state.a << shift
-    elif phase == "c":
-        state.degB -= 1
-    else:
-        raise ValueError(f"unknown o1 phase {phase!r}")
+            state.B ^= state.A
+            state.b ^= state.a
+        _uncompute_quotient(state)
+    return True
+
+
+def step_o1b(state: SyncState) -> bool:
+    """Conditioned on the new quotient bit, subtract the aligned divisor
+    from B, and fold the same update into the coefficient pair."""
+    if state.q_len == 0:
+        return False  # flag-suppressed tail of a finished division
+    if state.q & 1:
+        shift = state.degB - state.degA
+        state.B ^= state.A << shift
+        state.b ^= state.a << shift
+    return True
+
+
+def step_o1c(state: SyncState) -> bool:
+    """Shift B one slot toward the high-order end."""
+    if state.q_len == 0:
+        return False
+    state.degB -= 1
+    return True
+
+
+def step_o2(state: SyncState) -> bool:
+    """Shift one leading zero off the remainder; on the shift that brings a
+    1 into the high-order slot, the iteration boundary is reached and the
+    Euclidean pairs swap."""
+    if state.q_len != 0:
+        return False  # mid-division pass-through
+    if aligned_with_divisor(state):
+        state.f ^= 1
+    state.degB -= 1
+    if o2_last_predicate(state):
+        state.f ^= 1
+        _swap_pairs(state)
+    return True
+
+
+SLOTS = (step_o1a, step_o1b, step_o1c, step_o2)  # indexed by O1A..O2
 
 
 def _uncompute_quotient(state: SyncState) -> None:
     """Clear q via q = floor((b + q a)/a); valid because deg(b) < deg(a)."""
     if not state.q_overflow:
         check, _ = poly_divmod(state.b, state.a)
-        assert check == state.q, "quotient uncompute mismatch"
+        if check != state.q:
+            raise InvariantViolation("quotient uncompute mismatch")
     state.q = 0
     state.q_len = 0
-
-
-def step_o2(state: SyncState) -> None:
-    """Shift one leading zero off the remainder; on the shift that brings a
-    1 into the high-order slot, the iteration boundary is reached and the
-    Euclidean pairs swap."""
-    if o2_first_predicate(state):
-        state.f ^= 1
-    state.degB -= 1
-    if o2_last_predicate(state):
-        state.f ^= 1
-        _swap_pairs(state)
 
 
 def _swap_pairs(state: SyncState) -> None:
@@ -282,36 +282,17 @@ def _swap_pairs(state: SyncState) -> None:
         state.done = True
 
 
-def scheduled_fire(state: SyncState, op_id: int) -> bool:
-    """Apply the slot's operation if the counter selects it; returns
-    whether the operation acted."""
-    if state.done or state.c != op_id:
-        return False
-    if op_id == O1A:
-        step_o1(state, "a")
-    elif op_id == O1B:
-        if state.q_len == 0:
-            return False  # flag-suppressed tail of a finished division
-        step_o1(state, "b")
-    elif op_id == O1C:
-        if state.q_len == 0:
-            return False
-        step_o1(state, "c")
-    else:
-        if state.q_len != 0:
-            return False  # mid-division pass-through
-        step_o2(state)
-    return True
-
-
-def run_round(state: SyncState, record: bool = False) -> None:
+def run_round(state: SyncState, on_fire=None) -> None:
     """One global round: the four operation slots, each followed by the
-    advance-counter step; early finishers tick the halting counter."""
-    for op_id in (O1A, O1B, O1C, O2):
-        fired = scheduled_fire(state, op_id)
-        if record and fired:
-            state.fired.append(OP_NAMES[op_id])
+    advance-counter step; early finishers tick the halting counter.
+
+    `on_fire(op_id)`, if given, is called after the advance-counter step
+    of every slot that acted."""
+    for op_id, step in enumerate(SLOTS):
+        fired = not state.done and state.c == op_id and step(state)
         advance_counter(state)
+        if fired and on_fire is not None:
+            on_fire(op_id)
     if state.done:
         state.h += 1
 
@@ -326,8 +307,10 @@ class SyncTrace:
     iterations: int
     quotient_overflow: bool
     rounds: int
+    final_state: SyncState | None = dc_field(default=None, repr=False, compare=False)
 
-    def final_signature(self, state: SyncState) -> tuple:
+    def final_signature(self) -> tuple:
+        state = self.final_state
         return (
             state.a,
             state.A,
@@ -365,16 +348,15 @@ def run_synchronized(
             raise CycleBudgetExceeded(
                 f"input {bin(c_elem)} unfinished after {cycles} rounds"
             )
-        trace = SyncTrace(
+        results[c_elem] = SyncTrace(
             input=c_elem,
             inverse=state.a,
             h=state.h,
             iterations=state.iterations,
             quotient_overflow=state.q_overflow,
             rounds=cycles,
+            final_state=state,  # kept for injectivity checks
         )
-        trace.final_state = state  # kept for injectivity checks
-        results[c_elem] = trace
     return results
 
 
@@ -417,7 +399,6 @@ def check_quotient_bound(field: FieldSpec, sample=None) -> float:
 
 
 def _working_row(state: SyncState) -> dict:
-    m = state.m
     return {
         "A": format(state.A, "b"),
         "B": format(state.B, "b"),
@@ -449,19 +430,12 @@ def trace_table(
         cycles = default_cycles(m)
     state = SyncState.initial(c_elem, modulus, m)
     rows = [dict(_working_row(state), op="init")]
+
+    def record(op_id: int) -> None:
+        rows.append(dict(_working_row(state), op=OP_NAMES[op_id]))
+
     for _ in range(cycles):
-        for op_id in (O1A, O1B, O1C, O2):
-            fired = scheduled_fire(state, op_id)
-            advance_counter(state)
-            if fired:
-                rows.append(dict(_working_row(state), op=OP_NAMES[op_id]))
-        if state.done:
-            state.h += 1
-            break
-        if stop_after_first_iteration and state.iterations >= 1:
+        run_round(state, record)
+        if state.done or (stop_after_first_iteration and state.iterations >= 1):
             break
     return rows
-
-
-def copy_state(state: SyncState) -> SyncState:
-    return copy.deepcopy(state)

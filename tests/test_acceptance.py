@@ -18,6 +18,7 @@ from revgf2.blocks import (
 from revgf2.circuit import BasisState, apply, compose, inverse, report
 from revgf2.curve import CurveKind, CurvePoint, CurveSpec, ec_add, enumerate_points
 from revgf2.ecgroup import FixedPointParams, generic_points, simulate_group_add
+from revgf2.errors import InvariantViolation
 from revgf2.field import FieldSpec, field_invert
 from revgf2.naive import (
     EuclideanPairs,
@@ -157,7 +158,7 @@ def test_criterion_5_degree_invariants_at_boundaries(announce):
                 boundaries += 1
                 try:
                     pairs.check_invariants(m)
-                except AssertionError:
+                except InvariantViolation:
                     violations += 1
                     continue
                 # the register-sharing corollary: both pairs fit m wires
@@ -180,7 +181,7 @@ def test_criterion_6_synchronization(announce):
         traces = run_synchronized(fs.nonzero_elements(), fs)  # default budget
         rounds = {tr.rounds for tr in traces.values()}
         ok = ok and len(rounds) == 1  # input-independent schedule
-        sigs = {tr.final_signature(tr.final_state) for tr in traces.values()}
+        sigs = {tr.final_signature() for tr in traces.values()}
         ok = ok and len(sigs) == len(traces)  # injective final-state map
     announce(
         6,

@@ -60,9 +60,10 @@ def test_estimate(capsys):
 
 
 def test_verify_naive_div_exhaustive(capsys):
-    assert main(["verify", "naive-div", "--m", "4", "--exhaustive"]) == 0
+    assert main(["verify", "naive-div", "--m", "4"]) == 0
     payload, _ = last_json(capsys)
     assert payload["pass"] and payload["mismatches"] == 0
+    assert payload["checked"] == 480  # 15 divisors x 32 dividends, no --sample
 
 
 def test_verify_scope_too_large(capsys):

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +81,28 @@ def test_inversion_trace_invariants():
 def test_zero_rejected():
     with pytest.raises(ZeroElement):
         run_naive_inversion(0, FieldSpec(4, 0b10011))
+
+
+def test_invariant_check_survives_python_O():
+    # -O strips the assert in the script, so reaching the check proves asserts
+    # are off; the invariant check must still raise its typed error.
+    code = (
+        "import sys\n"
+        "from revgf2.errors import InvariantViolation\n"
+        "from revgf2.naive import EuclideanPairs\n"
+        "assert False, 'unreachable under -O'\n"
+        "try:\n"
+        "    EuclideanPairs(1, 0b111, 0, 0b11).check_invariants(2)\n"
+        "except InvariantViolation:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -86,7 +86,7 @@ def test_cycle_budget_enforced():
 
 def test_final_states_injective_and_lockstep():
     traces = run_synchronized(F16.nonzero_elements(), F16)
-    sigs = {tr.final_signature(tr.final_state) for tr in traces.values()}
+    sigs = {tr.final_signature() for tr in traces.values()}
     assert len(sigs) == len(traces)
     assert len({tr.rounds for tr in traces.values()}) == 1
 
