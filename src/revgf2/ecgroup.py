@@ -238,25 +238,27 @@ def simulate_group_add(s: CurvePoint, params: FixedPointParams,
 
     Only the generic case is implemented, so the identity, the fixed point
     itself, and its negative are rejected up front (all three share
-    x = alpha, which would put a zero denominator under the slope).
+    x = alpha, which would put a zero denominator under the slope).  A sum
+    that shares x = alpha is met inside the plan: its multiply step gets
+    the zero operand x' + alpha, so the slope cannot be uncomputed.
     """
-    curve = params.curve
     if s.is_infinity:
         raise NonGenericInput("the identity is outside the generic case")
-    if not on_curve(s, curve):
+    if not on_curve(s, params.curve):
         raise PointNotOnCurve(f"{s} not on the curve")
     if s.x == params.alpha:
         raise NonGenericInput(
             "input shares the fixed point's x coordinate (doubling, "
             "cancellation, or a repeated point)"
         )
-    if ec_add(s, CurvePoint(params.alpha, params.beta), curve).x == params.alpha:
+    plan = plan_group_add(params)
+    try:
+        x3, y3 = execute_plan(plan, s.x, s.y, backend)
+    except DivisionByZero as exc:
         raise NonGenericInput(
             "the sum shares the fixed point's x coordinate, so the slope "
             "cannot be uncomputed (output side of the generic-case check)"
-        )
-    plan = plan_group_add(params)
-    x3, y3 = execute_plan(plan, s.x, s.y, backend)
+        ) from exc
     return CurvePoint(x3, y3)
 
 

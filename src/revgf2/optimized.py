@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from .blocks import log2_ceil
 from .errors import CycleBudgetExceeded, InvariantViolation, PackOverflow, ZeroElement
 from .field import FieldSpec
-from .poly import degree, euclid_quotients, poly_divmod
+from .poly import degree, poly_divmod
 
 # Scheduled operation indices, in counter-cycle order.
 O1A, O1B, O1C, O2 = 0, 1, 2, 3
@@ -297,6 +297,34 @@ def run_round(state: SyncState, on_fire=None) -> None:
         state.h += 1
 
 
+def _run_rounds(
+    state: SyncState, cycles: int, stop_after_first_iteration: bool = False, on_fire=None
+) -> int:
+    """The machine's one driver: call run_round until the input is done,
+    its first iteration has finished (if asked), or `cycles` rounds have
+    run.  Returns the number of rounds run.
+
+    run_round is looked up as a module global on every call, so a caller
+    that rebinds `optimized.run_round` sees every round."""
+    rounds = 0
+    while rounds < cycles and not state.done:
+        if stop_after_first_iteration and state.iterations >= 1:
+            break
+        run_round(state, on_fire)
+        rounds += 1
+    return rounds
+
+
+def _invert_in_budget(c_elem: int, field: FieldSpec, cycles: int) -> tuple[SyncState, int]:
+    """Run one input until it is done; return its state and the rounds run.
+    Raises CycleBudgetExceeded if `cycles` rounds are not enough."""
+    state = SyncState.initial(c_elem, field.modulus, field.m)
+    rounds_run = _run_rounds(state, cycles)
+    if not state.done:
+        raise CycleBudgetExceeded(f"input {bin(c_elem)} unfinished after {cycles} rounds")
+    return state, rounds_run
+
+
 @dataclass
 class SyncTrace:
     """Per-input outcome of a synchronized run."""
@@ -334,20 +362,18 @@ def run_synchronized(
 
     Each input is simulated independently under the shared clock; the
     sequence of scheduled slots is a function of the clock only, so all
-    inputs advance in lockstep.  Raises CycleBudgetExceeded if any input
+    inputs advance in lockstep.  Once an input is done no slot fires and
+    a round's four advance-counter steps add 4f = 0 (mod 4) to c, so each
+    remaining round only ticks the halting counter: those rounds are
+    credited to h, not simulated.  Raises CycleBudgetExceeded if any input
     has not reached the termination state within `cycles` rounds.
     """
     if cycles is None:
         cycles = default_cycles(field.m)
     results: dict[int, SyncTrace] = {}
     for c_elem in inputs:
-        state = SyncState.initial(c_elem, field.modulus, field.m)
-        for _ in range(cycles):
-            run_round(state)
-        if not state.done:
-            raise CycleBudgetExceeded(
-                f"input {bin(c_elem)} unfinished after {cycles} rounds"
-            )
+        state, rounds_run = _invert_in_budget(c_elem, field, cycles)
+        state.h += cycles - rounds_run
         results[c_elem] = SyncTrace(
             input=c_elem,
             inverse=state.a,
@@ -369,30 +395,8 @@ def optimized_invert(c_elem: int, field: FieldSpec, cycles: int | None = None) -
     """
     if cycles is None:
         cycles = default_cycles(field.m)
-    state = SyncState.initial(c_elem, field.modulus, field.m)
-    for _ in range(cycles):
-        if state.done:
-            return state.a
-        run_round(state)
-    if not state.done:
-        raise CycleBudgetExceeded(f"input {bin(c_elem)} unfinished after {cycles} rounds")
+    state, _ = _invert_in_budget(c_elem, field, cycles)
     return state.a
-
-
-def check_quotient_bound(field: FieldSpec, sample=None) -> float:
-    """Fraction of inputs whose Euclid trace contains a quotient that does
-    not fit the 3*ceil(log m)-bit register (a fidelity-loss event)."""
-    capacity = quotient_capacity(field.m)
-    if sample is None:
-        sample = field.nonzero_elements()
-    flagged = 0
-    total = 0
-    for c_elem in sample:
-        total += 1
-        quotients = euclid_quotients(c_elem, field.modulus)
-        if any(q.bit_length() > capacity for q in quotients):
-            flagged += 1
-    return flagged / total if total else 0.0
 
 
 # --- trace rendering (Fig-8 style tableau) ---------------------------------
@@ -434,8 +438,5 @@ def trace_table(
     def record(op_id: int) -> None:
         rows.append(dict(_working_row(state), op=OP_NAMES[op_id]))
 
-    for _ in range(cycles):
-        run_round(state, record)
-        if state.done or (stop_after_first_iteration and state.iterations >= 1):
-            break
+    _run_rounds(state, cycles, stop_after_first_iteration, record)
     return rows

@@ -84,23 +84,6 @@ def extended_euclid(a: int, b: int, trace: list | None = None) -> tuple[int, int
     return r0, k0, kp0
 
 
-def euclid_quotients(a: int, b: int) -> list[int]:
-    """The quotient sequence of the Euclidean algorithm on (a, b).
-
-    Divides b by a first (the convention used by the inversion circuits,
-    which start from (C, f) and compute floor(f/C) first).
-    """
-    if a == 0:
-        raise DivisionByZero("Euclid quotient sequence needs a nonzero start")
-    quotients = []
-    hi, lo = b, a
-    while lo != 0:
-        q, r = poly_divmod(hi, lo)
-        quotients.append(q)
-        hi, lo = lo, r
-    return quotients
-
-
 def parse_poly(text: str) -> int:
     """Parse the MSB-first binary rendering of a polynomial."""
     text = text.strip()

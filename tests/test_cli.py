@@ -73,8 +73,15 @@ def test_verify_scope_too_large(capsys):
 def test_verify_opt_invert_sample(capsys):
     assert main(["verify", "opt-invert", "--m", "8", "--sample", "50"]) == 0
     payload, _ = last_json(capsys)
-    assert payload["pass"]
-    assert payload["quotient_bound_fraction"] <= payload["quotient_bound_limit"]
+    assert payload["pass"] and payload["checked"] == 50
+    assert payload["quotient_bound_fraction"] == 0.0  # the machine flags no m = 8 input
+
+
+def test_verify_blocks_lists_skipped_permutation_checks(capsys):
+    assert main(["verify", "blocks", "--m", "6"]) == 0
+    payload, _ = last_json(capsys)
+    assert payload["pass"] and payload["skipped"] == ["mulacc"]  # 18 wires wide
+    assert payload["checked"] == 8 + 63  # permutation checks run + degree oracle checks
 
 
 def test_verify_ec_add_all_generic(curve_file, capsys):
@@ -112,6 +119,19 @@ def test_trace_division(capsys):
     header = rows[0]
     final = dict(zip(header, rows[-1]))
     assert final["A"] == "1" and final["a"] == "100" and final["q"] == "0"
+
+
+@pytest.mark.parametrize(
+    "divisor, dividend, message",
+    [
+        ("10101", "101", "divisor degree exceeds the dividend's"),
+        ("11", "11", "the division is exact"),  # a zero remainder never ends the division
+    ],
+)
+def test_trace_division_rejects_unusable_pair(divisor, dividend, message, capsys):
+    assert main(["trace", "--element", divisor, "--dividend", dividend, "--m", "4"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_trace_inversion_deterministic(capsys):

@@ -82,7 +82,6 @@ def test_plan_inverse_restores_input():
         plan = plan_group_add(params)
         for s in generic_points(params):
             x, y = execute_plan(plan, s.x, s.y)
-            assert (x, y) != (s.x, s.y) or True
             back = execute_plan(plan, x, y, inverse=True)
             assert back == (s.x, s.y)
 
@@ -99,6 +98,23 @@ def test_non_generic_inputs_rejected():
     if not on_curve(off, NS):
         with pytest.raises(PointNotOnCurve):
             simulate_group_add(off, params)
+
+
+@pytest.mark.parametrize("backend", ["naive", "opt"])
+def test_output_side_non_generic_rejected(backend):
+    # a sum with x = alpha leaves the multiply step a zero operand
+    rejected = 0
+    for curve in (NS, SS):
+        params = params_for(curve)
+        fixed = CurvePoint(params.alpha, params.beta)
+        for s in enumerate_points(curve):
+            if s.is_infinity or s.x == params.alpha:
+                continue
+            if ec_add(s, fixed, curve).x == params.alpha:
+                with pytest.raises(NonGenericInput):
+                    simulate_group_add(s, params, backend)
+                rejected += 1
+    assert rejected > 0  # (1, 11) on the supersingular curve
 
 
 def test_width_bounded_by_division():

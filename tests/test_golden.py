@@ -1,5 +1,5 @@
 """Golden netlists: resource reports and SHA-256 digests of the emitted
-netlists (gate order included) and of one CLI trace.
+netlists (gate order included) and of two CLI traces.
 
 A change that alters any of these circuits must update the pinned values
 here on purpose, so gate-order changes stay visible in review.
@@ -90,3 +90,10 @@ def test_golden_trace(capsys):
     assert main(["trace", "--element", "1011", "--m", "4"]) == 0
     out = capsys.readouterr().out
     assert sha256(out) == "adacc7b5eac213551c70a7b2843ec4ba4ae5b357734fd7fa1d39e8cefc416372"
+
+
+def test_golden_division_trace(capsys):
+    # the first-iteration stop of the --dividend mode
+    assert main(["trace", "--element", "101", "--dividend", "10101", "--m", "4"]) == 0
+    out = capsys.readouterr().out
+    assert sha256(out) == "1bab79e85d9cb6b3c8f38cd2bf8fd2edeb9895a17c660320a673904a40be0940"

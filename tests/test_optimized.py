@@ -1,17 +1,18 @@
 import pytest
 
 from revgf2.errors import CycleBudgetExceeded, PackOverflow, ZeroElement
-from revgf2.field import FieldSpec, field_invert
+from revgf2.field import FieldSpec, default_field, field_invert
 from revgf2.optimized import (
     SyncState,
+    SyncTrace,
     advance_counter,
     budget_breakdown,
-    check_quotient_bound,
     default_cycles,
     halting_counter_width,
     machine_layout,
     optimized_invert,
     pack,
+    run_round,
     quotient_capacity,
     qubit_budget,
     run_synchronized,
@@ -99,8 +100,26 @@ def test_halting_counter_counts_idle_rounds():
 
 def test_quotient_capacity_and_bound():
     assert quotient_capacity(16) == 12
-    assert check_quotient_bound(F16) == 0.0
-    assert check_quotient_bound(F256) == 0.0
+    for fs in (F16, F256):
+        traces = run_synchronized(fs.nonzero_elements(), fs)
+        assert not any(tr.quotient_overflow for tr in traces.values())
+
+
+def test_idle_rounds_credited_exactly():
+    # reference: simulate every one of the budget's rounds, idle ones too
+    for m in range(2, 9):
+        fs = default_field(m)
+        cycles = default_cycles(m)
+        traces = run_synchronized(fs.nonzero_elements(), fs)
+        for c in fs.nonzero_elements():
+            state = SyncState.initial(c, fs.modulus, m)
+            for _ in range(cycles):
+                run_round(state)
+            reference = SyncTrace(
+                c, state.a, state.h, state.iterations, state.q_overflow, cycles, final_state=state
+            )
+            assert traces[c] == reference  # every field but the final state
+            assert traces[c].final_signature() == reference.final_signature()
 
 
 def test_trace_division_worked_example():

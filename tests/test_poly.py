@@ -5,7 +5,6 @@ import pytest
 from revgf2.errors import DivisionByZero, ZeroPolynomial
 from revgf2.poly import (
     degree,
-    euclid_quotients,
     extended_euclid,
     format_poly,
     parse_poly,
@@ -64,12 +63,6 @@ def test_extended_euclid_bezout():
         assert poly_divmod(a, g)[1] == 0
         assert poly_divmod(b, g)[1] == 0
         assert poly_add(poly_mul(k, a), poly_mul(kp, b)) == g
-
-
-def test_euclid_quotients_reconstruct_gcd():
-    a, b = 0b101, 0b10101
-    qs = euclid_quotients(a, b)
-    assert qs[0] == 0b100  # first division: floor(b/a)
 
 
 def test_parse_format_round_trip():
