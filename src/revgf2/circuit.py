@@ -1,15 +1,16 @@
-"""Reversible-gate IR, basis-state simulator, and resource accounting.
+"""Reversible-gate IR, bit-sliced basis-state simulator, and resource accounting.
 
 A Circuit is an ordered gate list over a named-register layout.  Gates are
 NOT, multi-controlled NOT (controls carry a polarity: 1-control fires on
-|1>, 0-control on |0>), and SWAP.  Simulation is over computational basis
-states only; every circuit here is a classical reversible permutation, so
-a basis state is one int of bits per register.
+|1>, 0-control on |0>), and SWAP, so every circuit permutes basis states.
+The simulator keeps one int per wire whose bit j is lane j's value: `apply`
+runs one state as one lane, `sweep` every value of the named registers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 from .errors import LayoutMismatch, WidthTooLarge
 
@@ -34,8 +35,8 @@ class Gate:
             raise ValueError("NOT takes one target and no controls")
         if self.kind == CNOT and (not self.controls or len(self.targets) != 1):
             raise ValueError("CNOT takes one target and at least one control")
-        if self.kind == SWAP and len(self.targets) != 2:
-            raise ValueError("SWAP takes exactly two targets")
+        if self.kind == SWAP and (self.controls or len(self.targets) != 2):
+            raise ValueError("SWAP takes exactly two targets and no controls")
 
     def wires(self):
         for w, _ in self.controls:
@@ -52,8 +53,8 @@ def cnot(controls, target: Wire) -> Gate:
     return Gate(CNOT, controls=tuple(controls), targets=(target,))
 
 
-def swap(w1: Wire, w2: Wire, controls=()) -> Gate:
-    return Gate(SWAP, controls=tuple(controls), targets=(w1, w2))
+def swap(w1: Wire, w2: Wire) -> Gate:
+    return Gate(SWAP, targets=(w1, w2))
 
 
 @dataclass
@@ -62,6 +63,7 @@ class Circuit:
 
     layout: dict[str, int]
     gates: list[Gate] = field(default_factory=list)
+    _ops: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.gates:
@@ -75,6 +77,7 @@ class Circuit:
     def add(self, g: Gate):
         self._check_gate(g)
         self.gates.append(g)
+        self._ops = None
 
     def extend(self, gates):
         for g in gates:
@@ -83,6 +86,21 @@ class Circuit:
     @property
     def width(self) -> int:
         return sum(self.layout.values())
+
+    def _compiled(self) -> list:
+        """Gates over flat wire indices, built on first run: (1-controls, 0-controls,
+        target, None), or ((), (), wire, wire) for SWAP; equal tuples are shared."""
+        if self._ops is None:
+            wires = [(name, i) for name, width in self.layout.items() for i in range(width)]
+            index = {w: i for i, w in enumerate(wires)}
+            share = {}.setdefault
+            self._ops = []
+            for g in self.gates:
+                ones = tuple(index[w] for w, pol in g.controls if pol)
+                zeros = tuple(index[w] for w, pol in g.controls if not pol)
+                op = (share(ones, ones), share(zeros, zeros), *[index[w] for w in g.targets], None)[:4]
+                self._ops.append(share(op, op))
+        return self._ops
 
 
 @dataclass
@@ -113,55 +131,76 @@ class BasisState:
             raise ValueError(f"value {value} does not fit register {name!r}")
         self.bits[name] = value
 
-    def copy(self) -> "BasisState":
-        return BasisState(self.layout, dict(self.bits))
-
-    def as_int(self) -> int:
-        """Pack all registers into one int, layout order, first register lowest."""
-        packed = 0
-        shift = 0
-        for name, width in self.layout.items():
-            packed |= self.bits[name] << shift
-            shift += width
-        return packed
-
-    @staticmethod
-    def from_int(layout: dict[str, int], packed: int) -> "BasisState":
-        bits = {}
-        for name, width in layout.items():
-            bits[name] = packed & ((1 << width) - 1)
-            packed >>= width
-        return BasisState(dict(layout), bits)
-
 
 def _compatible(layout_a: dict[str, int], layout_b: dict[str, int]) -> bool:
     return all(layout_a.get(name) == width for name, width in layout_b.items())
 
 
+def _simulate(circuit: Circuit, before: dict[str, list[int]], mask: int) -> dict[str, list[int]]:
+    """The kernel: run the gates over each register's wire ints, one bit per lane in `mask`."""
+    w = [x for name in circuit.layout for x in before[name]]
+    for ones, zeros, t, u in circuit._compiled():
+        if u is None:
+            fire = mask
+            for c in ones:
+                fire &= w[c]
+                if not fire:
+                    break
+            else:
+                for c in zeros:
+                    fire &= ~w[c]  # fire starts inside mask, so ~ stays inside it
+                w[t] ^= fire
+        else:
+            w[t], w[u] = w[u], w[t]
+    out = iter(w)
+    return {name: list(islice(out, width)) for name, width in circuit.layout.items()}
+
+
 def apply(circuit: Circuit, state: BasisState) -> BasisState:
-    """Run the circuit on a basis state and return the resulting state."""
+    """Run the circuit on one basis state: the kernel with a single lane."""
     if not _compatible(state.layout, circuit.layout):
         raise LayoutMismatch("state layout does not cover the circuit's registers")
     bits = dict(state.bits)
-    for g in circuit.gates:
-        fire = True
-        for (reg, idx), polarity in g.controls:
-            if (bits[reg] >> idx) & 1 != polarity:
-                fire = False
-                break
-        if not fire:
-            continue
-        if g.kind == SWAP:
-            (r1, i1), (r2, i2) = g.targets
-            b1 = (bits[r1] >> i1) & 1
-            b2 = (bits[r2] >> i2) & 1
-            if b1 != b2:
-                bits[r1] ^= 1 << i1
-                bits[r2] ^= 1 << i2
-        else:
-            reg, idx = g.targets[0]
-            bits[reg] ^= 1 << idx
+    before = {name: [(bits[name] >> i) & 1 for i in range(w)] for name, w in circuit.layout.items()}
+    for name, reg in _simulate(circuit, before, 1).items():
+        bits[name] = sum(b << i for i, b in enumerate(reg))
     return BasisState(state.layout, bits)
+
+
+# 2**22 lanes make each wire int 512 KiB.  At this bound the 22-wire round
+# trip takes 0.15 s and 41 MB, `verify naive-div --m 10` (21 bits) 9 s and 89 MB.
+MAX_LANE_BITS = 22
+
+
+@dataclass
+class Sweep:
+    """Each register's wire ints before and after a sweep; bit j of a wire is lane j's bit."""
+
+    lanes: int
+    before: dict[str, list[int]]
+    after: dict[str, list[int]]
+
+    def values(self, name: str):
+        """Iterate over register `name`'s output value in each lane, lane 0 first."""
+        cols = [reversed(format(w, f"0{self.lanes}b")) for w in reversed(self.after[name])]
+        return map(int, map("".join, zip(*(cols or ["0" * self.lanes]))), repeat(2))
+
+
+def sweep(circuit: Circuit, registers: tuple[str, ...]) -> Sweep:
+    """Run the circuit on every value of `registers` at once.  Lane j holds the
+    j-th combination, the first register in the low bits; the rest start at 0."""
+    n = sum(circuit.layout[name] for name in registers)
+    if n > MAX_LANE_BITS:
+        raise WidthTooLarge(f"sweeping {n} bits exceeds the {MAX_LANE_BITS}-bit lane bound")
+    lanes = 1 << n
+    before = {name: [0] * width for name, width in circuit.layout.items()}
+    patterns: list[int] = []  # pattern k holds bit k of every lane number j
+    for half in (1 << k for k in range(n)):  # double: the lanes so far, then again with bit k set
+        patterns = [p | p << half for p in patterns] + [((1 << half) - 1) << half]
+    swept = iter(patterns)
+    for name in registers:
+        before[name] = list(islice(swept, circuit.layout[name]))
+    return Sweep(lanes, before, _simulate(circuit, before, (1 << lanes) - 1))
 
 
 def inverse(circuit: Circuit) -> Circuit:
@@ -220,17 +259,11 @@ def report(circuit: Circuit) -> ResourceReport:
     return ResourceReport(circuit.width, counts, arity, depth)
 
 
-def check_permutation(circuit: Circuit, max_width: int = 20) -> bool:
-    """Exhaustively verify the circuit induces a bijection on basis states."""
-    if circuit.width > max_width:
-        raise WidthTooLarge(f"width {circuit.width} exceeds the {max_width}-wire bound")
-    seen = set()
-    for packed in range(1 << circuit.width):
-        out = apply(circuit, BasisState.from_int(circuit.layout, packed)).as_int()
-        if out in seen:
-            return False
-        seen.add(out)
-    return True
+def check_permutation(circuit: Circuit) -> bool:
+    """Exhaustively verify the circuit is a bijection: one sweep through it and
+    its inverse gives every basis state back, so the circuit is injective."""
+    run = sweep(compose(circuit, inverse(circuit)), tuple(circuit.layout))
+    return run.after == run.before
 
 
 # --- text netlist format ---------------------------------------------------
@@ -276,10 +309,7 @@ def parse_netlist(text: str) -> Circuit:
             gates.append(gate_not(_parse_wire(parts[1])))
         elif parts[0] == "CNOT":
             sep = parts.index(">")
-            controls = []
-            for token in parts[1:sep]:
-                polarity = 1 if token[0] == "+" else 0
-                controls.append((_parse_wire(token[1:]), polarity))
+            controls = [(_parse_wire(token[1:]), int(token[0] == "+")) for token in parts[1:sep]]
             gates.append(cnot(controls, _parse_wire(parts[sep + 1])))
         elif parts[0] == "SWAP":
             gates.append(swap(_parse_wire(parts[1]), _parse_wire(parts[2])))

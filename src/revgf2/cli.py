@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import blocks, naive, optimized
-from .circuit import BasisState, apply, check_permutation, emit_netlist, report
+from .circuit import MAX_LANE_BITS, BasisState, apply, check_permutation, emit_netlist, report, sweep
 from .curve import CurvePoint, ec_add, enumerate_points, load_curve
 from .ecgroup import FixedPointParams, generic_points, simulate_group_add
 from .errors import (
@@ -27,7 +27,6 @@ from .poly import degree, format_poly, parse_poly, poly_divmod
 
 DEFAULT_SEED = 12345
 EXHAUSTIVE_STATE_LIMIT = 1 << 20
-PERMUTATION_CHECK_WIDTH = 16  # verify blocks skips the permutation check above this
 
 
 def _emit(payload: dict):
@@ -177,15 +176,14 @@ def verify_blocks(args) -> int:
         ("mulacc", {"field": field}),
     ]:
         built = blocks.BLOCK_BUILDERS[name](params)
-        if built.width > PERMUTATION_CHECK_WIDTH:
+        if built.width > MAX_LANE_BITS:
             skipped.append(name)
         elif not check_permutation(built):
             mismatches.append(f"{name}: not a permutation")
-    # spot oracle checks
-    deg_c = blocks.build_degree(m)
-    for a in range(1, 1 << m):
-        out = apply(deg_c, BasisState.from_values(deg_c.layout, a=a))
-        if out.get_reg("deg") != degree(a) or out.get_reg("anc") != 0:
+    # degree oracle check on every nonzero input
+    run = sweep(blocks.build_degree(m), ("a",))
+    for a, deg, anc in zip(range(run.lanes), run.values("deg"), run.values("anc")):
+        if a and (deg != degree(a) or anc):
             mismatches.append(f"deg: a={format_poly(a, m)}")
     checked = 9 - len(skipped) + (1 << m) - 1
     return _verify_payload("blocks", checked, mismatches, {"m": m, "skipped": skipped})
@@ -194,26 +192,22 @@ def verify_blocks(args) -> int:
 def verify_naive_div(args) -> int:
     m = args.m or 4
     division = naive.build_naive_long_division(m)
-    rng = random.Random(args.seed)
+    scratch = ("s", "anc", "flg")
     if args.sample:
-        pairs = [
-            (rng.randrange(1, 1 << m), rng.randrange(0, 1 << (m + 1)))
-            for _ in range(args.sample)
-        ]
-    else:
-        space = ((1 << m) - 1) * (1 << (m + 1))
-        if space > EXHAUSTIVE_STATE_LIMIT:
-            raise ScopeTooLarge(f"{space} divisor/dividend pairs; use --sample")
-        pairs = [(a, b) for a in range(1, 1 << m) for b in range(1 << (m + 1))]
-    mismatches = []
-    for a, b in pairs:
-        out = apply(division, BasisState.from_values(division.layout, a=a, b=b))
-        q, r = poly_divmod(b, a)
-        if (out.get_reg("q"), out.get_reg("b")) != (q, r) or any(
-            out.get_reg(s) for s in ("s", "anc", "flg")
-        ):
+        rng = random.Random(args.seed)
+        pairs = [(rng.randrange(1, 1 << m), rng.randrange(0, 1 << (m + 1))) for _ in range(args.sample)]
+        outs = (apply(division, BasisState.from_values(division.layout, a=a, b=b)).bits for a, b in pairs)
+        results = ((a, b, out["q"], out["b"], [out[s] for s in scratch]) for (a, b), out in zip(pairs, outs))
+    else:  # every pair in one sweep; lane j holds a = j mod 2^m, b = j >> m
+        run = sweep(division, ("a", "b"))
+        lanes = zip(range(run.lanes), run.values("q"), run.values("b"), zip(*map(run.values, scratch)))
+        results = ((j % (1 << m), j >> m, q, r, dirt) for j, q, r, dirt in lanes if j % (1 << m))
+    checked, mismatches = 0, []
+    for a, b, q, r, dirt in results:
+        checked += 1
+        if (q, r) != poly_divmod(b, a) or any(dirt):
             mismatches.append(f"a={format_poly(a, m)} b={format_poly(b, m + 1)}")
-    return _verify_payload("naive-div", len(pairs), mismatches, {"m": m})
+    return _verify_payload("naive-div", checked, mismatches, {"m": m})
 
 
 def verify_naive_invert(args) -> int:
@@ -282,8 +276,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ec_add(args) -> int:
-    if args.all_generic:
-        return verify_ec_add(args)
     curve = load_curve(args.curve)
     ax, ay = args.fixed.split(",")
     px, py = args.point.split(",")
@@ -349,10 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ec-add", help="apply the group-operation plan to a point")
     p.add_argument("--curve", required=True)
-    p.add_argument("--fixed", help="alpha,beta as MSB-first bit strings")
-    p.add_argument("--point", help="x,y as MSB-first bit strings")
+    p.add_argument("--fixed", required=True, help="alpha,beta as MSB-first bit strings")
+    p.add_argument("--point", required=True, help="x,y as MSB-first bit strings")
     p.add_argument("--backend", choices=("naive", "opt"), default="naive")
-    p.add_argument("--all-generic", action="store_true")
     p.set_defaults(func=cmd_ec_add)
     return parser
 

@@ -12,11 +12,11 @@ shift, o2 shift-off-leading-zeros), an advance-counter step between slots,
 a flag wire marking sequence boundaries, and a halting counter that
 early finishers tick so the global schedule can run to a fixed length.
 
-The scheduled steps are modeled as named reversible primitives over the
-packed layout: each acts bit-exactly on the machine state, and the layout
-(not the model) is what the qubit-budget audit measures.  Gate costs for
-the boundary-conditioned steps are estimates composed from the building
-blocks, reported separately.
+The scheduled steps are modeled as named reversible primitives that act
+bit-exactly on `SyncState`, which keeps A, B, a and b as plain
+polynomials; `pack` maps a pair onto its shared register.  The layout,
+not the model, is what the qubit-budget audit measures.  The steps have
+no gate list yet, so the machine has no gate count or depth.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from revgf2.blocks import (
     build_swap,
     log2_ceil,
 )
-from revgf2.circuit import BasisState, apply, compose, inverse, report
+from revgf2.circuit import BasisState, apply, compose, inverse, report, sweep
 from revgf2.curve import CurveKind, CurvePoint, CurveSpec, ec_add, enumerate_points
 from revgf2.ecgroup import FixedPointParams, generic_points, simulate_group_add
 from revgf2.errors import InvariantViolation
@@ -68,39 +68,37 @@ def test_criterion_1_inversion_oracle_equivalence(announce):
 
 
 def test_criterion_2_division_oracle_equivalence(announce):
+    scratch = ("s", "anc", "flg")
     mismatches = 0
     checked = 0
-
-    def check(circ, a, b):
-        nonlocal mismatches, checked
-        out = apply(circ, BasisState.from_values(circ.layout, a=a, b=b))
-        ok = (out.get_reg("q"), out.get_reg("b")) == poly_divmod(b, a)
-        ok = ok and all(out.get_reg(s) == 0 for s in ("s", "anc", "flg"))
-        mismatches += 0 if ok else 1
-        checked += 1
-        return out
-
-    for m in (2, 3, 4):
-        circ = build_naive_long_division(m)
-        for a in range(1, 1 << m):
-            for b in range(1 << (m + 1)):
-                check(circ, a, b)
+    for m in range(2, 9):  # every pair in one sweep; lane j holds a = j mod 2^m, b = j >> m
+        run = sweep(build_naive_long_division(m), ("a", "b"))
+        lanes = zip(range(run.lanes), run.values("q"), run.values("b"), zip(*map(run.values, scratch)))
+        for j, q, r, dirt in lanes:
+            a, b = j % (1 << m), j >> m
+            if a:
+                mismatches += (q, r) != poly_divmod(b, a) or any(dirt)
+                checked += 1
+    exhaustive = checked
     rng = random.Random(1009)
-    for m in (8, 16):
-        circ = build_naive_long_division(m)
-        for _ in range(1000):
-            check(circ, rng.randrange(1, 1 << m), rng.randrange(1 << (m + 1)))
+    circ = build_naive_long_division(16)
+    for _ in range(1000):
+        a, b = rng.randrange(1, 1 << 16), rng.randrange(1 << 17)
+        out = apply(circ, BasisState.from_values(circ.layout, a=a, b=b))
+        mismatches += (out.get_reg("q"), out.get_reg("b")) != poly_divmod(b, a)
+        mismatches += any(out.get_reg(s) for s in scratch)
+        checked += 1
     # the worked example: B = z^4+z^2+1, A = z^2+1 -> q = z^2, r = 1
-    out = apply(
-        build_naive_long_division(4),
-        BasisState.from_values(build_naive_long_division(4).layout, a=0b101, b=0b10101),
-    )
+    circ = build_naive_long_division(4)
+    out = apply(circ, BasisState.from_values(circ.layout, a=0b101, b=0b10101))
     example_ok = out.get_reg("q") == 0b100 and out.get_reg("b") == 0b1
+    example_ok = example_ok and not any(out.get_reg(s) for s in scratch)
     announce(
         2,
-        mismatches == 0 and example_ok,
-        f"naive division equals divmod on {checked} inputs (exhaustive m <= 4, "
-        f"1000 random each for m = 8, 16) and the z^4+z^2+1 / z^2+1 example",
+        mismatches == 0 and example_ok and exhaustive == 173_736,  # sum of (2^m - 1) 2^(m+1)
+        f"naive division equals divmod with clean scratch on {checked} inputs "
+        f"(all {exhaustive} pairs a != 0 for m = 2..8, 1000 random for m = 16) "
+        f"and the z^4+z^2+1 / z^2+1 example",
     )
 
 
@@ -242,22 +240,14 @@ def test_criterion_9_reversibility_suite(announce):
         build_naive_long_division(4),
         build_euclid_iteration(3),
     ]
-    rng = random.Random(2718)
     failures = 0
     for circ in circuits:
-        round_trip = compose(circ, inverse(circ))
-        if circ.width <= 12:
-            states = range(1 << circ.width)
-        else:
-            states = (rng.randrange(1 << circ.width) for _ in range(1000))
-        for packed in states:
-            state = BasisState.from_int(round_trip.layout, packed)
-            if apply(round_trip, state).as_int() != packed:
-                failures += 1
-                break
+        run = sweep(compose(circ, inverse(circ)), tuple(circ.layout))
+        failures += run.after != run.before  # every lane's wires back to its input
     announce(
         9,
         failures == 0,
         f"{len(circuits)} synthesized circuits composed with their inverses act "
-        f"as the identity (exhaustive for width <= 12, 1000 seeded states above)",
+        f"as the identity on every basis state (widths up to "
+        f"{max(c.width for c in circuits)}, one sweep each)",
     )

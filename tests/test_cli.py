@@ -78,10 +78,13 @@ def test_verify_opt_invert_sample(capsys):
 
 
 def test_verify_blocks_lists_skipped_permutation_checks(capsys):
+    assert main(["verify", "blocks", "--m", "8"]) == 0
+    payload, _ = last_json(capsys)
+    assert payload["pass"] and payload["skipped"] == ["mulacc"]  # 24 wires, over the lane bound
+    assert payload["checked"] == 8 + 255  # permutation checks run + degree oracle checks
     assert main(["verify", "blocks", "--m", "6"]) == 0
     payload, _ = last_json(capsys)
-    assert payload["pass"] and payload["skipped"] == ["mulacc"]  # 18 wires wide
-    assert payload["checked"] == 8 + 63  # permutation checks run + degree oracle checks
+    assert payload["skipped"] == [] and payload["checked"] == 9 + 63
 
 
 def test_verify_ec_add_all_generic(curve_file, capsys):
@@ -110,6 +113,13 @@ def test_ec_add_single_point(curve_file, capsys, tmp_path):
     assert main(argv) == 0
     payload, _ = last_json(capsys)
     assert payload["matches_oracle"]
+
+
+def test_ec_add_needs_point(curve_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ec-add", "--curve", curve_file, "--fixed", "0001,0001"])
+    assert exc.value.code == 2
+    assert "--point" in capsys.readouterr().err
 
 
 def test_trace_division(capsys):

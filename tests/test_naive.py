@@ -1,4 +1,3 @@
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,42 +10,11 @@ from revgf2.field import FieldSpec, field_invert
 from revgf2.naive import (
     EuclideanPairs,
     build_euclid_iteration,
-    build_naive_long_division,
     run_naive_inversion,
 )
 from revgf2.poly import poly_divmod
 
 IRRED = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
-
-
-def divide(circ, a, b):
-    out = apply(circ, BasisState.from_values(circ.layout, a=a, b=b))
-    for scratch in ("s", "anc", "flg"):
-        assert out.get_reg(scratch) == 0, f"{scratch} not restored"
-    return out.get_reg("q"), out.get_reg("b")
-
-
-def test_division_exhaustive_m3():
-    m = 3
-    circ = build_naive_long_division(m)
-    for a in range(1, 1 << m):
-        for b in range(1 << (m + 1)):
-            assert divide(circ, a, b) == poly_divmod(b, a)
-
-
-def test_division_worked_example():
-    # B = z^4+z^2+1 divided by A = z^2+1: quotient z^2, remainder 1
-    circ = build_naive_long_division(4)
-    assert divide(circ, 0b101, 0b10101) == (0b100, 0b1)
-
-
-def test_division_random_m8():
-    circ = build_naive_long_division(8)
-    rng = random.Random(41)
-    for _ in range(100):
-        a = rng.randrange(1, 1 << 8)
-        b = rng.randrange(1 << 9)
-        assert divide(circ, a, b) == poly_divmod(b, a)
 
 
 def test_iteration_swaps_pairs():
