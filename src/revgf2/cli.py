@@ -12,18 +12,18 @@ import json
 import random
 import sys
 
-from . import blocks, naive, optimized
-from .circuit import MAX_LANE_BITS, BasisState, apply, check_permutation, emit_netlist, report, sweep
+from . import blocks, optimized, verify
+from .circuit import emit_netlist, report
 from .curve import CurvePoint, ec_add, enumerate_points, load_curve
-from .ecgroup import FixedPointParams, generic_points, simulate_group_add
+from .ecgroup import FixedPointParams, simulate_group_add
 from .errors import (
     BadParameter,
     RevGF2Error,
     ScopeTooLarge,
     UnknownBlock,
 )
-from .field import FieldSpec, default_field, field_invert, load_field
-from .poly import degree, format_poly, parse_poly, poly_divmod
+from .field import FieldSpec, default_field, load_field
+from .poly import degree, format_poly, parse_poly
 
 DEFAULT_SEED = 12345
 EXHAUSTIVE_STATE_LIMIT = 1 << 20
@@ -77,7 +77,7 @@ def cmd_estimate(args) -> int:
     m = args.m
     if m < 2:
         raise BadParameter("estimate needs m >= 2")
-    cycles = args.cycles if args.cycles else optimized.default_cycles(m)
+    cycles = optimized.default_cycles(m)
     H = optimized.halting_counter_width(m, cycles)
     layout = optimized.machine_layout(m, H)
     payload = {
@@ -98,22 +98,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    element = parse_poly(args.element)
     if args.dividend:
-        divisor = parse_poly(args.element)
         dividend = parse_poly(args.dividend)
-        if divisor == 0:
-            raise BadParameter("divisor must be nonzero")
-        if degree(divisor) > degree(dividend):
-            raise BadParameter("divisor degree exceeds the dividend's; nothing to divide")
-        if poly_divmod(dividend, divisor)[1] == 0:
-            raise BadParameter(
-                "the division is exact; a zero remainder never reaches an iteration boundary"
-            )
         m = args.m or max(degree(dividend), 2)
-        rows = optimized.trace_table(divisor, dividend, m, stop_after_first_iteration=True)
+        rows = optimized.trace_table(element, dividend, m, stop_after_first_iteration=True)
     else:
         field = _field_from_args(args)
-        element = parse_poly(args.element)
         rows = optimized.trace_table(element, field.modulus, field.m)
     columns = ["op", "A", "B", "a", "b", "degA", "degB", "q", "f", "c", "h"]
     lines = ["\t".join(columns)]
@@ -143,98 +134,44 @@ def _scope(args, space: int):
     return range(1, space)
 
 
-def _verify_payload(target: str, checked: int, mismatches: list, extra: dict | None = None):
+def _verify_payload(target: str, result: verify.CheckResult, extra: dict) -> int:
+    if not result.checked:
+        raise BadParameter(f"verify {target} found no inputs to check")
     payload = {
         "target": target,
-        "checked": checked,
-        "mismatches": len(mismatches),
-        "pass": not mismatches,
+        "checked": result.checked,
+        "mismatches": len(result.mismatches),
+        "pass": not result.mismatches,
     }
-    if mismatches:
-        payload["counterexamples"] = mismatches[:10]
-    if extra:
-        payload.update(extra)
+    if result.mismatches:
+        payload["counterexamples"] = result.mismatches[:10]
+    payload.update(extra)
     _emit(payload)
-    return 0 if not mismatches else 1
+    return 0 if not result.mismatches else 1
 
 
 def verify_blocks(args) -> int:
-    """Exhaustive permutation/oracle checks over every builder at small sizes."""
     m = args.m or 4
-    mismatches = []
-    skipped = []
-    field = default_field(m)
-    for name, params in [
-        ("swap", {}),
-        ("shiftl", {"n": m + 1}),
-        ("shiftr", {"n": m + 1}),
-        ("cshift", {"n": m, "k": blocks.log2_ceil(m)}),
-        ("inc", {"w": blocks.log2_ceil(m)}),
-        ("dec", {"w": blocks.log2_ceil(m)}),
-        ("deg", {"m": m}),
-        ("cxor", {"m": m}),
-        ("mulacc", {"field": field}),
-    ]:
-        built = blocks.BLOCK_BUILDERS[name](params)
-        if built.width > MAX_LANE_BITS:
-            skipped.append(name)
-        elif not check_permutation(built):
-            mismatches.append(f"{name}: not a permutation")
-    # degree oracle check on every nonzero input
-    run = sweep(blocks.build_degree(m), ("a",))
-    for a, deg, anc in zip(range(run.lanes), run.values("deg"), run.values("anc")):
-        if a and (deg != degree(a) or anc):
-            mismatches.append(f"deg: a={format_poly(a, m)}")
-    checked = 9 - len(skipped) + (1 << m) - 1
-    return _verify_payload("blocks", checked, mismatches, {"m": m, "skipped": skipped})
+    result = verify.check_blocks(m)
+    return _verify_payload("blocks", result, {"m": m, "skipped": result.skipped})
 
 
 def verify_naive_div(args) -> int:
     m = args.m or 4
-    division = naive.build_naive_long_division(m)
-    scratch = ("s", "anc", "flg")
+    pairs = None  # every pair a != 0
     if args.sample:
         rng = random.Random(args.seed)
         pairs = [(rng.randrange(1, 1 << m), rng.randrange(0, 1 << (m + 1))) for _ in range(args.sample)]
-        outs = (apply(division, BasisState.from_values(division.layout, a=a, b=b)).bits for a, b in pairs)
-        results = ((a, b, out["q"], out["b"], [out[s] for s in scratch]) for (a, b), out in zip(pairs, outs))
-    else:  # every pair in one sweep; lane j holds a = j mod 2^m, b = j >> m
-        run = sweep(division, ("a", "b"))
-        lanes = zip(range(run.lanes), run.values("q"), run.values("b"), zip(*map(run.values, scratch)))
-        results = ((j % (1 << m), j >> m, q, r, dirt) for j, q, r, dirt in lanes if j % (1 << m))
-    checked, mismatches = 0, []
-    for a, b, q, r, dirt in results:
-        checked += 1
-        if (q, r) != poly_divmod(b, a) or any(dirt):
-            mismatches.append(f"a={format_poly(a, m)} b={format_poly(b, m + 1)}")
-    return _verify_payload("naive-div", checked, mismatches, {"m": m})
+    return _verify_payload("naive-div", verify.check_division(m, pairs), {"m": m})
 
 
-def verify_naive_invert(args) -> int:
+def verify_inversion(args, backend: str) -> int:
     field = _field_from_args(args)
-    inputs = _scope(args, 1 << field.m)
-    mismatches = []
-    for c in inputs:
-        if naive.run_naive_inversion(c, field) != field_invert(c, field):
-            mismatches.append(format_poly(c, field.m))
-    return _verify_payload("naive-invert", len(list(inputs)), mismatches, {"m": field.m})
-
-
-def verify_opt_invert(args) -> int:
-    field = _field_from_args(args)
-    inputs = list(_scope(args, 1 << field.m))
-    traces = optimized.run_synchronized(inputs, field, args.cycles or None)
-    mismatches = []
-    flagged = 0
-    for c in inputs:
-        tr = traces[c]
-        if tr.quotient_overflow:
-            flagged += 1  # fidelity-loss inputs are excluded from the verified set
-            continue
-        if tr.inverse != field_invert(c, field):
-            mismatches.append(format_poly(c, field.m))
-    extra = {"m": field.m, "quotient_bound_fraction": flagged / len(inputs)}
-    return _verify_payload("opt-invert", len(inputs), mismatches, extra)
+    result = verify.check_inversion(field, backend, _scope(args, 1 << field.m))
+    extra = {"m": field.m}
+    if backend == "opt":  # an empty scope is refused in _verify_payload
+        extra["quotient_bound_fraction"] = result.flagged / max(result.checked, 1)
+    return _verify_payload(f"{backend}-invert", result, extra)
 
 
 def verify_ec_add(args) -> int:
@@ -247,23 +184,16 @@ def verify_ec_add(args) -> int:
         if not affine:
             raise BadParameter("curve has no affine points")
         fixed = affine[0]
-    params = FixedPointParams(curve, fixed.x, fixed.y)
-    mismatches = []
-    points = generic_points(params)
-    for s in points:
-        got = simulate_group_add(s, params, args.backend)
-        want = ec_add(s, fixed, curve)
-        if got != want:
-            mismatches.append(f"({format_poly(s.x, curve.field.m)},{format_poly(s.y, curve.field.m)})")
+    result = verify.check_group_add(FixedPointParams(curve, fixed.x, fixed.y), args.backend)
     extra = {"backend": args.backend, "m": curve.field.m, "kind": curve.kind.value}
-    return _verify_payload("ec-add", len(points), mismatches, extra)
+    return _verify_payload("ec-add", result, extra)
 
 
 VERIFY_TARGETS = {
     "blocks": verify_blocks,
     "naive-div": verify_naive_div,
-    "naive-invert": verify_naive_invert,
-    "opt-invert": verify_opt_invert,
+    "naive-invert": lambda args: verify_inversion(args, "naive"),
+    "opt-invert": lambda args: verify_inversion(args, "opt"),
     "ec-add": verify_ec_add,
 }
 
@@ -323,12 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("naive", "opt"), default="naive")
     p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--cycles", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("estimate", help="qubit budget for the optimized inverter")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cycles", type=int)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("trace", help="step table of the synchronized machine")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, InvariantViolation, NotIrreducible, ZeroElement
+from .errors import BadParameter, DivisionByZero, InvariantViolation, NotIrreducible, ZeroElement
 from .poly import degree, extended_euclid, parse_poly, poly_divmod, poly_mul
 
 
@@ -51,6 +51,12 @@ class FieldSpec:
 
     def nonzero_elements(self):
         return range(1, 1 << self.m)
+
+
+def require_element(c: int, m: int) -> None:
+    """Reject an inverter input that is not an element of GF(2^m)."""
+    if not 0 <= c < 1 << m:
+        raise BadParameter(f"{bin(c)} is not an element of GF(2^{m})")
 
 
 def reduce_mod(p: int, field: FieldSpec) -> int:

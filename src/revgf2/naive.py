@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .blocks import controlled_rotation_gates, log2_ceil, prefix_zero_increments, rotation_gates
 from .circuit import BasisState, Circuit, apply, cnot, gate_not, swap
 from .errors import InvariantViolation, ZeroElement
-from .field import FieldSpec
+from .field import FieldSpec, require_element
 from .poly import degree
 
 
@@ -152,6 +152,7 @@ def run_naive_inversion(c_elem: int, field: FieldSpec, trace: list | None = None
     """
     if c_elem == 0:
         raise ZeroElement("cannot invert 0")
+    require_element(c_elem, field.m)
     m = field.m
     iteration = build_euclid_iteration(m)
     state = BasisState.from_values(

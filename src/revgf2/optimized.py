@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .blocks import log2_ceil
-from .errors import CycleBudgetExceeded, InvariantViolation, PackOverflow, ZeroElement
-from .field import FieldSpec
+from .errors import BadParameter, CycleBudgetExceeded, InvariantViolation, PackOverflow, ZeroElement
+from .field import FieldSpec, require_element
 from .poly import degree, poly_divmod
 
 # Scheduled operation indices, in counter-cycle order.
@@ -300,29 +300,26 @@ def run_round(state: SyncState, on_fire=None) -> None:
 def _run_rounds(
     state: SyncState, cycles: int, stop_after_first_iteration: bool = False, on_fire=None
 ) -> int:
-    """The machine's one driver: call run_round until the input is done,
-    its first iteration has finished (if asked), or `cycles` rounds have
-    run.  Returns the number of rounds run.
+    """The machine's one driver: call run_round until the input is done or
+    its first iteration has finished (if asked).  Returns the number of
+    rounds run; raises CycleBudgetExceeded if `cycles` rounds are not enough.
 
     run_round is looked up as a module global on every call, so a caller
     that rebinds `optimized.run_round` sees every round."""
     rounds = 0
-    while rounds < cycles and not state.done:
-        if stop_after_first_iteration and state.iterations >= 1:
-            break
+    while not (state.done or (stop_after_first_iteration and state.iterations >= 1)):
+        if rounds == cycles:
+            raise CycleBudgetExceeded(f"unfinished after {cycles} rounds, at A = {state.A:b}, B = {state.B:b}")
         run_round(state, on_fire)
         rounds += 1
     return rounds
 
 
 def _invert_in_budget(c_elem: int, field: FieldSpec, cycles: int) -> tuple[SyncState, int]:
-    """Run one input until it is done; return its state and the rounds run.
-    Raises CycleBudgetExceeded if `cycles` rounds are not enough."""
+    """Run one input until it is done; return its state and the rounds run."""
+    require_element(c_elem, field.m)
     state = SyncState.initial(c_elem, field.modulus, field.m)
-    rounds_run = _run_rounds(state, cycles)
-    if not state.done:
-        raise CycleBudgetExceeded(f"input {bin(c_elem)} unfinished after {cycles} rounds")
-    return state, rounds_run
+    return state, _run_rounds(state, cycles)
 
 
 @dataclass
@@ -386,16 +383,14 @@ def run_synchronized(
     return results
 
 
-def optimized_invert(c_elem: int, field: FieldSpec, cycles: int | None = None) -> int:
+def optimized_invert(c_elem: int, field: FieldSpec) -> int:
     """Inverse of a single element via the synchronized machine.
 
     A lone basis state may stop as soon as it reaches the termination
     state; the fixed-length schedule only matters when inputs share a
     clock, which run_synchronized models.
     """
-    if cycles is None:
-        cycles = default_cycles(field.m)
-    state, _ = _invert_in_budget(c_elem, field, cycles)
+    state, _ = _invert_in_budget(c_elem, field, default_cycles(field.m))
     return state.a
 
 
@@ -418,25 +413,26 @@ def _working_row(state: SyncState) -> dict:
     }
 
 
-def trace_table(
-    c_elem: int,
-    modulus: int,
-    m: int,
-    cycles: int | None = None,
-    stop_after_first_iteration: bool = False,
-) -> list[dict]:
+def trace_table(c_elem: int, modulus: int, m: int, stop_after_first_iteration: bool = False) -> list[dict]:
     """Row-per-fired-operation table of the synchronized run.
 
     With stop_after_first_iteration the table covers a single long
     division (used to replay a division of B by A without any field
-    structure: initialize with modulus = B)."""
-    if cycles is None:
-        cycles = default_cycles(m)
+    structure: initialize with modulus = B); the division must be inexact,
+    since a zero remainder never reaches an iteration boundary."""
+    if not stop_after_first_iteration:
+        require_element(c_elem, m)
+    elif c_elem == 0:
+        raise BadParameter("divisor must be nonzero")
+    elif degree(c_elem) > degree(modulus):
+        raise BadParameter("divisor degree exceeds the dividend's; nothing to divide")
+    elif poly_divmod(modulus, c_elem)[1] == 0:
+        raise BadParameter("the division is exact; a zero remainder never reaches an iteration boundary")
     state = SyncState.initial(c_elem, modulus, m)
     rows = [dict(_working_row(state), op="init")]
 
     def record(op_id: int) -> None:
         rows.append(dict(_working_row(state), op=OP_NAMES[op_id]))
 
-    _run_rounds(state, cycles, stop_after_first_iteration, record)
+    _run_rounds(state, default_cycles(m), stop_after_first_iteration, record)
     return rows

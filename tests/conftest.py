@@ -1,5 +1,19 @@
 import pytest
 
+CURVES = {
+    "ns": "m = 4\nmodulus = 10011\nkind = non-supersingular\na = 10\nb = 1\n",
+    "ss": "m = 4\nmodulus = 10011\nkind = supersingular\na = 1\nb = 10\nc = 1\n",
+    "ns-m2": "m = 2\nmodulus = 111\nkind = non-supersingular\na = 10\nb = 1\n",  # no generic point
+}
+
+
+@pytest.fixture
+def curve_files(tmp_path):
+    """Every test curve written to a file: name -> path."""
+    for name, text in CURVES.items():
+        (tmp_path / f"{name}.curve").write_text(text)
+    return {name: str(tmp_path / f"{name}.curve") for name in CURVES}
+
 
 @pytest.fixture
 def announce(request):

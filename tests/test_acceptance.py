@@ -15,11 +15,11 @@ from revgf2.blocks import (
     build_swap,
     log2_ceil,
 )
-from revgf2.circuit import BasisState, apply, compose, inverse, report, sweep
-from revgf2.curve import CurveKind, CurvePoint, CurveSpec, ec_add, enumerate_points
-from revgf2.ecgroup import FixedPointParams, generic_points, simulate_group_add
+from revgf2.circuit import check_permutation, report
+from revgf2.curve import CurveKind, CurveSpec, enumerate_points
+from revgf2.ecgroup import FixedPointParams
 from revgf2.errors import InvariantViolation
-from revgf2.field import FieldSpec, field_invert
+from revgf2.field import FieldSpec
 from revgf2.naive import (
     EuclideanPairs,
     build_euclid_iteration,
@@ -33,6 +33,7 @@ from revgf2.optimized import (
     run_synchronized,
 )
 from revgf2.poly import degree, poly_divmod
+from revgf2.verify import check_division, check_group_add, check_inversion
 
 IRRED = {
     2: 0b111,
@@ -47,57 +48,37 @@ F2_16 = FieldSpec(16, (1 << 16) | (1 << 5) | (1 << 3) | (1 << 1) | 1)
 
 
 def test_criterion_1_inversion_oracle_equivalence(announce):
-    mismatches = 0
-    checked = 0
+    mismatches = flagged = checked = 0
     for m, f in IRRED.items():
         fs = FieldSpec(m, f)
-        opt_traces = run_synchronized(fs.nonzero_elements(), fs)
-        for c in fs.nonzero_elements():
-            want = field_invert(c, fs)
-            if run_naive_inversion(c, fs) != want:
-                mismatches += 1
-            if opt_traces[c].inverse != want:
-                mismatches += 1
-            checked += 1
+        for backend in ("naive", "opt"):
+            result = check_inversion(fs, backend, fs.nonzero_elements())
+            mismatches += len(result.mismatches)
+            flagged += result.flagged
+        checked += len(fs.nonzero_elements())
     announce(
         1,
-        mismatches == 0,
+        mismatches == 0 and flagged == 0,
         f"naive and optimized inversion match the oracle on all {checked} "
-        f"nonzero inputs, m = 2..8 exhaustive ({mismatches} mismatches)",
+        f"nonzero inputs, m = 2..8 exhaustive ({mismatches} mismatches, "
+        f"{flagged} fidelity-loss inputs)",
     )
 
 
 def test_criterion_2_division_oracle_equivalence(announce):
-    scratch = ("s", "anc", "flg")
-    mismatches = 0
-    checked = 0
-    for m in range(2, 9):  # every pair in one sweep; lane j holds a = j mod 2^m, b = j >> m
-        run = sweep(build_naive_long_division(m), ("a", "b"))
-        lanes = zip(range(run.lanes), run.values("q"), run.values("b"), zip(*map(run.values, scratch)))
-        for j, q, r, dirt in lanes:
-            a, b = j % (1 << m), j >> m
-            if a:
-                mismatches += (q, r) != poly_divmod(b, a) or any(dirt)
-                checked += 1
-    exhaustive = checked
+    exhaustive = [check_division(m) for m in range(2, 9)]  # every pair a != 0
     rng = random.Random(1009)
-    circ = build_naive_long_division(16)
-    for _ in range(1000):
-        a, b = rng.randrange(1, 1 << 16), rng.randrange(1 << 17)
-        out = apply(circ, BasisState.from_values(circ.layout, a=a, b=b))
-        mismatches += (out.get_reg("q"), out.get_reg("b")) != poly_divmod(b, a)
-        mismatches += any(out.get_reg(s) for s in scratch)
-        checked += 1
+    sampled = check_division(16, [(rng.randrange(1, 1 << 16), rng.randrange(1 << 17)) for _ in range(1000)])
     # the worked example: B = z^4+z^2+1, A = z^2+1 -> q = z^2, r = 1
-    circ = build_naive_long_division(4)
-    out = apply(circ, BasisState.from_values(circ.layout, a=0b101, b=0b10101))
-    example_ok = out.get_reg("q") == 0b100 and out.get_reg("b") == 0b1
-    example_ok = example_ok and not any(out.get_reg(s) for s in scratch)
+    example = check_division(4, [(0b101, 0b10101)])
+    example_ok = not example.mismatches and poly_divmod(0b10101, 0b101) == (0b100, 0b1)
+    n_exhaustive = sum(r.checked for r in exhaustive)
     announce(
         2,
-        mismatches == 0 and example_ok and exhaustive == 173_736,  # sum of (2^m - 1) 2^(m+1)
-        f"naive division equals divmod with clean scratch on {checked} inputs "
-        f"(all {exhaustive} pairs a != 0 for m = 2..8, 1000 random for m = 16) "
+        not any(r.mismatches for r in exhaustive + [sampled]) and example_ok
+        and n_exhaustive == 173_736,  # sum of (2^m - 1) 2^(m+1)
+        f"naive division equals divmod with clean scratch on {n_exhaustive + sampled.checked} inputs "
+        f"(all {n_exhaustive} pairs a != 0 for m = 2..8, 1000 random for m = 16) "
         f"and the z^4+z^2+1 / z^2+1 example",
     )
 
@@ -212,11 +193,9 @@ def test_criterion_8_group_operation_end_to_end(announce):
         fixed = [p for p in enumerate_points(curve) if not p.is_infinity][0]
         params = FixedPointParams(curve, fixed.x, fixed.y)
         for backend in ("naive", "opt"):
-            for s in generic_points(params):
-                got = simulate_group_add(s, params, backend)
-                if got != ec_add(s, CurvePoint(params.alpha, params.beta), curve):
-                    mismatches += 1
-                checked += 1
+            result = check_group_add(params, backend)
+            mismatches += len(result.mismatches)
+            checked += result.checked
     announce(
         8,
         mismatches == 0 and checked > 0,
@@ -240,10 +219,7 @@ def test_criterion_9_reversibility_suite(announce):
         build_naive_long_division(4),
         build_euclid_iteration(3),
     ]
-    failures = 0
-    for circ in circuits:
-        run = sweep(compose(circ, inverse(circ)), tuple(circ.layout))
-        failures += run.after != run.before  # every lane's wires back to its input
+    failures = sum(not check_permutation(circ) for circ in circuits)
     announce(
         9,
         failures == 0,

@@ -4,17 +4,6 @@ import pytest
 
 from revgf2.cli import main
 
-FIELD_TEXT = "m = 4\nmodulus = 10011\n"
-CURVE_TEXT = "m = 4\nmodulus = 10011\nkind = non-supersingular\na = 10\nb = 1\n"
-SS_CURVE_TEXT = "m = 4\nmodulus = 10011\nkind = supersingular\na = 1\nb = 10\nc = 1\n"
-
-
-@pytest.fixture
-def curve_file(tmp_path):
-    path = tmp_path / "c.curve"
-    path.write_text(CURVE_TEXT)
-    return str(path)
-
 
 def last_json(capsys):
     out = capsys.readouterr().out.strip().splitlines()
@@ -87,24 +76,24 @@ def test_verify_blocks_lists_skipped_permutation_checks(capsys):
     assert payload["skipped"] == [] and payload["checked"] == 9 + 63
 
 
-def test_verify_ec_add_all_generic(curve_file, capsys):
-    assert main(["verify", "ec-add", "--curve", curve_file]) == 0
+def test_verify_ec_add_all_generic(curve_files, capsys):
+    assert main(["verify", "ec-add", "--curve", curve_files["ns"]]) == 0
     payload, _ = last_json(capsys)
     assert payload["pass"] and payload["checked"] > 0
 
 
-def test_ec_add_single_point(curve_file, capsys, tmp_path):
+def test_ec_add_single_point(curve_files, capsys):
     from revgf2.curve import enumerate_points, load_curve
     from revgf2.ecgroup import FixedPointParams, generic_points
     from revgf2.poly import format_poly
 
-    curve = load_curve(curve_file)
+    curve = load_curve(curve_files["ns"])
     fixed = [p for p in enumerate_points(curve) if not p.is_infinity][0]
     point = generic_points(FixedPointParams(curve, fixed.x, fixed.y))[0]
     argv = [
         "ec-add",
         "--curve",
-        curve_file,
+        curve_files["ns"],
         "--fixed",
         f"{format_poly(fixed.x, 4)},{format_poly(fixed.y, 4)}",
         "--point",
@@ -115,9 +104,9 @@ def test_ec_add_single_point(curve_file, capsys, tmp_path):
     assert payload["matches_oracle"]
 
 
-def test_ec_add_needs_point(curve_file, capsys):
+def test_ec_add_needs_point(curve_files, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["ec-add", "--curve", curve_file, "--fixed", "0001,0001"])
+        main(["ec-add", "--curve", curve_files["ns"], "--fixed", "0001,0001"])
     assert exc.value.code == 2
     assert "--point" in capsys.readouterr().err
 
@@ -156,3 +145,15 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.field"
     bad.write_text("m = 4\nmodulus = 10101\n")  # reducible
     assert main(["verify", "naive-invert", "--field", str(bad)]) == 2
+
+
+def test_trace_element_outside_field_is_usage_error(capsys):
+    assert main(["trace", "--element", "10011", "--m", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "is not an element of GF(2^4)" in captured.err and captured.out == ""
+
+
+def test_verify_nothing_to_check_is_usage_error(curve_files, capsys):
+    assert main(["verify", "ec-add", "--curve", curve_files["ns-m2"]]) == 2
+    captured = capsys.readouterr()
+    assert "found no inputs to check" in captured.err and captured.out == ""

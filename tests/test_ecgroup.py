@@ -67,15 +67,6 @@ def test_squaring_step():
         assert squaring_step(lam, F16) == field_sqr(lam, F16)
 
 
-@pytest.mark.parametrize("curve", [NS, SS], ids=["non-supersingular", "supersingular"])
-@pytest.mark.parametrize("backend", ["naive", "opt"])
-def test_group_add_matches_oracle(curve, backend):
-    params = params_for(curve)
-    fixed = CurvePoint(params.alpha, params.beta)
-    for s in generic_points(params):
-        assert simulate_group_add(s, params, backend) == ec_add(s, fixed, curve)
-
-
 def test_plan_inverse_restores_input():
     for curve in (NS, SS):
         params = params_for(curve)
