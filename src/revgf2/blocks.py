@@ -7,6 +7,7 @@ ceil(log2 m)-wire register serves for values up to m-1, m, or m+1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, cnot, gate_not, swap
@@ -46,24 +47,27 @@ def build_swap() -> Circuit:
 
 
 def _rotation_pairs(reg: str, n: int, amount: int, direction: str):
-    """Adjacent-wire pairs whose swaps, in order, rotate an n-wire register
+    """Wire pairs whose swaps, in order, rotate an n-wire register
     cyclically by `amount` positions.
 
     "left" rotates toward higher indices (multiply by z); "right" is the
-    inverse rotation.
+    inverse rotation.  The rotation by d = amount mod n walks each of its
+    gcd(n, d) cycles c, c+d, c+2d, ... (mod n) with one swap per step,
+    descending for "left" and ascending for "right": n - gcd(n, d) swaps
+    in all, none for d = 0, and the adjacent-wire chain for d = 1.
     """
-    if direction == "left":
-        pairs = [(i, i + 1) for i in range(n - 2, -1, -1)]
-    elif direction == "right":
-        pairs = [(i, i + 1) for i in range(n - 1)]
-    else:
+    if direction not in ("left", "right"):
         raise BadParameter(f"direction must be left or right, not {direction!r}")
-    return [((reg, i), (reg, j)) for _ in range(amount) for i, j in pairs]
+    d = amount % n
+    g = math.gcd(n, d)  # gcd(n, 0) = n: n one-wire cycles, no steps
+    walks = ([((reg, (c + t * d) % n), (reg, (c + t * d + d) % n)) for t in range(n // g - 1)]
+             for c in range(g))
+    return [pair for walk in walks for pair in (reversed(walk) if direction == "left" else walk)]
 
 
 def rotation_gates(reg: str, n: int, amount: int, direction: str) -> list[Gate]:
-    """`amount` one-position cyclic rotations of an n-wire register, each an
-    adjacent-wire SWAP chain."""
+    """Cyclic rotation of an n-wire register by `amount` positions:
+    n - gcd(n, amount mod n) SWAPs along the rotation's cycles."""
     return [swap(w1, w2) for w1, w2 in _rotation_pairs(reg, n, amount, direction)]
 
 
@@ -76,24 +80,15 @@ def build_cyclic_shift(n: int, direction: str = "left") -> Circuit:
     return c
 
 
-def _controlled_swap_gates(w1, w2, controls):
-    """CSWAP as CNOT / multi-controlled NOT / CNOT (only the middle gate
-    carries the controls)."""
-    return [
-        cnot([(w2, 1)], w1),
-        cnot(list(controls) + [(w1, 1)], w2),
-        cnot([(w2, 1)], w1),
-    ]
-
-
 def controlled_rotation_gates(data: str, n: int, shift: str, k: int, direction: str) -> list[Gate]:
     """Rotate the n-wire register `data` by the value of the k-wire register
-    `shift`: control bit j gates a block of 2^j one-position rotations, each
-    SWAP made a controlled swap (no ancillas)."""
+    `shift`: control bit j gates one rotation by 2^j, its n - gcd(n, 2^j mod n)
+    SWAPs each a controlled swap on that one wire (no ancillas)."""
     gates = []
     for j in range(k):
         for w1, w2 in _rotation_pairs(data, n, 1 << j, direction):
-            gates.extend(_controlled_swap_gates(w1, w2, [((shift, j), 1)]))
+            # CSWAP as CNOT / Toffoli / CNOT: only the middle gate carries the control
+            gates += [cnot([(w2, 1)], w1), cnot([((shift, j), 1), (w1, 1)], w2), cnot([(w2, 1)], w1)]
     return gates
 
 

@@ -23,7 +23,7 @@ from .errors import (
     UnknownBlock,
 )
 from .field import FieldSpec, default_field, load_field
-from .poly import degree, format_poly, parse_poly
+from .poly import format_poly, parse_poly
 
 DEFAULT_SEED = 12345
 EXHAUSTIVE_STATE_LIMIT = 1 << 20
@@ -101,7 +101,7 @@ def cmd_trace(args) -> int:
     element = parse_poly(args.element)
     if args.dividend:
         dividend = parse_poly(args.dividend)
-        m = args.m or max(degree(dividend), 2)
+        m = args.m or max(dividend.bit_length() - 1, 2)  # trace_table rejects a zero dividend
         rows = optimized.trace_table(element, dividend, m, stop_after_first_iteration=True)
     else:
         field = _field_from_args(args)
@@ -122,11 +122,18 @@ def cmd_trace(args) -> int:
 # --- verify ------------------------------------------------------------------
 
 
+def _distinct_sample(args, draw, population: int) -> list:
+    """`--sample` distinct seeded draws, at most the whole population."""
+    rng, picked = random.Random(args.seed), {}  # a dict keeps the draw order
+    while len(picked) < min(args.sample, population):
+        picked[draw(rng)] = None
+    return list(picked)
+
+
 def _scope(args, space: int):
     """Input sample for a verify sweep: everything, or a seeded sample."""
     if args.sample:
-        rng = random.Random(args.seed)
-        return [rng.randrange(1, space) for _ in range(args.sample)]
+        return _distinct_sample(args, lambda rng: rng.randrange(1, space), space - 1)
     if space > EXHAUSTIVE_STATE_LIMIT:
         raise ScopeTooLarge(
             f"{space} states exceed the exhaustive limit; use --sample <n>"
@@ -160,8 +167,9 @@ def verify_naive_div(args) -> int:
     m = args.m or 4
     pairs = None  # every pair a != 0
     if args.sample:
-        rng = random.Random(args.seed)
-        pairs = [(rng.randrange(1, 1 << m), rng.randrange(0, 1 << (m + 1))) for _ in range(args.sample)]
+        pairs = _distinct_sample(
+            args, lambda rng: (rng.randrange(1, 1 << m), rng.randrange(0, 1 << (m + 1))), ((1 << m) - 1) << (m + 1)
+        )
     return _verify_payload("naive-div", verify.check_division(m, pairs), {"m": m})
 
 

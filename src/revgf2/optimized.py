@@ -424,6 +424,8 @@ def trace_table(c_elem: int, modulus: int, m: int, stop_after_first_iteration: b
         require_element(c_elem, m)
     elif c_elem == 0:
         raise BadParameter("divisor must be nonzero")
+    elif modulus == 0:
+        raise BadParameter("dividend must be nonzero")
     elif degree(c_elem) > degree(modulus):
         raise BadParameter("divisor degree exceeds the dividend's; nothing to divide")
     elif poly_divmod(modulus, c_elem)[1] == 0:

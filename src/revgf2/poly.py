@@ -20,11 +20,6 @@ def degree(a: int) -> int:
     return a.bit_length() - 1
 
 
-def poly_add(a: int, b: int) -> int:
-    """Sum (= difference) of two binary polynomials: coefficient-wise XOR."""
-    return a ^ b
-
-
 def poly_mul(a: int, b: int) -> int:
     """Carry-less product in GF(2)[z]."""
     result = 0

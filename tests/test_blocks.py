@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from revgf2.blocks import (
@@ -10,8 +12,9 @@ from revgf2.blocks import (
     build_mul_accumulate,
     build_swap,
     log2_ceil,
+    rotation_gates,
 )
-from revgf2.circuit import BasisState, apply, check_permutation, report
+from revgf2.circuit import BasisState, apply, check_permutation, report, swap, sweep
 from revgf2.errors import BadParameter
 from revgf2.field import FieldSpec, field_mul
 from revgf2.poly import degree
@@ -35,30 +38,45 @@ def test_swap_three_cnots():
         assert out.get_reg("q") == ((q >> 1) | ((q & 1) << 1))
 
 
+def rotate(v, n, d, direction):
+    """Classical cyclic rotation of an n-bit value by d positions."""
+    d = d % n if direction == "left" else -d % n
+    return ((v << d) | (v >> (n - d))) & ((1 << n) - 1)
+
+
 def test_cyclic_shift_swap_count_and_action():
     for n in (2, 3, 5, 8):
         left = build_cyclic_shift(n, "left")
         assert report(left).gate_counts == {"SWAP": n - 1}
         for v in range(1 << n):
-            rotated = ((v << 1) | (v >> (n - 1))) & ((1 << n) - 1)
-            assert run(left, r=v).get_reg("r") == rotated
+            assert run(left, r=v).get_reg("r") == rotate(v, n, 1, "left")
         right = build_cyclic_shift(n, "right")
         for v in range(1 << n):
-            rotated = (v >> 1) | ((v & 1) << (n - 1))
-            assert run(right, r=v).get_reg("r") == rotated
+            assert run(right, r=v).get_reg("r") == rotate(v, n, 1, "right")
+
+
+def test_unit_rotation_is_the_adjacent_chain():
+    for n in range(2, 13):
+        chain = {
+            "left": [(i, i + 1) for i in range(n - 2, -1, -1)],
+            "right": [(i, i + 1) for i in range(n - 1)],
+        }
+        for direction, pairs in chain.items():
+            want = [swap(("r", i), ("r", j)) for i, j in pairs]
+            assert rotation_gates("r", n, 1, direction) == want
 
 
 def test_controlled_shift():
-    n, k = 5, 3
-    c = build_controlled_shift(n, k, "left")
-    mask = (1 << n) - 1
-    for v in range(1 << n):
-        for s in range(1 << k):
-            rot = s % n
-            want = ((v << rot) | (v >> (n - rot))) & mask if rot else v
-            out = run(c, data=v, shift=s)
-            assert out.get_reg("data") == want
-            assert out.get_reg("shift") == s
+    for n in range(2, 13):
+        for k in range(1, 5):
+            want_gates = 3 * sum(n - gcd(n, (1 << j) % n) for j in range(k))
+            for direction in ("left", "right"):
+                c = build_controlled_shift(n, k, direction)
+                assert report(c).total_gates == want_gates
+                run_all = sweep(c, ("data", "shift"))
+                want = [rotate(v, n, s, direction) for s in range(1 << k) for v in range(1 << n)]
+                assert list(run_all.values("data")) == want
+                assert list(run_all.values("shift")) == [s for s in range(1 << k) for _ in range(1 << n)]
 
 
 def test_increment_single_ancilla():

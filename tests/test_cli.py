@@ -66,6 +66,16 @@ def test_verify_opt_invert_sample(capsys):
     assert payload["quotient_bound_fraction"] == 0.0  # the machine flags no m = 8 input
 
 
+@pytest.mark.parametrize(
+    "target, m, population",
+    [("naive-invert", 4, 15), ("opt-invert", 4, 15), ("naive-div", 2, 3 * 8)],  # nonzero elements; (a != 0, b) pairs
+)
+def test_verify_sample_draws_distinct_inputs(target, m, population, capsys):
+    assert main(["verify", target, "--m", str(m), "--sample", "50"]) == 0
+    payload, _ = last_json(capsys)
+    assert payload["pass"] and payload["checked"] == population
+
+
 def test_verify_blocks_lists_skipped_permutation_checks(capsys):
     assert main(["verify", "blocks", "--m", "8"]) == 0
     payload, _ = last_json(capsys)
@@ -129,6 +139,16 @@ def test_trace_division(capsys):
 )
 def test_trace_division_rejects_unusable_pair(divisor, dividend, message, capsys):
     assert main(["trace", "--element", divisor, "--dividend", dividend, "--m", "4"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "divisor, dividend, message",
+    [("0", "0", "divisor must be nonzero"), ("101", "0", "dividend must be nonzero")],
+)
+def test_trace_division_rejects_zero(divisor, dividend, message, capsys):
+    assert main(["trace", "--element", divisor, "--dividend", dividend]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
 

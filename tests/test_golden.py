@@ -25,27 +25,27 @@ GOLDEN = {
     "naive-division-m8": (
         lambda: build_naive_long_division(8),
         {
-            "width": 31, "depth": 408, "gates_total": 596, "gates_not": 1,
-            "gates_cnot": 579, "gates_swap": 16, "cnot_arity_1": 310,
-            "cnot_arity_2": 211, "cnot_arity_3": 14, "cnot_arity_4": 8,
+            "width": 31, "depth": 199, "gates_total": 300, "gates_not": 1,
+            "gates_cnot": 291, "gates_swap": 8, "cnot_arity_1": 118,
+            "cnot_arity_2": 115, "cnot_arity_3": 14, "cnot_arity_4": 8,
             "cnot_arity_5": 8, "cnot_arity_6": 8, "cnot_arity_7": 8,
             "cnot_arity_8": 6, "cnot_arity_9": 4, "cnot_arity_10": 2,
         },
-        "b91588e0eeb61da4065bac5ad3418e720d0bc2c686c0e9c1d773420abe5b2cc0",
+        "f007e867d27a55d79810c7c483c1435720d8d23279407fc912629ff906f282c7",
     ),
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16),
         {
-            "width": 89, "depth": 3507, "gates_total": 4908, "gates_not": 2,
-            "gates_cnot": 4810, "gates_swap": 96, "cnot_arity_1": 2764,
-            "cnot_arity_2": 1726, "cnot_arity_3": 12, "cnot_arity_4": 48,
+            "width": 89, "depth": 1069, "gates_total": 1708, "gates_not": 2,
+            "gates_cnot": 1642, "gates_swap": 64, "cnot_arity_1": 652,
+            "cnot_arity_2": 670, "cnot_arity_3": 12, "cnot_arity_4": 48,
             "cnot_arity_5": 20, "cnot_arity_6": 20, "cnot_arity_7": 20,
             "cnot_arity_8": 20, "cnot_arity_9": 20, "cnot_arity_10": 20,
             "cnot_arity_11": 20, "cnot_arity_12": 20, "cnot_arity_13": 20,
             "cnot_arity_14": 20, "cnot_arity_15": 20, "cnot_arity_16": 16,
             "cnot_arity_17": 12, "cnot_arity_18": 8, "cnot_arity_19": 4,
         },
-        "36fb5f5a463edb38c00a5f49d23e90b796074975e26354b6e5ddce5698f523f9",
+        "f486e13685779ba6b60f16608ef1e9334eaf8c65f0642b4c3c0eef2e73fadebd",
     ),
     "degree-m8": (
         lambda: build_degree(8),
@@ -61,11 +61,11 @@ GOLDEN = {
     "controlled-shift-n5-k3": (
         lambda: build_controlled_shift(5, 3),
         {
-            "width": 8, "depth": 64, "gates_total": 84, "gates_not": 0,
-            "gates_cnot": 84, "gates_swap": 0, "cnot_arity_1": 56,
-            "cnot_arity_2": 28,
+            "width": 8, "depth": 36, "gates_total": 36, "gates_not": 0,
+            "gates_cnot": 36, "gates_swap": 0, "cnot_arity_1": 24,
+            "cnot_arity_2": 12,
         },
-        "1c89955f5dc1d26bb09c510b7de2b791585d39b59c0216dbd913419c7b942cf2",
+        "c60150e30ed486729db7c79434254ce16b0865e454216cd82ebd81c359564f24",
     ),
     "mul-accumulate-m8": (
         lambda: build_mul_accumulate(default_field(8)),

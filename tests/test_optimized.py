@@ -126,6 +126,8 @@ def test_trace_division_worked_example():
 def test_trace_table_fails_loudly():
     with pytest.raises(BadParameter, match="the division is exact"):
         trace_table(0b11, 0b11, 4, stop_after_first_iteration=True)
+    with pytest.raises(BadParameter, match="dividend must be nonzero"):
+        trace_table(0b101, 0, 4, stop_after_first_iteration=True)
     with pytest.raises(CycleBudgetExceeded):  # reducible modulus: z+1 is never inverted
         trace_table(0b11, 0b1111, 3)
 
