@@ -8,7 +8,6 @@ ceil(log2 m)-wire register serves for values up to m-1, m, or m+1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, cnot, gate_not, swap
 from .errors import BadParameter
@@ -20,21 +19,6 @@ def log2_ceil(m: int) -> int:
     if m < 1:
         raise BadParameter("log2_ceil needs a positive argument")
     return max(1, (m - 1).bit_length())
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Field degree plus its derived degree-register width."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise BadParameter("blocks require m >= 2")
-
-    @property
-    def logm(self) -> int:
-        return log2_ceil(self.m)
 
 
 def build_swap() -> Circuit:
@@ -160,8 +144,9 @@ def build_degree(m: int) -> Circuit:
     counter's gated decrements leave deg(A).  One shared ancilla serves all
     the decrements, so the block costs ceil(log m)+1 qubits beyond |A>.
     """
-    spec = BlockSpec(m)
-    L = spec.logm
+    if m < 2:
+        raise BadParameter("the degree block needs m >= 2")
+    L = log2_ceil(m)
     c = Circuit({"a": m, "deg": L, "anc": 1})
     init = m - 1
     for j in range(L):

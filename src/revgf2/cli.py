@@ -77,19 +77,18 @@ def cmd_estimate(args) -> int:
     m = args.m
     if m < 2:
         raise BadParameter("estimate needs m >= 2")
-    cycles = optimized.default_cycles(m)
-    H = optimized.halting_counter_width(m, cycles)
-    layout = optimized.machine_layout(m, H)
+    layout = optimized.machine_layout(m)
+    H = layout["h"]
     payload = {
         "m": m,
-        "cycles": cycles,
+        "cycles": optimized.default_cycles(m),
         "halting_counter_width": H,
         "formula_h0": optimized.qubit_budget(m, 0),
         "formula": optimized.qubit_budget(m, H),
         "layout_width": sum(layout.values()),
     }
-    for term, width in optimized.budget_breakdown(m, H).items():
-        payload[f"term {term}"] = width
+    for register, width in layout.items():
+        payload[f"term {register}"] = width
     _emit(payload)
     return 0 if payload["formula"] == payload["layout_width"] else 1
 
@@ -124,6 +123,8 @@ def cmd_trace(args) -> int:
 
 def _distinct_sample(args, draw, population: int) -> list:
     """`--sample` distinct seeded draws, at most the whole population."""
+    if args.sample < 1:
+        raise BadParameter(f"--sample must be positive, not {args.sample}")
     rng, picked = random.Random(args.seed), {}  # a dict keeps the draw order
     while len(picked) < min(args.sample, population):
         picked[draw(rng)] = None
@@ -132,7 +133,7 @@ def _distinct_sample(args, draw, population: int) -> list:
 
 def _scope(args, space: int):
     """Input sample for a verify sweep: everything, or a seeded sample."""
-    if args.sample:
+    if args.sample is not None:
         return _distinct_sample(args, lambda rng: rng.randrange(1, space), space - 1)
     if space > EXHAUSTIVE_STATE_LIMIT:
         raise ScopeTooLarge(
@@ -166,7 +167,7 @@ def verify_blocks(args) -> int:
 def verify_naive_div(args) -> int:
     m = args.m or 4
     pairs = None  # every pair a != 0
-    if args.sample:
+    if args.sample is not None:
         pairs = _distinct_sample(
             args, lambda rng: (rng.randrange(1, 1 << m), rng.randrange(0, 1 << (m + 1))), ((1 << m) - 1) << (m + 1)
         )

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import PointNotOnCurve
-from .field import FieldSpec, field_div, field_mul, field_sqr, load_field, parse_keyvalue_file
+from .field import FieldSpec, field_div, field_mul, field_sqr, parse_keyvalue_file
 from .poly import parse_poly
 
 
@@ -148,5 +148,4 @@ __all__ = [
     "ec_add",
     "enumerate_points",
     "load_curve",
-    "load_field",
 ]

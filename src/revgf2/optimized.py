@@ -10,7 +10,8 @@ Control comes from synchronization: a fixed round-robin of four scheduled
 operation slots (o1a read-quotient-bit, o1b conditional-subtract, o1c
 shift, o2 shift-off-leading-zeros), an advance-counter step between slots,
 a flag wire marking sequence boundaries, and a halting counter that
-early finishers tick so the global schedule can run to a fixed length.
+early finishers tick so the global schedule can run to a fixed length:
+2m - 2 rounds, the proven worst case (see default_cycles).
 
 The scheduled steps are modeled as named reversible primitives that act
 bit-exactly on `SyncState`, which keeps A, B, a and b as plain
@@ -87,10 +88,24 @@ def quotient_capacity(m: int) -> int:
 
 
 def default_cycles(m: int) -> int:
-    """Global round budget: at most 2m Euclid iterations of at most 2m+2
-    shift/XOR sub-steps each.  Loose by design; validated exhaustively at
-    desk scale."""
-    return 2 * m * (2 * m + 2)
+    """Global round budget: 2m - 2 rounds, the exact worst case.
+
+    Let Phi = degA + degB.  Every round lowers Phi by exactly 1.  In a
+    division round o1c steps degB down once; in the round with the last
+    quotient read, and in every round after it with f = 0, o2 steps it
+    down once.  The swap at an iteration boundary only exchanges the two
+    degrees.  Phi starts at deg(c) + m <= 2m - 1.  The machine stops when
+    A = 1, and then degB >= 1, since B holds the previous A.  So an input
+    runs for at most 2m - 2 rounds.  An input of degree m - 1 whose last
+    remainder before 1 has degree 1 runs for exactly that many; acceptance
+    criterion 6 finds one under every irreducible modulus of degree 2..8.
+
+    A single division (trace_table's first-iteration mode) steps degB from
+    deg(dividend) down to the remainder's degree, so it runs for at most
+    deg(dividend) rounds, within the budget when m >= 2 and
+    deg(dividend) <= m.
+    """
+    return 2 * m - 2
 
 
 def halting_counter_width(m: int, cycles: int | None = None) -> int:
@@ -108,7 +123,7 @@ def machine_layout(m: int, H: int | None = None) -> dict[str, int]:
     return {
         "rAa": m,  # A and a, shared in opposing directions
         "rBb": m,  # B and b, shared in opposing directions
-        "q": 3 * L,
+        "q": quotient_capacity(m),
         "degA": L,
         "degB": L,
         "dega": L,
@@ -123,17 +138,6 @@ def machine_layout(m: int, H: int | None = None) -> dict[str, int]:
 def qubit_budget(m: int, H: int = 0) -> int:
     """The closed-form width 2m + 7*ceil(log m) + 7 + H."""
     return 2 * m + 7 * log2_ceil(m) + 7 + H
-
-
-def budget_breakdown(m: int, H: int = 0) -> dict[str, int]:
-    L = log2_ceil(m)
-    return {
-        "data (A,B,a,b)": 2 * m,
-        "quotient q": 3 * L,
-        "degrees": 4 * L + 4,
-        "flag f, counter c": 3,
-        "halting counter H": H,
-    }
 
 
 # --- the synchronized machine ----------------------------------------------
@@ -419,13 +423,16 @@ def trace_table(c_elem: int, modulus: int, m: int, stop_after_first_iteration: b
     With stop_after_first_iteration the table covers a single long
     division (used to replay a division of B by A without any field
     structure: initialize with modulus = B); the division must be inexact,
-    since a zero remainder never reaches an iteration boundary."""
+    since a zero remainder never reaches an iteration boundary, and
+    deg(B) <= m keeps it within default_cycles(m)."""
     if not stop_after_first_iteration:
         require_element(c_elem, m)
     elif c_elem == 0:
         raise BadParameter("divisor must be nonzero")
     elif modulus == 0:
         raise BadParameter("dividend must be nonzero")
+    elif m < 2 or degree(modulus) > m:
+        raise BadParameter(f"a division trace needs m >= 2 and deg(dividend) <= m, not {degree(modulus)} at m = {m}")
     elif degree(c_elem) > degree(modulus):
         raise BadParameter("divisor degree exceeds the dividend's; nothing to divide")
     elif poly_divmod(modulus, c_elem)[1] == 0:

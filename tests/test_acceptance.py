@@ -18,20 +18,15 @@ from revgf2.blocks import (
 from revgf2.circuit import check_permutation, report
 from revgf2.curve import CurveKind, CurveSpec, enumerate_points
 from revgf2.ecgroup import FixedPointParams
-from revgf2.errors import InvariantViolation
-from revgf2.field import FieldSpec
+from revgf2.errors import CycleBudgetExceeded, InvariantViolation
+from revgf2.field import FieldSpec, is_irreducible
 from revgf2.naive import (
     EuclideanPairs,
     build_euclid_iteration,
     build_naive_long_division,
     run_naive_inversion,
 )
-from revgf2.optimized import (
-    budget_breakdown,
-    machine_layout,
-    qubit_budget,
-    run_synchronized,
-)
+from revgf2.optimized import machine_layout, qubit_budget, run_synchronized
 from revgf2.poly import degree, poly_divmod
 from revgf2.verify import check_division, check_group_add, check_inversion
 
@@ -100,27 +95,31 @@ def test_criterion_3_structural_gate_counts(announce):
     )
 
 
+# The paper's itemization of the inverter's width, as groups of layout registers.
+BUDGET_GROUPS = (
+    ("rAa", "rBb"),  # data A, B, a, b: 2m
+    ("q",),  # bounded quotient: 3L
+    ("degA", "degB", "dega", "degb", "deg_anc"),  # degree bank: 4L + 4
+    ("f", "c"),  # flag and counter: 3
+    ("h",),  # halting counter: H
+)
+
+
 def test_criterion_4_qubit_budget(announce):
     ok = True
     for m in (4, 8, 16):
         L = log2_ceil(m)
-        for H in (0, 7, 11):
-            layout_width = sum(machine_layout(m, H).values())
-            formula = 2 * m + 7 * L + 7 + H
-            terms = budget_breakdown(m, H)
-            itemized = (
-                terms["data (A,B,a,b)"] == 2 * m
-                and terms["quotient q"] == 3 * L
-                and terms["degrees"] == 4 * L + 4
-                and terms["flag f, counter c"] == 3
-                and terms["halting counter H"] == H
-            )
-            ok = ok and layout_width == formula == qubit_budget(m, H) and itemized
+        for H in (0, 5, 11):
+            layout = machine_layout(m, H)
+            groups = tuple(sum(layout[r] for r in group) for group in BUDGET_GROUPS)
+            covered = sorted(r for group in BUDGET_GROUPS for r in group) == sorted(layout)
+            ok = ok and covered and groups == (2 * m, 3 * L, 4 * L + 4, 3, H)
+            ok = ok and sum(layout.values()) == 2 * m + 7 * L + 7 + H == qubit_budget(m, H)
     announce(
         4,
         ok and qubit_budget(16, 0) == 67 and qubit_budget(4, 0) == 29,
-        "layout width equals 2m+7ceil(log m)+7+H for m in {4,8,16} with the "
-        "itemization 2m | 3L | 4L+4 | 3 | H (67 at m=16, 29 at m=4, H=0)",
+        "layout width equals 2m+7ceil(log m)+7+H for m in {4,8,16}, its registers "
+        "grouped as 2m | 3L | 4L+4 | 3 | H (67 at m=16, 29 at m=4, H=0)",
     )
 
 
@@ -153,19 +152,25 @@ def test_criterion_5_degree_invariants_at_boundaries(announce):
 
 
 def test_criterion_6_synchronization(announce):
-    ok = True
-    for m in (4, 8):
-        fs = FieldSpec(m, IRRED[m])
-        traces = run_synchronized(fs.nonzero_elements(), fs)  # default budget
-        rounds = {tr.rounds for tr in traces.values()}
-        ok = ok and len(rounds) == 1  # input-independent schedule
-        sigs = {tr.final_signature() for tr in traces.values()}
-        ok = ok and len(sigs) == len(traces)  # injective final-state map
+    moduli = [f for m in range(2, 9) for f in range(1 << m, 2 << m) if is_irreducible(f)]
+    failures = []
+    for f in moduli:
+        fs = FieldSpec(f.bit_length() - 1, f)
+        try:
+            traces = run_synchronized(fs.nonzero_elements(), fs)  # default budget
+        except CycleBudgetExceeded:
+            failures.append(f)
+            continue
+        tight = min(tr.h for tr in traces.values()) == 1  # some input needs every round
+        injective = len({tr.final_signature() for tr in traces.values()}) == len(traces)
+        if not (tight and injective):
+            failures.append(f)
     announce(
         6,
-        ok,
-        "m = 4 and m = 8: fixed global schedule, injective final-state map, "
-        "every input terminates within the default cycle budget",
+        len(moduli) == 69 and not failures,
+        f"all {len(moduli)} irreducible moduli of degree 2..8, every nonzero input: the "
+        f"default budget of 2m - 2 rounds suffices and some input needs all of it "
+        f"(smallest h = 1), injective final-state map ({len(failures)} moduli fail)",
     )
 
 

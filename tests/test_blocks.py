@@ -112,6 +112,11 @@ def test_degree_block_width_and_oracle():
             assert out.get_reg("a") == a
 
 
+def test_degree_block_needs_m_at_least_2():
+    with pytest.raises(BadParameter, match="m >= 2"):
+        build_degree(1)
+
+
 def test_conditional_xor():
     c = build_conditional_xor(4)
     for ctl in (0, 1):

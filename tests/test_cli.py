@@ -41,8 +41,10 @@ def test_synth_unknown_block_usage_error(capsys):
 def test_estimate(capsys):
     assert main(["estimate", "--m", "16"]) == 0
     payload, _ = last_json(capsys)
+    assert payload["cycles"] == 30  # 2m - 2
+    assert payload["halting_counter_width"] == 5
+    assert payload["formula"] == payload["layout_width"] == 72
     assert payload["formula_h0"] == 67
-    assert payload["formula"] == payload["layout_width"]
     assert main(["estimate", "--m", "4"]) == 0
     payload, _ = last_json(capsys)
     assert payload["formula_h0"] == 29
@@ -74,6 +76,14 @@ def test_verify_sample_draws_distinct_inputs(target, m, population, capsys):
     assert main(["verify", target, "--m", str(m), "--sample", "50"]) == 0
     payload, _ = last_json(capsys)
     assert payload["pass"] and payload["checked"] == population
+
+
+@pytest.mark.parametrize("target", ["naive-invert", "naive-div"])
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_verify_sample_must_be_positive(target, sample, capsys):
+    assert main(["verify", target, "--m", "4", "--sample", sample]) == 2
+    captured = capsys.readouterr()
+    assert "--sample must be positive" in captured.err and captured.out == ""
 
 
 def test_verify_blocks_lists_skipped_permutation_checks(capsys):
@@ -151,6 +161,14 @@ def test_trace_division_rejects_zero(divisor, dividend, message, capsys):
     assert main(["trace", "--element", divisor, "--dividend", dividend]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("divisor, dividend, m", [("101", "10101", "2"), ("11", "10", "1")])
+def test_trace_division_rejects_dividend_beyond_m(divisor, dividend, m, capsys):
+    # the division must fit the machine's 2m - 2 round budget
+    assert main(["trace", "--element", divisor, "--dividend", dividend, "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert "needs m >= 2 and deg(dividend) <= m" in captured.err and captured.out == ""
 
 
 def test_trace_inversion_deterministic(capsys):

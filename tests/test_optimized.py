@@ -7,7 +7,6 @@ from revgf2.optimized import (
     SyncState,
     SyncTrace,
     advance_counter,
-    budget_breakdown,
     default_cycles,
     halting_counter_width,
     machine_layout,
@@ -58,7 +57,6 @@ def test_budget_formula_and_layout_agree():
         for H in (0, halting_counter_width(m)):
             layout = machine_layout(m, H)
             assert sum(layout.values()) == qubit_budget(m, H)
-            assert sum(budget_breakdown(m, H).values()) == qubit_budget(m, H)
     assert qubit_budget(16, 0) == 67
     assert qubit_budget(4, 0) == 29
 
