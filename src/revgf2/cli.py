@@ -158,14 +158,22 @@ def _verify_payload(target: str, result: verify.CheckResult, extra: dict) -> int
     return 0 if not result.mismatches else 1
 
 
+def _m_or_default(args, target: str, least: int) -> int:
+    """--m, or 4 when it is absent; a value below `least` is a usage error."""
+    m = 4 if args.m is None else args.m
+    if m < least:
+        raise BadParameter(f"verify {target} needs --m >= {least}, not {m}")
+    return m
+
+
 def verify_blocks(args) -> int:
-    m = args.m or 4
+    m = _m_or_default(args, "blocks", 2)
     result = verify.check_blocks(m)
     return _verify_payload("blocks", result, {"m": m, "skipped": result.skipped})
 
 
 def verify_naive_div(args) -> int:
-    m = args.m or 4
+    m = _m_or_default(args, "naive-div", 1)
     pairs = None  # every pair a != 0
     if args.sample is not None:
         pairs = _distinct_sample(

@@ -114,13 +114,33 @@ def ec_add(p: CurvePoint, r: CurvePoint, curve: CurveSpec) -> CurvePoint:
 
 
 def enumerate_points(curve: CurveSpec) -> list[CurvePoint]:
-    """All points on the curve, the point at infinity first."""
+    """All points on the curve: the point at infinity, then by x, then by y.
+
+    For each x the equation reads y^2 + u*y = w, with u = x and
+    w = x^3 + ax^2 + b (non-supersingular) or u = c and w = x^3 + ax + b
+    (supersingular).  For u != 0, y = u*z turns it into z^2 + z = w/u^2,
+    whose roots z and z + 1 come from a table of z^2 + z; for u = 0, y is
+    the square root of w, from a table of squares.  That is 2^m table
+    entries and one division per x, not a scan of all 4^m pairs.
+    """
+    f = curve.field
+    square_roots = {field_sqr(z, f): z for z in f.elements()}  # squaring is a bijection
+    quad_roots: dict[int, int] = {}  # z^2 + z -> its smaller root z (the other is z + 1)
+    for sq, z in square_roots.items():
+        quad_roots.setdefault(sq ^ z, z)
     points = [INFINITY]
-    for x in curve.field.elements():
-        for y in curve.field.elements():
-            pt = CurvePoint(x, y)
-            if on_curve(pt, curve):
-                points.append(pt)
+    for x in f.elements():
+        x2 = field_sqr(x, f)
+        if curve.kind is CurveKind.NON_SUPERSINGULAR:
+            u, w = x, field_mul(x2, x ^ curve.a, f) ^ curve.b
+        else:
+            u, w = curve.c, field_mul(x2 ^ curve.a, x, f) ^ curve.b
+        if u == 0:
+            ys = [square_roots[w]]
+        else:
+            z = quad_roots.get(field_div(w, field_sqr(u, f), f))
+            ys = [] if z is None else sorted((field_mul(u, z, f), field_mul(u, z ^ 1, f)))
+        points.extend(CurvePoint(x, y) for y in ys)
     return points
 
 

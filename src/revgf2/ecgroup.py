@@ -7,10 +7,18 @@ a non-supersingular curve:
   x, y -> x+a, y+b -> x+a, L -> x'+a, L -> x'+a, L(x'+a) -> x', .. -> x', y'
 
 with L = (y+beta)/(x+alpha) the chord slope; the supersingular chain is
-one arrow shorter.  The two middle arrows are a division and a
-multiplication in which one operand is uncomputed; each division is four
-reversible steps (invert, multiply, invert back, multiply to clear),
-driven by either Euclid backend.
+one arrow shorter.  Each arrow is a tuple of primitive steps over three
+registers x, y and t (the product scratch), each step its own inverse:
+
+  xor_constants   x ^= c1, y ^= c2
+  invert_x        x <- 1/x, one Euclid pass E of the chosen backend
+  mul_acc         target ^= a*b, one run of the multiply-accumulate circuit
+  swap_yt         y <-> t
+  square_into_x   x ^= y^2 (+ y) + c, a GF(2)-linear map
+  fold_x_into_y   y ^= x + c
+
+An arrow is undone by running its steps in reverse order.  The division
+arrow DIVIDE takes |x>|y> to |x>|y/x>; the multiplication is DIVIDE reversed.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ import functools
 from dataclasses import dataclass
 
 from .blocks import build_mul_accumulate
-from .circuit import BasisState, apply
-from .curve import CurveKind, CurvePoint, CurveSpec, ec_add, on_curve
+from .circuit import BasisState, Circuit, apply
+from .curve import CurveKind, CurvePoint, CurveSpec, ec_add, enumerate_points, on_curve
 from .errors import DivisionByZero, InvariantViolation, NonGenericInput, PointNotOnCurve
 from .field import FieldSpec, field_sqr
 from .naive import euclid_iteration_layout, run_naive_inversion
@@ -40,206 +48,153 @@ class FixedPointParams:
             raise PointNotOnCurve("fixed point (alpha, beta) is not on the curve")
 
 
-# --- the division/multiplication with operand uncomputation -----------------
+# --- the registers, the self-inverse steps, and the arrows -------------------
 
 
-class DivisionWithUncompute:
-    """Net map |x>|y> <-> |x>|y/x| as four reversible steps E, m, E, m.
-
-    E is a Euclid inversion pass (naive stepped circuits or the optimized
-    synchronized machine), m a run of the multiply-accumulate circuit:
-
-      x, y -> 1/x, y -> 1/x, y, y/x -> x, y, y/x -> x, 0, y/x
-
-    The second multiplication replays y = (y/x)*x backwards to clear y.
-    Applied in reverse the same object is the multiplication with the
-    inverse operand uncomputed, |x>|t> <-> |x>|t*x>.
-    """
-
-    def __init__(self, field: FieldSpec, backend: str = "naive"):
-        if backend not in ("naive", "opt"):
-            raise ValueError(f"backend must be naive or opt, not {backend!r}")
-        self.field = field
-        self.backend = backend
-        self._mul = build_mul_accumulate(field)
-
-    def _invert(self, x: int) -> int:
-        if self.backend == "naive":
-            return run_naive_inversion(x, self.field)
-        return optimized_invert(x, self.field)
-
-    def _mul_acc(self, x: int, y: int, t: int) -> int:
-        """t ^= x*y mod f, through the simulated multiplier circuit."""
-        state = BasisState.from_values(self._mul.layout, x=x, y=y, t=t)
-        out = apply(self._mul, state)
-        if out.get_reg("x") != x or out.get_reg("y") != y:
-            raise InvariantViolation("multiplier operands not restored")
-        return out.get_reg("t")
-
-    def divide(self, x: int, y: int) -> int:
-        """Return y/x; the dividend register ends cleared (checked)."""
-        if x == 0:
-            raise DivisionByZero("division step with zero denominator")
-        inv = self._invert(x)  # E
-        quot = self._mul_acc(inv, y, 0)  # m
-        x_back = self._invert(inv)  # E
-        if x_back != x:
-            raise InvariantViolation("inversion pass failed to restore the operand")
-        if self._mul_acc(x, quot, y) != 0:  # m (uncompute y)
-            raise InvariantViolation("dividend scratch not cleared")
-        return quot
-
-    def multiply(self, x: int, t: int) -> int:
-        """The reverse pass: return t*x with the t register cleared."""
-        if x == 0:
-            raise DivisionByZero("multiplication step with zero operand")
-        prod = self._mul_acc(x, t, 0)
-        inv = self._invert(x)
-        t_cleared = self._mul_acc(inv, prod, t)
-        if self._invert(inv) != x:
-            raise InvariantViolation("inversion pass failed to restore the operand")
-        if t_cleared != 0:
-            raise InvariantViolation("multiplier scratch not cleared")
-        return prod
-
-
-@functools.lru_cache(maxsize=None)
-def build_division_with_uncompute(field: FieldSpec, backend: str = "naive") -> DivisionWithUncompute:
-    return DivisionWithUncompute(field, backend)
-
-
-def squaring_step(lam: int, field: FieldSpec, linear: bool = False, const: int = 0) -> int:
-    """The slope's contribution to the new x coordinate: lam^2 (+ lam) + const.
-
-    Squaring is GF(2)-linear (bit spreading then reduction), so the whole
-    contribution is a fixed linear map XORed into the target register.
-    """
-    out = field_sqr(lam, field) ^ const
-    if linear:
-        out ^= lam
-    return out
-
-
-# --- the step plan -----------------------------------------------------------
-
-
-CONSTANT_ADD = "constant-add"
-DIVIDE_UNCOMPUTE = "divide-uncompute"
-SQUARE_AND_ADD = "square-and-add"
-MULTIPLY_UNCOMPUTE = "multiply-uncompute"
-XOR_FOLD = "xor-fold"
+X, Y, T = range(3)  # register indices into (x, y, t)
 
 
 @dataclass(frozen=True)
-class PlanStep:
-    """One arrow of the chain.  Constant adds carry the XOR masks;
-    square-and-add carries its constant and whether the linear lam term
-    participates; xor-fold adds the x register (plus a constant) into y."""
+class StepContext:
+    """What the steps run on: the field, the Euclid backend behind E, and
+    the multiply-accumulate circuit."""
 
-    kind: str
-    x_const: int = 0
-    y_const: int = 0
-    with_linear_term: bool = False
+    field: FieldSpec
+    backend: str
+    multiplier: Circuit
+
+
+@functools.lru_cache(maxsize=None)
+def build_division_with_uncompute(field: FieldSpec, backend: str = "naive") -> StepContext:
+    """The steps' context for one field and backend, built once."""
+    if backend not in ("naive", "opt"):
+        raise ValueError(f"backend must be naive or opt, not {backend!r}")
+    return StepContext(field, backend, build_mul_accumulate(field))
+
+
+def xor_constants(regs, ctx: StepContext, c1: int, c2: int):
+    return regs[X] ^ c1, regs[Y] ^ c2, regs[T]
+
+
+def invert_x(regs, ctx: StepContext):
+    """E: x <- 1/x.  The inverters are looked up as module globals on every
+    call, so a caller that rebinds them (a tracer, a fault test) is obeyed."""
+    x, y, t = regs
+    if x == 0:
+        raise DivisionByZero("inversion pass on a zero register")
+    if ctx.backend == "naive":
+        return run_naive_inversion(x, ctx.field), y, t
+    return optimized_invert(x, ctx.field), y, t
+
+
+def mul_acc(regs, ctx: StepContext, target: int, a: int, b: int):
+    """regs[target] ^= regs[a]*regs[b] through the simulated multiplier; the
+    operands must come back unchanged (checked)."""
+    mul = ctx.multiplier
+    out = apply(mul, BasisState.from_values(mul.layout, x=regs[a], y=regs[b], t=regs[target]))
+    if out.get_reg("x") != regs[a] or out.get_reg("y") != regs[b]:
+        raise InvariantViolation("multiplier operands not restored")
+    regs = list(regs)
+    regs[target] = out.get_reg("t")
+    return tuple(regs)
+
+
+def swap_yt(regs, ctx: StepContext):
+    return regs[X], regs[T], regs[Y]
+
+
+def square_into_x(regs, ctx: StepContext, linear: bool, c: int):
+    """x ^= y^2 (+ y) + c.  Squaring is GF(2)-linear (bit spreading then
+    reduction), so the whole contribution is a fixed linear map of y."""
+    x, y, t = regs
+    x ^= field_sqr(y, ctx.field) ^ c
+    if linear:
+        x ^= y
+    return x, y, t
+
+
+def fold_x_into_y(regs, ctx: StepContext, c: int):
+    return regs[X], regs[Y] ^ regs[X] ^ c, regs[T]
+
+
+# x, y, 0 -> 1/x, y, 0 -> 1/x, y, y/x -> x, y, y/x -> x, 0, y/x -> x, y/x, 0
+DIVIDE = ((invert_x,), (mul_acc, T, X, Y), (invert_x,), (mul_acc, Y, X, T), (swap_yt,))
+MULTIPLY = DIVIDE[::-1]  # x, t, 0 -> x, t*x, 0
+
+
+def run_arrow(arrow, regs, ctx: StepContext):
+    """Run one arrow's steps.  Every arrow must leave t at 0, and one that
+    inverts x must hand x back restored (both checked)."""
+    x_in = regs[X]
+    for op, *args in arrow:
+        regs = op(regs, ctx, *args)
+    if regs[T]:
+        raise InvariantViolation("product scratch t not cleared")
+    if regs[X] != x_in and any(op is invert_x for op, *_ in arrow):
+        raise InvariantViolation("inversion passes failed to restore x")
+    return regs
 
 
 @dataclass(frozen=True)
 class GroupStepPlan:
-    """The ordered reversible steps realizing (x, y) -> (x', y')."""
+    """The ordered arrows realizing (x, y) -> (x', y'); each arrow is a
+    tuple of (step, *arguments)."""
 
     params: FixedPointParams
-    steps: tuple[PlanStep, ...]
+    chain: tuple[tuple[tuple, ...], ...]
 
     @property
     def arrows(self) -> int:
-        return len(self.steps)
+        return len(self.chain)
+
+    def inverse(self) -> "GroupStepPlan":
+        """Every step is self-inverse, so the inverse runs every arrow
+        reversed, in reverse order."""
+        return GroupStepPlan(self.params, tuple(arrow[::-1] for arrow in reversed(self.chain)))
 
 
 def plan_group_add(params: FixedPointParams) -> GroupStepPlan:
-    """Emit the curve kind's chain.
-
-    Non-supersingular (six arrows; x2 = alpha, y2 = beta, L the slope):
-      1. x ^= alpha, y ^= beta
-      2. y <- L = y/x                          (division, operand uncomputed)
-      3. x ^= L^2 + L + (alpha + a)            (now x = x' + alpha)
-      4. y <- L*x = y' + x' + beta             (multiplication, L uncomputed)
-      5. x ^= alpha                            (now x = x')
-      6. y ^= x + beta                         (now y = y')
-    Supersingular (five arrows):
-      1. x ^= alpha, y ^= beta
-      2. y <- L
-      3. x ^= L^2 + alpha                      (x = x' + alpha)
-      4. y <- L*x = y' + beta + c
-      5. x ^= alpha, y ^= beta + c
-    """
+    """Emit the curve kind's chain (x2 = alpha, y2 = beta, L the slope);
+    each comment gives the registers after its arrow."""
     curve = params.curve
     alpha, beta = params.alpha, params.beta
     if curve.kind is CurveKind.NON_SUPERSINGULAR:
-        steps = (
-            PlanStep(CONSTANT_ADD, x_const=alpha, y_const=beta),
-            PlanStep(DIVIDE_UNCOMPUTE),
-            PlanStep(SQUARE_AND_ADD, x_const=alpha ^ curve.a, with_linear_term=True),
-            PlanStep(MULTIPLY_UNCOMPUTE),
-            PlanStep(CONSTANT_ADD, x_const=alpha),
-            PlanStep(XOR_FOLD, y_const=beta),
+        chain = (
+            ((xor_constants, alpha, beta),),  # x + alpha, y + beta
+            DIVIDE,  # y = L
+            ((square_into_x, True, alpha ^ curve.a),),  # x = x' + alpha
+            MULTIPLY,  # y = L*(x' + alpha) = y' + x' + beta
+            ((xor_constants, alpha, 0),),  # x = x'
+            ((fold_x_into_y, beta),),  # y = y'
         )
     else:
-        steps = (
-            PlanStep(CONSTANT_ADD, x_const=alpha, y_const=beta),
-            PlanStep(DIVIDE_UNCOMPUTE),
-            PlanStep(SQUARE_AND_ADD, x_const=alpha),
-            PlanStep(MULTIPLY_UNCOMPUTE),
-            PlanStep(CONSTANT_ADD, x_const=alpha, y_const=beta ^ curve.c),
+        chain = (
+            ((xor_constants, alpha, beta),),
+            DIVIDE,  # y = L
+            ((square_into_x, False, alpha),),  # x = x' + alpha
+            MULTIPLY,  # y = L*(x' + alpha) = y' + beta + c
+            ((xor_constants, alpha, beta ^ curve.c),),  # x', y'
         )
-    return GroupStepPlan(params=params, steps=steps)
-
-
-def _apply_step(step: PlanStep, x: int, y: int, div: DivisionWithUncompute, field: FieldSpec):
-    if step.kind == CONSTANT_ADD:
-        return x ^ step.x_const, y ^ step.y_const
-    if step.kind == DIVIDE_UNCOMPUTE:
-        return x, div.divide(x, y)
-    if step.kind == SQUARE_AND_ADD:
-        return x ^ squaring_step(y, field, step.with_linear_term, step.x_const), y
-    if step.kind == MULTIPLY_UNCOMPUTE:
-        return x, div.multiply(x, y)
-    if step.kind == XOR_FOLD:
-        return x, y ^ x ^ step.y_const
-    raise ValueError(f"unknown plan step {step.kind!r}")
-
-
-_INVERSE_KIND = {DIVIDE_UNCOMPUTE: MULTIPLY_UNCOMPUTE, MULTIPLY_UNCOMPUTE: DIVIDE_UNCOMPUTE}
+    return GroupStepPlan(params, chain)
 
 
 def execute_plan(plan: GroupStepPlan, x: int, y: int, backend: str = "naive",
                  inverse: bool = False) -> tuple[int, int]:
-    """Run the plan (or its inverse) on raw register values.
-
-    Constant adds, square-and-add, and xor-fold are XOR masks, hence
-    self-inverse; the division and multiplication arrows are each other's
-    reverses, so the inverse plan is the reversed step list with those two
-    kinds exchanged.
-    """
-    field = plan.params.curve.field
-    div = build_division_with_uncompute(field, backend)
-    steps = plan.steps
-    if inverse:
-        steps = tuple(
-            PlanStep(_INVERSE_KIND.get(s.kind, s.kind), s.x_const, s.y_const, s.with_linear_term)
-            for s in reversed(steps)
-        )
-    for step in steps:
-        x, y = _apply_step(step, x, y, div, field)
-    return x, y
+    """Run the plan (or its inverse) on raw register values, t starting at 0."""
+    ctx = build_division_with_uncompute(plan.params.curve.field, backend)
+    regs = (x, y, 0)
+    for arrow in (plan.inverse() if inverse else plan).chain:
+        regs = run_arrow(arrow, regs, ctx)
+    return regs[X], regs[Y]
 
 
-def simulate_group_add(s: CurvePoint, params: FixedPointParams,
-                       backend: str = "naive") -> CurvePoint:
+def simulate_group_add(s: CurvePoint, params: FixedPointParams, backend: str = "naive") -> CurvePoint:
     """Execute the plan on one basis-state point; returns S + (alpha, beta).
 
     Only the generic case is implemented, so the identity, the fixed point
     itself, and its negative are rejected up front (all three share
     x = alpha, which would put a zero denominator under the slope).  A sum
-    that shares x = alpha is met inside the plan: its multiply step gets
+    that shares x = alpha is met inside the plan: its multiply arrow gets
     the zero operand x' + alpha, so the slope cannot be uncomputed.
     """
     if s.is_infinity:
@@ -247,18 +202,14 @@ def simulate_group_add(s: CurvePoint, params: FixedPointParams,
     if not on_curve(s, params.curve):
         raise PointNotOnCurve(f"{s} not on the curve")
     if s.x == params.alpha:
-        raise NonGenericInput(
-            "input shares the fixed point's x coordinate (doubling, "
-            "cancellation, or a repeated point)"
-        )
+        raise NonGenericInput("input shares the fixed point's x coordinate (doubling, "
+                              "cancellation, or a repeated point)")
     plan = plan_group_add(params)
     try:
         x3, y3 = execute_plan(plan, s.x, s.y, backend)
     except DivisionByZero as exc:
-        raise NonGenericInput(
-            "the sum shares the fixed point's x coordinate, so the slope "
-            "cannot be uncomputed (output side of the generic-case check)"
-        ) from exc
+        raise NonGenericInput("the sum shares the fixed point's x coordinate, so the slope cannot "
+                              "be uncomputed (output side of the generic-case check)") from exc
     return CurvePoint(x3, y3)
 
 
@@ -266,31 +217,21 @@ def generic_points(params: FixedPointParams) -> list[CurvePoint]:
     """All curve points the plan accepts: affine, x != alpha, and the sum
     itself affine with x != alpha (both ends of the chain need a nonzero
     slope denominator)."""
-    from .curve import enumerate_points
-
     fixed = CurvePoint(params.alpha, params.beta)
-    out = []
-    for p in enumerate_points(params.curve):
-        if p.is_infinity or p.x == params.alpha:
-            continue
-        if ec_add(p, fixed, params.curve).x == params.alpha:
-            continue
-        out.append(p)
-    return out
+    return [
+        p for p in enumerate_points(params.curve)
+        if not p.is_infinity and p.x != params.alpha and ec_add(p, fixed, params.curve).x != params.alpha
+    ]
 
 
 def group_op_width(field: FieldSpec, backend: str = "naive") -> dict[str, int]:
     """Width audit: the assembled group operation needs the point registers,
     the slope/product scratch, and whichever Euclid inverter is driven,
-    i.e. it is bounded by one division-with-uncomputation."""
+    i.e. it is bounded by one division arrow."""
     m = field.m
     if backend == "naive":
         inverter = sum(euclid_iteration_layout(m).values())
     else:
         inverter = qubit_budget(m, halting_counter_width(m))
-    return {
-        "point_registers": 2 * m,
-        "product_scratch": m,
-        "inverter_scratch": inverter - 2 * m,
-        "total": m + inverter,
-    }
+    return {"point_registers": 2 * m, "product_scratch": m,
+            "inverter_scratch": inverter - 2 * m, "total": m + inverter}

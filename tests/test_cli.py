@@ -96,6 +96,13 @@ def test_verify_blocks_lists_skipped_permutation_checks(capsys):
     assert payload["skipped"] == [] and payload["checked"] == 9 + 63
 
 
+@pytest.mark.parametrize("target, m, least", [("blocks", "1", 2), ("blocks", "0", 2), ("naive-div", "0", 1)])
+def test_verify_m_below_minimum_is_usage_error(target, m, least, capsys):
+    assert main(["verify", target, "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert f"verify {target} needs --m >= {least}, not {m}" in captured.err and captured.out == ""
+
+
 def test_verify_ec_add_all_generic(curve_files, capsys):
     assert main(["verify", "ec-add", "--curve", curve_files["ns"]]) == 0
     payload, _ = last_json(capsys)

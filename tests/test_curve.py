@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from revgf2.curve import (
@@ -12,7 +15,7 @@ from revgf2.curve import (
     on_curve,
 )
 from revgf2.errors import PointNotOnCurve
-from revgf2.field import FieldSpec
+from revgf2.field import FieldSpec, default_field, is_irreducible
 
 F16 = FieldSpec(4, 0b10011)
 NS = CurveSpec(F16, CurveKind.NON_SUPERSINGULAR, a=0b10, b=0b1)
@@ -91,3 +94,32 @@ def test_load_curve(tmp_path):
         "m = 4\nmodulus = 10011\nkind = non-supersingular\na = 10\nb = 1\n"
     )
     assert load_curve(path) == NS
+
+
+def scan_points(curve):
+    """Reference: every (x, y) pair tested against the curve equation."""
+    elements = curve.field.elements()
+    return [INFINITY] + [CurvePoint(x, y) for x in elements for y in elements if on_curve(CurvePoint(x, y), curve)]
+
+
+def curves_to_scan():
+    for m in (1, 2, 3):  # every curve of both kinds under every modulus
+        for modulus in filter(is_irreducible, range(1 << m, 2 << m)):
+            f = FieldSpec(m, modulus)
+            for a, b in itertools.product(f.elements(), repeat=2):
+                if b:
+                    yield CurveSpec(f, CurveKind.NON_SUPERSINGULAR, a, b)
+                yield from (CurveSpec(f, CurveKind.SUPERSINGULAR, a, b, c) for c in f.nonzero_elements())
+    for a, b in itertools.product(F16.elements(), F16.nonzero_elements()):
+        yield CurveSpec(F16, CurveKind.NON_SUPERSINGULAR, a, b)
+    rng = random.Random(5)
+    for m in (5, 6, 7):
+        f = default_field(m)
+        a, b, c = (rng.randrange(1, 1 << m) for _ in range(3))
+        yield CurveSpec(f, CurveKind.NON_SUPERSINGULAR, a, b)
+        yield CurveSpec(f, CurveKind.SUPERSINGULAR, a, b, c)
+
+
+def test_enumerate_points_matches_scan():
+    for curve in curves_to_scan():
+        assert enumerate_points(curve) == scan_points(curve), curve

@@ -1,19 +1,32 @@
+import itertools
+
 import pytest
 
+from revgf2 import ecgroup
 from revgf2.curve import CurveKind, CurvePoint, CurveSpec, ec_add, enumerate_points
 from revgf2.ecgroup import (
-    CONSTANT_ADD,
+    DIVIDE,
+    MULTIPLY,
+    X,
+    Y,
+    T,
     FixedPointParams,
     build_division_with_uncompute,
     execute_plan,
+    fold_x_into_y,
     generic_points,
     group_op_width,
+    invert_x,
+    mul_acc,
     plan_group_add,
+    run_arrow,
     simulate_group_add,
-    squaring_step,
+    square_into_x,
+    swap_yt,
+    xor_constants,
 )
-from revgf2.errors import DivisionByZero, NonGenericInput, PointNotOnCurve
-from revgf2.field import FieldSpec, field_div, field_sqr
+from revgf2.errors import DivisionByZero, InvariantViolation, NonGenericInput, PointNotOnCurve
+from revgf2.field import FieldSpec, field_div, field_mul, field_sqr
 
 F16 = FieldSpec(4, 0b10011)
 NS = CurveSpec(F16, CurveKind.NON_SUPERSINGULAR, a=0b10, b=0b1)
@@ -40,31 +53,93 @@ def test_zero_constants_degenerate_to_identity():
     curve = CurveSpec(F16, CurveKind.SUPERSINGULAR, a=0, b=0, c=1)
     if CurvePoint(0, 0) in enumerate_points(curve):
         plan = plan_group_add(FixedPointParams(curve, 0, 0))
-        first = plan.steps[0]
-        assert first.kind == CONSTANT_ADD
-        assert first.x_const == 0 and first.y_const == 0
+        assert plan.chain[0] == ((xor_constants, 0, 0),)
+
+
+STEPS = [
+    (xor_constants, 0b1011, 0b110),
+    (invert_x,),
+    (mul_acc, T, X, Y),
+    (mul_acc, Y, X, T),
+    (swap_yt,),
+    (square_into_x, True, 0b101),
+    (square_into_x, False, 0b11),
+    (fold_x_into_y, 0b1001),
+]
+
+
+# only the inversion step depends on the backend
+STEP_CASES = [(step, "naive") for step in STEPS] + [((invert_x,), "opt")]
+
+
+@pytest.mark.parametrize(
+    "step, backend", STEP_CASES, ids=["-".join(map(str, [s[0].__name__, *s[1:], b])) for s, b in STEP_CASES]
+)
+def test_every_step_is_an_involution(step, backend):
+    ctx = build_division_with_uncompute(F16, backend)
+    op, *args = step
+    for regs in itertools.product(F16.elements(), repeat=3):
+        if op is invert_x and regs[X] == 0:
+            continue
+        assert op(op(regs, ctx, *args), ctx, *args) == regs
+
+
+def test_multiply_arrow_is_divide_reversed():
+    assert MULTIPLY == DIVIDE[::-1]
+    for curve in (NS, SS):
+        plan = plan_group_add(params_for(curve))
+        assert plan.inverse().inverse() == plan
 
 
 @pytest.mark.parametrize("backend", ["naive", "opt"])
-def test_division_with_uncompute_oracle(backend):
-    div = build_division_with_uncompute(F16, backend)
+def test_divide_and_multiply_arrows_match_oracle(backend):
+    ctx = build_division_with_uncompute(F16, backend)
     for x in F16.nonzero_elements():
         for y in F16.elements():
-            q = div.divide(x, y)
-            assert q == field_div(y, x, F16)
-            assert div.multiply(x, q) == y
-    assert div.divide(1, 0b1011) == 0b1011  # x = 1
-    assert div.divide(0b10, 0) == 0  # y = 0
-    with pytest.raises(DivisionByZero):
-        div.divide(0, 1)
+            assert run_arrow(DIVIDE, (x, y, 0), ctx) == (x, field_div(y, x, F16), 0)
+            assert run_arrow(MULTIPLY, (x, y, 0), ctx) == (x, field_mul(x, y, F16), 0)
+    for arrow in (DIVIDE, MULTIPLY):
+        with pytest.raises(DivisionByZero):
+            run_arrow(arrow, (0, 1, 0), ctx)
 
 
-def test_squaring_step():
-    assert squaring_step(0b10, F16) == 0b100
-    assert squaring_step(0, F16, linear=True, const=0b11) == 0b11
-    assert squaring_step(1, F16, linear=True) == 0  # 1 + 1 = 0
-    for lam in F16.elements():
-        assert squaring_step(lam, F16) == field_sqr(lam, F16)
+@pytest.mark.parametrize("backend", ["naive", "opt"])
+def test_faulty_inverter_is_caught(backend, monkeypatch):
+    # an "inverter" that returns its input is its own inverse, so x comes
+    # back restored; the scratch check must catch it unless x + alpha = 1
+    # or the slope is 0, where the identity happens to be right
+    monkeypatch.setattr(ecgroup, "run_naive_inversion", lambda c, field: c)
+    monkeypatch.setattr(ecgroup, "optimized_invert", lambda c, field: c)
+    caught = 0
+    for curve in (NS, SS):
+        params = params_for(curve)
+        for s in generic_points(params):
+            if s.x ^ params.alpha > 1 and s.y != params.beta:
+                with pytest.raises(InvariantViolation, match="scratch"):
+                    simulate_group_add(s, params, backend)
+                caught += 1
+    assert caught > 0
+
+
+def test_unrestored_x_is_caught(monkeypatch):
+    # squaring twice gives x^4 != x outside GF(4); with y = 0 both products
+    # are 0, so only the restore check on x can see the fault
+    monkeypatch.setattr(ecgroup, "run_naive_inversion", field_sqr)
+    with pytest.raises(InvariantViolation, match="restore x"):
+        run_arrow(DIVIDE, (0b10, 0, 0), build_division_with_uncompute(F16, "naive"))
+
+
+def test_multiplier_operand_fault_is_caught(monkeypatch):
+    real_apply = ecgroup.apply
+
+    def apply_flipping_x(circuit, state):
+        out = real_apply(circuit, state)
+        out.set_reg("x", out.get_reg("x") ^ 1)
+        return out
+
+    monkeypatch.setattr(ecgroup, "apply", apply_flipping_x)
+    with pytest.raises(InvariantViolation, match="operands"):
+        run_arrow(DIVIDE, (0b11, 0b101, 0), build_division_with_uncompute(F16, "opt"))
 
 
 def test_plan_inverse_restores_input():

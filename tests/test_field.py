@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from revgf2.errors import DivisionByZero, NotIrreducible, ZeroElement
@@ -12,6 +14,7 @@ from revgf2.field import (
     is_irreducible,
     load_field,
 )
+from revgf2.poly import poly_divmod
 
 F16 = FieldSpec(4, 0b10011)
 
@@ -64,3 +67,30 @@ def test_load_field(tmp_path):
     path = tmp_path / "f.field"
     path.write_text("# GF(2^4)\nm = 4\nmodulus = 10011\n")
     assert load_field(path) == F16
+
+
+def trial_division_irreducible(f: int) -> bool:
+    """Reference: no divisor of degree 1..deg(f)//2 leaves remainder 0."""
+    d = f.bit_length() - 1
+    if d < 1:
+        return False
+    return all(poly_divmod(f, g)[1] for g in range(2, 1 << (d // 2 + 1)))
+
+
+def test_ben_or_matches_trial_division():
+    counts = []
+    for d in range(1, 13):
+        irreducibles = [f for f in range(1 << d, 2 << d) if is_irreducible(f)]
+        assert irreducibles == [f for f in range(1 << d, 2 << d) if trial_division_irreducible(f)]
+        counts.append(len(irreducibles))
+    assert counts == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335]
+    assert not any(is_irreducible(f) for f in (0, 1))
+
+
+def test_standard_size_field_builds_fast():
+    start = time.perf_counter()
+    spec = FieldSpec(163, (1 << 163) | 0b11001001)  # z^163 + z^7 + z^6 + z^3 + 1
+    assert time.perf_counter() - start < 0.1
+    assert spec.m == 163
+    with pytest.raises(NotIrreducible):
+        FieldSpec(163, (1 << 163) | 1)  # z^163 + 1 has the root 1
