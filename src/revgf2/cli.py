@@ -36,7 +36,7 @@ def _emit(payload: dict):
 def _field_from_args(args) -> FieldSpec:
     if getattr(args, "field", None):
         return load_field(args.field)
-    if getattr(args, "m", None):
+    if getattr(args, "m", None) is not None:
         return default_field(args.m)
     raise BadParameter("provide --field <file> or --m <degree>")
 

@@ -178,12 +178,12 @@ def plan_group_add(params: FixedPointParams) -> GroupStepPlan:
     return GroupStepPlan(params, chain)
 
 
-def execute_plan(plan: GroupStepPlan, x: int, y: int, backend: str = "naive",
-                 inverse: bool = False) -> tuple[int, int]:
-    """Run the plan (or its inverse) on raw register values, t starting at 0."""
+def execute_plan(plan: GroupStepPlan, x: int, y: int, backend: str = "naive") -> tuple[int, int]:
+    """Run the plan on raw register values, t starting at 0; pass
+    plan.inverse() to run it backwards."""
     ctx = build_division_with_uncompute(plan.params.curve.field, backend)
     regs = (x, y, 0)
-    for arrow in (plan.inverse() if inverse else plan).chain:
+    for arrow in plan.chain:
         regs = run_arrow(arrow, regs, ctx)
     return regs[X], regs[Y]
 

@@ -41,10 +41,6 @@ class NonGenericInput(RevGF2Error):
     """Group-add input falls outside the generic case the circuits handle."""
 
 
-class PackOverflow(RevGF2Error):
-    """Degrees too large for shared-register packing."""
-
-
 class CycleBudgetExceeded(RevGF2Error):
     """An input did not terminate within the synchronized cycle budget."""
 

@@ -106,6 +106,8 @@ def field_div(x: int, y: int, field: FieldSpec) -> int:
 def default_modulus(m: int) -> int:
     """The numerically smallest irreducible of degree m; a deterministic
     choice for commands that take only m."""
+    if m < 1:
+        raise BadParameter(f"field degree must be positive, not {m}")
     for f in range(1 << m, 1 << (m + 1)):
         if is_irreducible(f):
             return f

@@ -147,7 +147,11 @@ def run_naive_inversion(c_elem: int, field: FieldSpec, trace: list | None = None
 
     The number of iterations depends on the input, so this driver is not
     synchronized; it is the reference the optimized machine is checked
-    against.  If `trace` is given, the EuclideanPairs state after every
+    against.  It needs at most m - 1 iterations: each one replaces A by
+    B mod A, which lowers deg(A) by at least 1, from deg(c) <= m - 1 down
+    to 0, and A never becomes 0 since gcd(c, f) = 1 for the irreducible f.
+    Some input needs all m - 1 under every irreducible modulus of degree
+    2..10.  If `trace` is given, the EuclideanPairs state after every
     iteration is appended.
     """
     if c_elem == 0:
@@ -164,16 +168,12 @@ def run_naive_inversion(c_elem: int, field: FieldSpec, trace: list | None = None
     while state.get_reg("ra") != 1:
         state = apply(iteration, state)
         steps += 1
-        if steps > 2 * m:
-            raise InvariantViolation("Euclid failed to terminate")
-        pairs = EuclideanPairs(
-            state.get_reg("ka"),
-            state.get_reg("ra"),
-            state.get_reg("kb"),
-            state.get_reg("rb"),
-        )
+        if steps > m - 1:
+            raise InvariantViolation(f"Euclid failed to terminate within m - 1 = {m - 1} iterations")
         if trace is not None:
-            trace.append(pairs)
+            trace.append(
+                EuclideanPairs(state.get_reg("ka"), state.get_reg("ra"), state.get_reg("kb"), state.get_reg("rb"))
+            )
         for scratch in ("q", "s", "anc", "flg"):
             if state.get_reg(scratch) != 0:
                 raise InvariantViolation(f"scratch {scratch} not restored")

@@ -15,68 +15,27 @@ early finishers tick so the global schedule can run to a fixed length:
 
 The scheduled steps are modeled as named reversible primitives that act
 bit-exactly on `SyncState`, which keeps A, B, a and b as plain
-polynomials; `pack` maps a pair onto its shared register.  The layout,
-not the model, is what the qubit-budget audit measures.  The steps have
-no gate list yet, so the machine has no gate count or depth.
+polynomials.  The layout, not the model, is what the qubit-budget audit
+measures, and the model does not yet fit it: (a, A) always fits one
+m-bit word, but o1b adds a*z^shift from the largest shift down, so
+mid-division the (b, B) pair exceeds m bits (at m = 8, 192 of 255 inputs
+reach deg(b) + deg(B) > m, up to 2m - 2).  The 2m data term of
+machine_layout is therefore the paper's claim, not yet the model's.  The
+steps have no gate list yet, so the machine has no gate count or depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .blocks import log2_ceil
-from .errors import BadParameter, CycleBudgetExceeded, InvariantViolation, PackOverflow, ZeroElement
+from .errors import BadParameter, CycleBudgetExceeded, InvariantViolation, ZeroElement
 from .field import FieldSpec, require_element
 from .poly import degree, poly_divmod
 
 # Scheduled operation indices, in counter-cycle order.
 O1A, O1B, O1C, O2 = 0, 1, 2, 3
 OP_NAMES = {O1A: "o1a", O1B: "o1b", O1C: "o1c", O2: "o2"}
-
-
-# --- register sharing ------------------------------------------------------
-
-
-def _coeff(p: int, e: int) -> int:
-    return (p >> e) & 1 if e >= 0 else 0
-
-
-def pack(a: int, A: int, m: int) -> int:
-    """Pack a coefficient/remainder pair into one m-bit register.
-
-    A sits at the high-order end (most significant coefficient first), a at
-    the low end in the opposite direction; both leading 1-coefficients are
-    implicit because the degree bank locates them.  The zero polynomial
-    contributes no bits.  Requires deg(a) + deg(A) <= m.
-    """
-    bits_a = degree(a) if a else 0
-    bits_A = degree(A) if A else 0
-    if bits_a + bits_A > m:
-        raise PackOverflow(f"deg(a)+deg(A) = {bits_a + bits_A} exceeds m = {m}")
-    packed = 0
-    for i in range(bits_A):  # A's sub-leading coefficients, from the top down
-        packed |= _coeff(A, bits_A - 1 - i) << (m - 1 - i)
-    for i in range(bits_a):  # a's sub-leading coefficients, from the bottom up
-        packed |= _coeff(a, bits_a - 1 - i) << i
-    return packed
-
-
-def unpack(packed: int, dega: int | None, degA: int | None, m: int) -> tuple[int, int]:
-    """Inverse of pack given the degree-bank values (None encodes the zero
-    polynomial)."""
-    if dega is None:
-        a = 0
-    else:
-        a = 1 << dega
-        for i in range(dega):
-            a |= ((packed >> i) & 1) << (dega - 1 - i)
-    if degA is None:
-        A = 0
-    else:
-        A = 1 << degA
-        for i in range(degA):
-            A |= ((packed >> (m - 1 - i)) & 1) << (degA - 1 - i)
-    return a, A
 
 
 # --- layout and budget -----------------------------------------------------
@@ -145,14 +104,15 @@ def qubit_budget(m: int, H: int = 0) -> int:
 
 @dataclass
 class SyncState:
-    """One input's view of the synchronized machine.
+    """One input's view of the synchronized machine; run_synchronized
+    returns the final one.
 
     A/B are the remainder pair (B doubles as the evolving partial
     remainder during a division), a/b the coefficient pair.  degB is the
     working alignment: it starts at the true degree of B and is stepped
     down by the shifts, returning to the true degree of the new remainder
-    at each iteration boundary.
-    """
+    at each iteration boundary.  rounds counts global clock ticks, idle
+    rounds included."""
 
     m: int
     A: int
@@ -165,12 +125,13 @@ class SyncState:
     degb: int | None = None  # None while b is still the zero polynomial
     q: int = 0
     q_len: int = 0
-    q_overflow: bool = False
+    quotient_overflow: bool = False
     f: int = 1
     c: int = O1A
     h: int = 0
     done: bool = False
     iterations: int = 0
+    rounds: int = 0
 
     @staticmethod
     def initial(c_elem: int, modulus: int, m: int) -> "SyncState":
@@ -180,6 +141,20 @@ class SyncState:
         if st.A == 1:
             st.done = True
         return st
+
+    @property
+    def inverse(self) -> int:
+        """The coefficient a, which holds the inverse once A = 1."""
+        return self.a
+
+    def final_signature(self) -> tuple:
+        """The machine's registers; distinct inputs must end distinct."""
+        return (self.a, self.A, self.b, self.B, self.dega, self.degA, self.degb, self.degB,
+                self.q, self.f, self.c, self.h)
+
+
+def _coeff(p: int, e: int) -> int:
+    return (p >> e) & 1 if e >= 0 else 0
 
 
 def advance_counter(state: SyncState) -> None:
@@ -212,7 +187,7 @@ def step_o1a(state: SyncState) -> bool:
     state.q = (state.q << 1) | bit
     state.q_len += 1
     if state.q_len > quotient_capacity(state.m):
-        state.q_overflow = True
+        state.quotient_overflow = True
     if aligned_with_divisor(state):
         if bit:
             state.B ^= state.A
@@ -261,7 +236,7 @@ SLOTS = (step_o1a, step_o1b, step_o1c, step_o2)  # indexed by O1A..O2
 
 def _uncompute_quotient(state: SyncState) -> None:
     """Clear q via q = floor((b + q a)/a); valid because deg(b) < deg(a)."""
-    if not state.q_overflow:
+    if not state.quotient_overflow:
         check, _ = poly_divmod(state.b, state.a)
         if check != state.q:
             raise InvariantViolation("quotient uncompute mismatch")
@@ -299,91 +274,49 @@ def run_round(state: SyncState, on_fire=None) -> None:
             on_fire(op_id)
     if state.done:
         state.h += 1
+    state.rounds += 1
 
 
-def _run_rounds(
-    state: SyncState, cycles: int, stop_after_first_iteration: bool = False, on_fire=None
-) -> int:
-    """The machine's one driver: call run_round until the input is done or
-    its first iteration has finished (if asked).  Returns the number of
-    rounds run; raises CycleBudgetExceeded if `cycles` rounds are not enough.
+def _run_rounds(state: SyncState, cycles: int, stop_after_first_iteration: bool = False, on_fire=None) -> None:
+    """The machine's one loop: call run_round until the input is done or
+    its first iteration has finished (if asked); raises CycleBudgetExceeded
+    if the state's clock reaches `cycles` first.
 
     run_round is looked up as a module global on every call, so a caller
     that rebinds `optimized.run_round` sees every round."""
-    rounds = 0
     while not (state.done or (stop_after_first_iteration and state.iterations >= 1)):
-        if rounds == cycles:
+        if state.rounds >= cycles:
             raise CycleBudgetExceeded(f"unfinished after {cycles} rounds, at A = {state.A:b}, B = {state.B:b}")
         run_round(state, on_fire)
-        rounds += 1
-    return rounds
 
 
-def _invert_in_budget(c_elem: int, field: FieldSpec, cycles: int) -> tuple[SyncState, int]:
-    """Run one input until it is done; return its state and the rounds run."""
+def _invert_in_budget(c_elem: int, field: FieldSpec, cycles: int) -> SyncState:
+    """Run one input until it is done; return its state."""
     require_element(c_elem, field.m)
     state = SyncState.initial(c_elem, field.modulus, field.m)
-    return state, _run_rounds(state, cycles)
+    _run_rounds(state, cycles)
+    return state
 
 
-@dataclass
-class SyncTrace:
-    """Per-input outcome of a synchronized run."""
-
-    input: int
-    inverse: int
-    h: int
-    iterations: int
-    quotient_overflow: bool
-    rounds: int
-    final_state: SyncState | None = dc_field(default=None, repr=False, compare=False)
-
-    def final_signature(self) -> tuple:
-        state = self.final_state
-        return (
-            state.a,
-            state.A,
-            state.b,
-            state.B,
-            state.dega,
-            state.degA,
-            state.degb,
-            state.degB,
-            state.q,
-            state.f,
-            state.c,
-            state.h,
-        )
-
-
-def run_synchronized(
-    inputs, field: FieldSpec, cycles: int | None = None
-) -> dict[int, SyncTrace]:
-    """Drive every input through the identical global schedule.
+def run_synchronized(inputs, field: FieldSpec, cycles: int | None = None) -> dict[int, SyncState]:
+    """Drive every input through the identical global schedule; return
+    each input's final state.
 
     Each input is simulated independently under the shared clock; the
     sequence of scheduled slots is a function of the clock only, so all
     inputs advance in lockstep.  Once an input is done no slot fires and
     a round's four advance-counter steps add 4f = 0 (mod 4) to c, so each
-    remaining round only ticks the halting counter: those rounds are
-    credited to h, not simulated.  Raises CycleBudgetExceeded if any input
-    has not reached the termination state within `cycles` rounds.
-    """
+    remaining round only ticks h and the clock: those rounds are credited
+    to h and rounds, not simulated.  Raises CycleBudgetExceeded if any
+    input has not reached the termination state within `cycles` rounds."""
     if cycles is None:
         cycles = default_cycles(field.m)
-    results: dict[int, SyncTrace] = {}
+    results: dict[int, SyncState] = {}
     for c_elem in inputs:
-        state, rounds_run = _invert_in_budget(c_elem, field, cycles)
-        state.h += cycles - rounds_run
-        results[c_elem] = SyncTrace(
-            input=c_elem,
-            inverse=state.a,
-            h=state.h,
-            iterations=state.iterations,
-            quotient_overflow=state.q_overflow,
-            rounds=cycles,
-            final_state=state,  # kept for injectivity checks
-        )
+        state = _invert_in_budget(c_elem, field, cycles)
+        state.h += cycles - state.rounds
+        state.rounds = cycles
+        results[c_elem] = state
     return results
 
 
@@ -394,8 +327,7 @@ def optimized_invert(c_elem: int, field: FieldSpec) -> int:
     state; the fixed-length schedule only matters when inputs share a
     clock, which run_synchronized models.
     """
-    state, _ = _invert_in_budget(c_elem, field, default_cycles(field.m))
-    return state.a
+    return _invert_in_budget(c_elem, field, default_cycles(field.m)).a
 
 
 # --- trace rendering (Fig-8 style tableau) ---------------------------------

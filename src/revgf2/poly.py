@@ -48,22 +48,17 @@ def poly_divmod(b: int, a: int) -> tuple[int, int]:
     return q, r
 
 
-def extended_euclid(a: int, b: int, trace: list | None = None) -> tuple[int, int, int]:
+def extended_euclid(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclidean algorithm: returns (g, k, kp) with g = k*a + kp*b.
 
     The loop exits when the remainder reaches 0; the returned coefficients
-    are the ones paired with the final nonzero remainder.  If `trace` is
-    given, (r_j, k_j, kp_j) triples are appended for every intermediate
-    state so invariant tests can replay the recurrence.
+    are the ones paired with the final nonzero remainder.
     """
     if a == 0 and b == 0:
         raise BothZero("gcd(0, 0) is undefined")
     # (r0, k0, kp0) and (r1, k1, kp1) track the last two remainder rows.
     r0, k0, kp0 = a, 1, 0
     r1, k1, kp1 = b, 0, 1
-    if trace is not None:
-        trace.append((r0, k0, kp0))
-        trace.append((r1, k1, kp1))
     while r1 != 0:
         q, r = poly_divmod(r0, r1)
         r0, k0, kp0, r1, k1, kp1 = (
@@ -74,8 +69,6 @@ def extended_euclid(a: int, b: int, trace: list | None = None) -> tuple[int, int
             k0 ^ poly_mul(q, k1),
             kp0 ^ poly_mul(q, kp1),
         )
-        if trace is not None and r1 != 0:
-            trace.append((r1, k1, kp1))
     return r0, k0, kp0
 
 

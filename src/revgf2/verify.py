@@ -78,8 +78,8 @@ def check_inversion(field: FieldSpec, backend: str, inputs) -> CheckResult:
     if backend == "naive":
         results = [(c, run_naive_inversion(c, field), False) for c in inputs]
     elif backend == "opt":
-        traces = run_synchronized(inputs, field)
-        results = [(c, traces[c].inverse, traces[c].quotient_overflow) for c in inputs]
+        final = run_synchronized(inputs, field)
+        results = [(c, final[c].inverse, final[c].quotient_overflow) for c in inputs]
     else:
         raise ValueError(f"backend must be naive or opt, not {backend!r}")
     mismatches = [

@@ -202,3 +202,18 @@ def test_verify_nothing_to_check_is_usage_error(curve_files, capsys):
     assert main(["verify", "ec-add", "--curve", curve_files["ns-m2"]]) == 2
     captured = capsys.readouterr()
     assert "found no inputs to check" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, m",
+    [
+        (["verify", "naive-invert", "--m", "0"], 0),
+        (["verify", "naive-invert", "--m", "-1"], -1),
+        (["trace", "--element", "1", "--m", "-2"], -2),
+        (["synth", "mulacc", "--m", "0"], 0),
+    ],
+)
+def test_nonpositive_field_degree_is_usage_error(argv, m, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"field degree must be positive, not {m}" in captured.err and captured.out == ""

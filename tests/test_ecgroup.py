@@ -148,7 +148,7 @@ def test_plan_inverse_restores_input():
         plan = plan_group_add(params)
         for s in generic_points(params):
             x, y = execute_plan(plan, s.x, s.y)
-            back = execute_plan(plan, x, y, inverse=True)
+            back = execute_plan(plan.inverse(), x, y)
             assert back == (s.x, s.y)
 
 

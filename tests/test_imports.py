@@ -3,6 +3,7 @@ module of the package and of the tests with ast."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,3 +57,27 @@ def test_benchmark_reads_only_names_that_exist():
         if obj is absent:
             missing.append(".".join((root, *attrs)))
     assert not missing
+
+
+def _load_benchmark_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_workloads_run_one_checked_input():
+    """Each workload's set-up, one seeded call, its oracle check and its
+    cost run against the library as it is, and the traced run can count
+    the rounds of what run_synchronized returns."""
+    workloads, tracing = _load_benchmark_module("workloads"), _load_benchmark_module("tracing")
+    for wl in workloads.WORKLOADS.values():
+        fx = wl.setup()
+        x = next(wl.inputs(fx, 1))
+        out = wl.op(fx, x)
+        assert wl.check(fx, x, out) == (0, 0), wl.name
+        assert set(wl.cost(fx)) == {"cost.gates", "cost.depth", "cost.width", "cost.toffoli_equiv"}
+        if wl.name == "sync-batch-m16":
+            tracer = tracing.Tracer()
+            tracer._count_traced_rounds(out)
+            assert tracer.rounds == fx["cycles"] and tracer.rounds_ending_done == out[x].h >= 1

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from revgf2.circuit import BasisState, apply
-from revgf2.errors import ZeroElement
+from revgf2 import naive
+from revgf2.circuit import BasisState, Circuit, apply
+from revgf2.errors import InvariantViolation, ZeroElement
 from revgf2.field import FieldSpec
-from revgf2.naive import build_euclid_iteration, run_naive_inversion
+from revgf2.naive import build_euclid_iteration, euclid_iteration_layout, run_naive_inversion
 from revgf2.poly import poly_divmod
 
 
@@ -27,6 +28,18 @@ def test_iteration_swaps_pairs():
 def test_zero_rejected():
     with pytest.raises(ZeroElement):
         run_naive_inversion(0, FieldSpec(4, 0b10011))
+
+
+def test_inversion_stops_after_m_minus_1_iterations(monkeypatch):
+    # an iteration that does nothing never reaches A = 1; the inversion must
+    # give up after the proven m - 1 iterations, having applied m of them
+    m = 4
+    calls = []
+    monkeypatch.setattr(naive, "build_euclid_iteration", lambda m: Circuit(euclid_iteration_layout(m)))
+    monkeypatch.setattr(naive, "apply", lambda circ, state: calls.append(1) or apply(circ, state))
+    with pytest.raises(InvariantViolation, match="m - 1 = 3"):
+        run_naive_inversion(0b101, FieldSpec(m, 0b10011))
+    assert len(calls) == m
 
 
 def test_invariant_check_survives_python_O():
