@@ -5,6 +5,10 @@ NOT, multi-controlled NOT (controls carry a polarity: 1-control fires on
 |1>, 0-control on |0>), and SWAP, so every circuit permutes basis states.
 The simulator keeps one int per wire whose bit j is lane j's value: `apply`
 runs one state as one lane, `sweep` every value of the named registers.
+Both run one kernel, generated once per circuit on its first run: each gate
+becomes one line of straight-line Python such as `w17 ^= w3 & ~w9`, compiled
+in chunks of functions over local wire ints.  A SWAP only relabels which list
+slot holds which wire while the code is generated, so it costs nothing to run.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ class Circuit:
 
     layout: dict[str, int]
     gates: list[Gate] = field(default_factory=list)
-    _ops: list | None = field(default=None, init=False, repr=False, compare=False)
+    _ops: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.gates:
@@ -87,20 +91,54 @@ class Circuit:
     def width(self) -> int:
         return sum(self.layout.values())
 
-    def _compiled(self) -> list:
-        """Gates over flat wire indices, built on first run: (1-controls, 0-controls,
-        target, None), or ((), (), wire, wire) for SWAP; equal tuples are shared."""
+    def _kernel(self) -> tuple[list, list[int]]:
+        """The generated kernel, built on the first run: straight-line chunk
+        functions over the wire list, and the slot each wire ends in."""
         if self._ops is None:
             wires = [(name, i) for name, width in self.layout.items() for i in range(width)]
             index = {w: i for i, w in enumerate(wires)}
-            share = {}.setdefault
-            self._ops = []
+            slot = list(range(len(wires)))  # slot[i]: the list position holding wire i
+            chunks = []
+            lines: list[str] = []
+            loads: dict[int, None] = {}  # slots the chunk reads, in first-use order
+            stores: dict[int, None] = {}  # slots it writes
             for g in self.gates:
-                ones = tuple(index[w] for w, pol in g.controls if pol)
-                zeros = tuple(index[w] for w, pol in g.controls if not pol)
-                op = (share(ones, ones), share(zeros, zeros), *[index[w] for w in g.targets], None)[:4]
-                self._ops.append(share(op, op))
+                if g.kind == SWAP:
+                    a, b = (index[w] for w in g.targets)
+                    slot[a], slot[b] = slot[b], slot[a]
+                    continue
+                ones = [slot[index[w]] for w, pol in g.controls if pol]
+                zeros = [slot[index[w]] for w, pol in g.controls if not pol]
+                t = slot[index[g.targets[0]]]
+                # without a 1-control, mask keeps ~w inside the lanes
+                terms = [f"w{c}" for c in ones] or ["mask"]
+                terms += [f"~w{c}" for c in zeros]
+                lines.append(f"w{t} ^= {' & '.join(terms)}")
+                loads.update(dict.fromkeys(ones + zeros + [t]))
+                stores[t] = None
+                if len(lines) == _CHUNK_GATES:
+                    chunks.append(_compile_chunk(lines, loads, stores))
+                    lines, loads, stores = [], {}, {}
+            if lines:
+                chunks.append(_compile_chunk(lines, loads, stores))
+            self._ops = (chunks, slot)
         return self._ops
+
+
+# Gate lines per generated function.  Compiling the m = 16 Euclid iteration
+# (1 708 gates) as one function peaks at about 6 MB of compiler memory,
+# 128-line chunks at about 1.1 MB.
+_CHUNK_GATES = 128
+
+
+def _compile_chunk(lines: list[str], loads, stores):
+    """One chunk: load the wires it touches into locals, run its gate lines,
+    store the targets back.  The source holds only slot numbers, `w`, `mask`
+    and the operators, never a register name, and runs without builtins."""
+    body = [f"w{s} = w[{s}]" for s in loads] + lines + [f"w[{s}] = w{s}" for s in stores]
+    namespace: dict = {"__builtins__": {}}
+    exec(compile("def chunk(w, mask):\n " + "\n ".join(body), "<circuit kernel>", "exec"), namespace)
+    return namespace["chunk"]
 
 
 @dataclass
@@ -136,24 +174,14 @@ def _compatible(layout_a: dict[str, int], layout_b: dict[str, int]) -> bool:
     return all(layout_a.get(name) == width for name, width in layout_b.items())
 
 
-def _simulate(circuit: Circuit, before: dict[str, list[int]], mask: int) -> dict[str, list[int]]:
-    """The kernel: run the gates over each register's wire ints, one bit per lane in `mask`."""
-    w = [x for name in circuit.layout for x in before[name]]
-    for ones, zeros, t, u in circuit._compiled():
-        if u is None:
-            fire = mask
-            for c in ones:
-                fire &= w[c]
-                if not fire:
-                    break
-            else:
-                for c in zeros:
-                    fire &= ~w[c]  # fire starts inside mask, so ~ stays inside it
-                w[t] ^= fire
-        else:
-            w[t], w[u] = w[u], w[t]
-    out = iter(w)
-    return {name: list(islice(out, width)) for name, width in circuit.layout.items()}
+def _simulate(circuit: Circuit, wires: list[int], mask: int) -> list[int]:
+    """The kernel: run the generated chunks in place over the wire ints, in
+    layout order with one bit per lane in `mask`, and return the wire ints in
+    layout order, read from the slots the SWAPs relabelled them into."""
+    chunks, slot = circuit._kernel()
+    for chunk in chunks:
+        chunk(wires, mask)
+    return [wires[s] for s in slot]
 
 
 def apply(circuit: Circuit, state: BasisState) -> BasisState:
@@ -161,14 +189,17 @@ def apply(circuit: Circuit, state: BasisState) -> BasisState:
     if not _compatible(state.layout, circuit.layout):
         raise LayoutMismatch("state layout does not cover the circuit's registers")
     bits = dict(state.bits)
-    before = {name: [(bits[name] >> i) & 1 for i in range(w)] for name, w in circuit.layout.items()}
-    for name, reg in _simulate(circuit, before, 1).items():
-        bits[name] = sum(b << i for i, b in enumerate(reg))
+    before = [(bits[name] >> i) & 1 for name, width in circuit.layout.items() for i in range(width)]
+    after = iter(_simulate(circuit, before, 1))
+    for name, width in circuit.layout.items():
+        bits[name] = sum(b << i for i, b in enumerate(islice(after, width)))
     return BasisState(state.layout, bits)
 
 
 # 2**22 lanes make each wire int 512 KiB.  At this bound the 22-wire round
-# trip takes 0.15 s and 41 MB, `verify naive-div --m 10` (21 bits) 9 s and 89 MB.
+# trip takes 0.02 s and 33 MB.  The m = 10 division sweep (21 bits) takes
+# 0.15 s and 38 MB; `verify naive-div --m 10` takes 7-8 s and 92 MB, nearly
+# all of it in the poly_divmod oracle (Python 3.11, 2-core Xeon).
 MAX_LANE_BITS = 22
 
 
@@ -200,7 +231,8 @@ def sweep(circuit: Circuit, registers: tuple[str, ...]) -> Sweep:
     swept = iter(patterns)
     for name in registers:
         before[name] = list(islice(swept, circuit.layout[name]))
-    return Sweep(lanes, before, _simulate(circuit, before, (1 << lanes) - 1))
+    after = iter(_simulate(circuit, [x for name in circuit.layout for x in before[name]], (1 << lanes) - 1))
+    return Sweep(lanes, before, {name: list(islice(after, width)) for name, width in circuit.layout.items()})
 
 
 def inverse(circuit: Circuit) -> Circuit:

@@ -100,7 +100,8 @@ def cmd_trace(args) -> int:
     element = parse_poly(args.element)
     if args.dividend:
         dividend = parse_poly(args.dividend)
-        m = args.m or max(dividend.bit_length() - 1, 2)  # trace_table rejects a zero dividend
+        # trace_table rejects a zero dividend and any m below 2, --m 0 included
+        m = args.m if args.m is not None else max(dividend.bit_length() - 1, 2)
         rows = optimized.trace_table(element, dividend, m, stop_after_first_iteration=True)
     else:
         field = _field_from_args(args)

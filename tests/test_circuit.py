@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from revgf2 import circuit
 from revgf2.circuit import (
     SWAP,
     BasisState,
@@ -20,6 +22,7 @@ from revgf2.circuit import (
     sweep,
 )
 from revgf2.errors import LayoutMismatch, WidthTooLarge
+from revgf2.naive import build_euclid_iteration
 
 
 def toy_circuit():
@@ -69,19 +72,49 @@ def test_check_permutation():
         check_permutation(Circuit({"a": 30}))
 
 
-def random_circuit(rng, layout):
-    wires = [(name, i) for name, width in layout.items() for i in range(width)]
-    c = Circuit(layout)
-    for _ in range(40):
+def random_gates(rng, wires, count, max_controls=3):
+    for _ in range(count):
         kind = rng.choice(("NOT", "SWAP", "CNOT"))
         if kind == "NOT":
-            c.add(gate_not(rng.choice(wires)))
+            yield gate_not(rng.choice(wires))
         elif kind == "SWAP":
-            c.add(swap(*rng.sample(wires, 2)))
+            yield swap(*rng.sample(wires, 2))
         else:
-            target, *controls = rng.sample(wires, rng.randint(2, min(4, len(wires))))
-            c.add(cnot([(w, rng.randint(0, 1)) for w in controls], target))
-    return c
+            target, *controls = rng.sample(wires, rng.randint(2, min(max_controls + 1, len(wires))))
+            yield cnot([(w, rng.randint(0, 1)) for w in controls], target)
+
+
+def random_circuit(rng, layout):
+    wires = [(name, i) for name, width in layout.items() for i in range(width)]
+    return Circuit(layout, list(random_gates(rng, wires, 40)))
+
+
+def reference_run(c, values):
+    """Gate by gate from the gate definitions, over a dict of bits: a NOT or
+    CNOT flips its target when every control equals its polarity, a SWAP
+    exchanges two bits.  Registers missing from `values` start at 0."""
+    bit = {(name, i): values.get(name, 0) >> i & 1 for name, width in c.layout.items() for i in range(width)}
+    for g in c.gates:
+        if g.kind == SWAP:
+            u, v = g.targets
+            bit[u], bit[v] = bit[v], bit[u]
+        elif all(bit[w] == pol for w, pol in g.controls):
+            bit[g.targets[0]] ^= 1
+    return {name: sum(bit[name, i] << i for i in range(width)) for name, width in c.layout.items()}
+
+
+def check_against_reference(c, registers, rng):
+    """Every lane of a sweep over `registers`, and apply on each lane's values
+    with the other registers drawn at random, against `reference_run`."""
+    run = sweep(c, registers)
+    outputs = {name: list(run.values(name)) for name in c.layout}
+    for j in range(run.lanes):
+        values, rest = {}, j
+        for name in registers:
+            values[name], rest = rest % (1 << c.layout[name]), rest >> c.layout[name]
+        assert {name: outputs[name][j] for name in c.layout} == reference_run(c, values)
+        values.update((name, rng.getrandbits(w)) for name, w in c.layout.items() if name not in registers)
+        assert apply(c, BasisState.from_values(c.layout, **values)).bits == reference_run(c, values)
 
 
 def test_every_lane_matches_a_one_lane_run():
@@ -97,12 +130,58 @@ def test_every_lane_matches_a_one_lane_run():
             assert {name: outputs[name][j] for name in layout} == out.bits
 
 
+def test_kernel_matches_a_gate_by_gate_reference():
+    rng = random.Random(11)
+    layout = {"x": 3, "y": 3, "z": 4}
+    wires = [(name, i) for name, width in layout.items() for i in range(width)]
+    for _ in range(3):
+        c = Circuit(layout, list(random_gates(rng, wires, 150, max_controls=5)))
+        # a SWAP chain moves every wire one slot; the gates after it land in later chunks
+        c.extend(swap(u, v) for u, v in zip(wires, wires[1:]))
+        c.extend(random_gates(rng, wires, 150, max_controls=5))
+        assert sum(g.kind != SWAP for g in c.gates) > circuit._CHUNK_GATES
+        assert 5 in report(c).control_arity
+        check_against_reference(c, ("x", "z"), rng)
+
+
+def test_register_names_never_reach_the_kernel():
+    names = ["'\"", "x]#", "__import__('os')._exit(3)", "w", "w0", "mask", "{1/0}"]
+    lines = [f"REG {name} 2" for name in names]
+    for u, v in zip(names, names[1:]):
+        lines += [f"CNOT +{u}[0] -{v}[1] > {v}[0]", f"SWAP {u}[1] {v}[0]", f"NOT {u}[1]"]
+    c = parse_netlist("\n".join(lines))
+    assert list(c.layout) == names and len(c.gates) == 18
+    check_against_reference(c, (names[0], names[2], names[4]), random.Random(3))
+    for chunk in c._ops[0]:
+        code = chunk.__code__
+        assert code.co_names == () and {type(k) for k in code.co_consts} <= {int, type(None)}
+        assert all(v in ("w", "mask") or v[0] == "w" and v[1:].isdigit() for v in code.co_varnames)
+
+
 def test_compiled_gates_follow_add():
     c = Circuit({"a": 2})
     c.add(gate_not(("a", 0)))
     assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == 0b01
     c.add(cnot([(("a", 0), 1)], ("a", 1)))
     assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == 0b11
+    c.add(cnot([(("a", 1), 1)], ("a", 0)))
+    assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == 0b10
+    c.add(swap(("a", 0), ("a", 1)))  # emits no code, but relabels the output
+    assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == 0b01
+
+
+def test_kernel_generation_memory_is_bounded():
+    # the m = 16 Euclid iteration compiled as one function peaks at about 6 MB;
+    # 128-gate chunks keep the compiler near 1.1 MB
+    iteration = build_euclid_iteration(16)
+    c = Circuit(dict(iteration.layout), list(iteration.gates))  # a copy with no kernel yet
+    tracemalloc.start()
+    try:
+        apply(c, BasisState.zeros(c.layout))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_report_counts_and_depth():

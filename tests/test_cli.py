@@ -170,12 +170,13 @@ def test_trace_division_rejects_zero(divisor, dividend, message, capsys):
     assert message in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("divisor, dividend, m", [("101", "10101", "2"), ("11", "10", "1")])
+@pytest.mark.parametrize("divisor, dividend, m", [("101", "10101", "2"), ("11", "10", "1"), ("11", "111", "0")])
 def test_trace_division_rejects_dividend_beyond_m(divisor, dividend, m, capsys):
-    # the division must fit the machine's 2m - 2 round budget
+    # the division must fit the machine's 2m - 2 round budget; --m 0 is not "absent"
     assert main(["trace", "--element", divisor, "--dividend", dividend, "--m", m]) == 2
     captured = capsys.readouterr()
     assert "needs m >= 2 and deg(dividend) <= m" in captured.err and captured.out == ""
+    assert captured.err.rstrip().endswith(f"at m = {m}")
 
 
 def test_trace_inversion_deterministic(capsys):
