@@ -64,16 +64,21 @@ def build_cyclic_shift(n: int, direction: str = "left") -> Circuit:
     return c
 
 
+def controlled_rotation_stage(data: str, n: int, shift: str, j: int, direction: str) -> list[Gate]:
+    """Stage j of a rotation by a register's value: rotate the n-wire register
+    `data` by 2^j when bit j of `shift` is 1.  Its n - gcd(n, 2^j mod n) SWAPs
+    are each a controlled swap on that one wire (no ancillas)."""
+    gates = []
+    for w1, w2 in _rotation_pairs(data, n, 1 << j, direction):
+        # CSWAP as CNOT / Toffoli / CNOT: only the middle gate carries the control
+        gates += [cnot([(w2, 1)], w1), cnot([((shift, j), 1), (w1, 1)], w2), cnot([(w2, 1)], w1)]
+    return gates
+
+
 def controlled_rotation_gates(data: str, n: int, shift: str, k: int, direction: str) -> list[Gate]:
     """Rotate the n-wire register `data` by the value of the k-wire register
-    `shift`: control bit j gates one rotation by 2^j, its n - gcd(n, 2^j mod n)
-    SWAPs each a controlled swap on that one wire (no ancillas)."""
-    gates = []
-    for j in range(k):
-        for w1, w2 in _rotation_pairs(data, n, 1 << j, direction):
-            # CSWAP as CNOT / Toffoli / CNOT: only the middle gate carries the control
-            gates += [cnot([(w2, 1)], w1), cnot([((shift, j), 1), (w1, 1)], w2), cnot([(w2, 1)], w1)]
-    return gates
+    `shift`: its stages j = 0..k-1 in order."""
+    return [g for j in range(k) for g in controlled_rotation_stage(data, n, shift, j, direction)]
 
 
 def build_controlled_shift(n: int, k: int, direction: str = "left") -> Circuit:
@@ -123,26 +128,14 @@ def build_decrement(w: int) -> Circuit:
     return c
 
 
-def prefix_zero_increments(a: str, m: int, reg: str, w: int, anc: str) -> list[list[Gate]]:
-    """The prefix-zero counter: one gated increment of the w-wire register
-    `reg` (ancilla `anc`) for each prefix length t = 1..m-1, firing when the
-    top t coefficients of the m-wire register `a` are all zero (0-controls).
-
-    Run in order the blocks count a's leading zeros up from 0; each block
-    run reversed is a decrement, so from m-1 they count down to deg(a).
-    """
-    return [
-        _increment_gates(reg, w, anc, extra_controls=[((a, m - 1 - u), 0) for u in range(t)])
-        for t in range(1, m)
-    ]
-
-
 def build_degree(m: int) -> Circuit:
     """Compute deg(A) of a nonzero A into a ceil(log m)-wire register.
 
-    The degree register is initialized to m-1, then the prefix-zero
-    counter's gated decrements leave deg(A).  One shared ancilla serves all
-    the decrements, so the block costs ceil(log m)+1 qubits beyond |A>.
+    The degree register is initialized to m-1, then one gated decrement per
+    prefix length t = 1..m-1, firing when the top t coefficients of A are
+    all zero (0-controls), counts it down to deg(A).  One shared ancilla
+    serves all the decrements, so the block costs ceil(log m)+1 qubits
+    beyond |A>.
     """
     if m < 2:
         raise BadParameter("the degree block needs m >= 2")
@@ -152,8 +145,9 @@ def build_degree(m: int) -> Circuit:
     for j in range(L):
         if (init >> j) & 1:
             c.add(gate_not(("deg", j)))
-    for block in prefix_zero_increments("a", m, "deg", L, "anc"):
-        c.extend(reversed(block))
+    for t in range(1, m):
+        prefix_zero = [(("a", m - 1 - u), 0) for u in range(t)]
+        c.extend(reversed(_increment_gates("deg", L, "anc", extra_controls=prefix_zero)))
     return c
 
 

@@ -132,10 +132,13 @@ _CHUNK_GATES = 128
 
 
 def _compile_chunk(lines: list[str], loads, stores):
-    """One chunk: load the wires it touches into locals, run its gate lines,
-    store the targets back.  The source holds only slot numbers, `w`, `mask`
-    and the operators, never a register name, and runs without builtins."""
-    body = [f"w{s} = w[{s}]" for s in loads] + lines + [f"w[{s}] = w{s}" for s in stores]
+    """One chunk: load the wires it touches into locals, clear the target
+    slots so each target's old int dies when its first line replaces it, run
+    its gate lines, store the targets back.  The source holds only slot
+    numbers, `w`, `mask` and the operators, never a register name, and runs
+    without builtins."""
+    body = [f"w{s} = w[{s}]" for s in loads] + [f"w[{s}] = 0" for s in stores]
+    body += lines + [f"w[{s}] = w{s}" for s in stores]
     namespace: dict = {"__builtins__": {}}
     exec(compile("def chunk(w, mask):\n " + "\n ".join(body), "<circuit kernel>", "exec"), namespace)
     return namespace["chunk"]
@@ -198,7 +201,7 @@ def apply(circuit: Circuit, state: BasisState) -> BasisState:
 
 # 2**22 lanes make each wire int 512 KiB.  At this bound the 22-wire round
 # trip takes 0.02 s and 33 MB.  The m = 10 division sweep (21 bits) takes
-# 0.15 s and 38 MB; `verify naive-div --m 10` takes 7-8 s and 92 MB, nearly
+# 0.05 s and 33 MB; `verify naive-div --m 10` takes 8-9 s and 91 MB, nearly
 # all of it in the poly_divmod oracle (Python 3.11, 2-core Xeon).
 MAX_LANE_BITS = 22
 

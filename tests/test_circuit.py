@@ -22,7 +22,7 @@ from revgf2.circuit import (
     sweep,
 )
 from revgf2.errors import LayoutMismatch, WidthTooLarge
-from revgf2.naive import build_euclid_iteration
+from revgf2.naive import build_euclid_iteration, build_naive_long_division
 
 
 def toy_circuit():
@@ -182,6 +182,24 @@ def test_kernel_generation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_sweep_memory_holds_one_int_per_wire():
+    # a sweep needs the swept input patterns, one int per wire and a few
+    # temporaries; a chunk that kept each target's old int until its stores
+    # held up to one more per target (about 72 wire ints here)
+    division = build_naive_long_division(8)
+    division._kernel()  # generated outside the measurement
+    swept = ("a", "b")
+    n = sum(division.layout[name] for name in swept)
+    wire_bytes = (1 << n) // 8
+    tracemalloc.start()
+    try:
+        sweep(division, swept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n + division.width + 12) * wire_bytes
 
 
 def test_report_counts_and_depth():

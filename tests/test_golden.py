@@ -25,27 +25,20 @@ GOLDEN = {
     "naive-division-m8": (
         lambda: build_naive_long_division(8),
         {
-            "width": 31, "depth": 199, "gates_total": 300, "gates_not": 1,
-            "gates_cnot": 291, "gates_swap": 8, "cnot_arity_1": 118,
-            "cnot_arity_2": 115, "cnot_arity_3": 14, "cnot_arity_4": 8,
-            "cnot_arity_5": 8, "cnot_arity_6": 8, "cnot_arity_7": 8,
-            "cnot_arity_8": 6, "cnot_arity_9": 4, "cnot_arity_10": 2,
+            "width": 31, "depth": 151, "gates_total": 250, "gates_not": 1,
+            "gates_cnot": 241, "gates_swap": 8, "cnot_arity_1": 118,
+            "cnot_arity_2": 113, "cnot_arity_3": 8, "cnot_arity_4": 2,
         },
-        "f007e867d27a55d79810c7c483c1435720d8d23279407fc912629ff906f282c7",
+        "c2b91fa1674d4f93dd2c011c4aeff03d1e217c80c259144c378d5c24a174bf2a",
     ),
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16),
         {
-            "width": 89, "depth": 1069, "gates_total": 1708, "gates_not": 2,
-            "gates_cnot": 1642, "gates_swap": 64, "cnot_arity_1": 652,
-            "cnot_arity_2": 670, "cnot_arity_3": 12, "cnot_arity_4": 48,
-            "cnot_arity_5": 20, "cnot_arity_6": 20, "cnot_arity_7": 20,
-            "cnot_arity_8": 20, "cnot_arity_9": 20, "cnot_arity_10": 20,
-            "cnot_arity_11": 20, "cnot_arity_12": 20, "cnot_arity_13": 20,
-            "cnot_arity_14": 20, "cnot_arity_15": 20, "cnot_arity_16": 16,
-            "cnot_arity_17": 12, "cnot_arity_18": 8, "cnot_arity_19": 4,
+            "width": 88, "depth": 825, "gates_total": 1424, "gates_not": 2,
+            "gates_cnot": 1358, "gates_swap": 64, "cnot_arity_1": 652,
+            "cnot_arity_2": 666, "cnot_arity_4": 36, "cnot_arity_8": 4,
         },
-        "f486e13685779ba6b60f16608ef1e9334eaf8c65f0642b4c3c0eef2e73fadebd",
+        "8099451d7388d22a25049c494eb46e6adbf09be538ce3263b1aabf02a2fb34c9",
     ),
     "degree-m8": (
         lambda: build_degree(8),

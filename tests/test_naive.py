@@ -5,11 +5,12 @@ from pathlib import Path
 import pytest
 
 from revgf2 import naive
-from revgf2.circuit import BasisState, Circuit, apply
+from revgf2.blocks import log2_ceil
+from revgf2.circuit import BasisState, Circuit, apply, cnot, report, sweep
 from revgf2.errors import InvariantViolation, ZeroElement
-from revgf2.field import FieldSpec
-from revgf2.naive import build_euclid_iteration, euclid_iteration_layout, run_naive_inversion
-from revgf2.poly import poly_divmod
+from revgf2.field import FieldSpec, default_field, field_invert
+from revgf2.naive import build_euclid_iteration, euclid_iteration_layout, normalize_gates, run_naive_inversion
+from revgf2.poly import degree, poly_divmod
 
 
 def test_iteration_swaps_pairs():
@@ -65,3 +66,36 @@ def test_invariant_check_survives_python_O():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_normalize_counts_leading_zeros(n):
+    # one sweep over every x: normalize, copy x and s out, normalize reversed
+    L = log2_ceil(n)
+    normalize = normalize_gates("x", n, "s")
+    circ = Circuit({"x": n, "s": L, "y": n, "t": L})
+    circ.extend(normalize)
+    circ.extend(cnot([(("x", i), 1)], ("y", i)) for i in range(n))
+    circ.extend(cnot([(("s", j), 1)], ("t", j)) for j in range(L))
+    circ.extend(reversed(normalize))
+    run = sweep(circ, ("x",))
+    for x, y, s, x_back, s_back in zip(range(run.lanes), *map(run.values, ("y", "t", "x", "s"))):
+        if x:
+            assert s == n - 1 - degree(x)
+            assert y >> (n - 1) == 1
+            assert y == x << s
+        assert (x_back, s_back) == (x, 0)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_largest_control_is_the_top_normalize_pattern(m):
+    # the widest gate is stage L-1's 2^(L-1) zero-controls; a counter that
+    # tests each prefix of zeros on its own needs m + L - 1
+    assert max(report(build_euclid_iteration(m)).control_arity) == 1 << (log2_ceil(m) - 1)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_naive_inversion_matches_field_invert(m):
+    field = default_field(m)
+    for c in field.nonzero_elements():
+        assert run_naive_inversion(c, field) == field_invert(c, field)
