@@ -4,8 +4,10 @@ A Circuit is an ordered gate list over a named-register layout.  Gates are
 NOT, multi-controlled NOT (controls carry a polarity: 1-control fires on
 |1>, 0-control on |0>), and SWAP, so every circuit permutes basis states.
 The simulator keeps one int per wire whose bit j is lane j's value: `apply`
-runs one state as one lane, `sweep` every value of the named registers.
-Both run one kernel, generated once per circuit on its first run: each gate
+runs one state as one lane, `sweep` every value of the named registers and
+`run_lanes` a given list of values, one lane each; `pack_lanes` and
+`lane_values` convert between per-lane values and a register's wire ints.
+All of them run one kernel, generated once per circuit on its first run: each gate
 becomes one line of straight-line Python such as `w17 ^= w3 & ~w9`, compiled
 in chunks of functions over local wire ints.  A SWAP only relabels which list
 slot holds which wire while the code is generated, so it costs nothing to run.
@@ -206,6 +208,26 @@ def apply(circuit: Circuit, state: BasisState) -> BasisState:
 MAX_LANE_BITS = 22
 
 
+def pack_lanes(values: list[int], width: int) -> list[int]:
+    """The `width` wire ints of a register that holds values[j] in lane j."""
+    if not values:
+        return [0] * width
+    if min(values) < 0 or max(values).bit_length() > width:
+        raise ValueError(f"a lane value does not fit {width} wires")
+    if len(values) == 1:
+        return [values[0] >> i & 1 for i in range(width)]
+    rows = [format(v | 1 << width, "b")[:0:-1] for v in values]  # LSB first, guard bit dropped
+    return [int("".join(col)[::-1], 2) for col in zip(*rows)]
+
+
+def lane_values(wires: list[int], lanes: int):
+    """Iterate over the value a register's wire ints hold in each lane, lane 0 first."""
+    if lanes <= 1:  # no lane, or one whose value is the wires' own bits
+        return iter([sum(w << i for i, w in enumerate(wires))] * lanes)
+    cols = [reversed(format(w, f"0{lanes}b")) for w in reversed(wires)]
+    return map(int, map("".join, zip(*(cols or ["0" * lanes]))), repeat(2))
+
+
 @dataclass
 class Sweep:
     """Each register's wire ints before and after a sweep; bit j of a wire is lane j's bit."""
@@ -216,8 +238,12 @@ class Sweep:
 
     def values(self, name: str):
         """Iterate over register `name`'s output value in each lane, lane 0 first."""
-        cols = [reversed(format(w, f"0{self.lanes}b")) for w in reversed(self.after[name])]
-        return map(int, map("".join, zip(*(cols or ["0" * self.lanes]))), repeat(2))
+        return lane_values(self.after[name], self.lanes)
+
+
+def _run_sweep(circuit: Circuit, lanes: int, before: dict[str, list[int]]) -> Sweep:
+    after = iter(_simulate(circuit, [x for name in circuit.layout for x in before[name]], (1 << lanes) - 1))
+    return Sweep(lanes, before, {name: list(islice(after, width)) for name, width in circuit.layout.items()})
 
 
 def sweep(circuit: Circuit, registers: tuple[str, ...]) -> Sweep:
@@ -234,8 +260,23 @@ def sweep(circuit: Circuit, registers: tuple[str, ...]) -> Sweep:
     swept = iter(patterns)
     for name in registers:
         before[name] = list(islice(swept, circuit.layout[name]))
-    after = iter(_simulate(circuit, [x for name in circuit.layout for x in before[name]], (1 << lanes) - 1))
-    return Sweep(lanes, before, {name: list(islice(after, width)) for name, width in circuit.layout.items()})
+    return _run_sweep(circuit, lanes, before)
+
+
+def run_lanes(circuit: Circuit, values: dict[str, list[int]]) -> Sweep:
+    """Run the circuit on given inputs, one lane each: lane j holds
+    values[name][j] in each named register; the rest start at 0."""
+    unknown = set(values) - set(circuit.layout)
+    if unknown:
+        raise LayoutMismatch(f"no registers {sorted(unknown)} in the circuit's layout")
+    lanes = {len(column) for column in values.values()}
+    if len(lanes) > 1:
+        raise ValueError("every register needs one value per lane")
+    n = lanes.pop() if lanes else 0
+    if n > 1 << MAX_LANE_BITS:
+        raise WidthTooLarge(f"{n} lanes exceed the 2^{MAX_LANE_BITS}-lane bound")
+    before = {name: pack_lanes(values.get(name, []), width) for name, width in circuit.layout.items()}
+    return _run_sweep(circuit, n, before)
 
 
 def inverse(circuit: Circuit) -> Circuit:

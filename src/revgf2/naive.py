@@ -15,18 +15,23 @@ The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
   4. rotate the quotient register so the stored word becomes q itself,
   5. the normalize gates reversed, which un-rotate A and clear S.
 
-The per-input driver `run_naive_inversion` steps the iteration circuit a
-data-dependent number of times, which is exactly the synchronization
-defect the optimized implementation repairs.
+The inversion driver packs its inputs into lanes, one lane per input, and
+runs the iteration's kernel pass after pass on one resident wire list until
+every lane has A = 1; a lane that is done keeps its wires while the others
+go on.  How many passes an input needs depends on the input, which is
+exactly the synchronization defect the optimized implementation repairs.
+`run_naive_inversion` is the driver on one lane, `run_naive_inversions` on
+many.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter, or_
 
 from .blocks import controlled_rotation_gates, controlled_rotation_stage, log2_ceil, rotation_gates
-from .circuit import BasisState, Circuit, Gate, apply, cnot, gate_not, swap
+from .circuit import Circuit, Gate, _simulate, cnot, gate_not, lane_values, pack_lanes, swap
 from .errors import InvariantViolation, ZeroElement
 from .field import FieldSpec, require_element
 from .poly import degree
@@ -158,8 +163,35 @@ def build_euclid_iteration(m: int) -> Circuit:
     return c
 
 
+# The iteration's scratch registers, back at 0 after every pass.
+SCRATCH = ("q", "s", "flg")
+
+# Lanes per kernel run of `run_naive_inversions`.  At m = 16 each of the
+# iteration's 88 wire ints is then 8 KiB.
+MAX_INVERSION_LANES = 1 << 16
+
+
 def run_naive_inversion(c_elem: int, field: FieldSpec, trace: list | None = None) -> int:
-    """Invert a nonzero field element by stepping the iteration circuit.
+    """Invert a nonzero field element: the lane driver on one lane.
+
+    If `trace` is given, the EuclideanPairs state before the first and
+    after every iteration is appended.
+    """
+    return _invert_lanes([c_elem], field, trace)[0]
+
+
+def run_naive_inversions(inputs, field: FieldSpec) -> list[int]:
+    """Invert nonzero field elements, one lane per input, in kernel runs of
+    at most MAX_INVERSION_LANES lanes; the inverses in input order."""
+    inputs = list(inputs)
+    inverses: list[int] = []
+    for start in range(0, len(inputs), MAX_INVERSION_LANES):
+        inverses += _invert_lanes(inputs[start:start + MAX_INVERSION_LANES], field, None)
+    return inverses
+
+
+def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> list[int]:
+    """Step the iteration circuit on every lane until each has A = 1.
 
     The number of iterations depends on the input, so this driver is not
     synchronized; it is the reference the optimized machine is checked
@@ -167,30 +199,58 @@ def run_naive_inversion(c_elem: int, field: FieldSpec, trace: list | None = None
     B mod A, which lowers deg(A) by at least 1, from deg(c) <= m - 1 down
     to 0, and A never becomes 0 since gcd(c, f) = 1 for the irreducible f.
     Some input needs all m - 1 under every irreducible modulus of degree
-    2..10.  If `trace` is given, the EuclideanPairs state after every
-    iteration is appended.
+    2..10.  The wires stay packed across passes.  After a pass, a lane that
+    already had A = 1 before it gets its previous wires back, since the
+    iteration would divide on by A = 1; the scratch check reads only the
+    lanes that were active.  `trace` gets lane 0's pairs.
     """
-    if c_elem == 0:
-        raise ZeroElement("cannot invert 0")
-    require_element(c_elem, field.m)
     m = field.m
+    for c in inputs:
+        if c == 0:
+            raise ZeroElement("cannot invert 0")
+        require_element(c, m)
+    if not inputs:
+        return []
     iteration = build_euclid_iteration(m)
-    state = BasisState.from_values(
-        iteration.layout, ra=c_elem, rb=field.modulus, ka=1, kb=0
-    )
+    lanes = len(inputs)
+    mask = (1 << lanes) - 1
+    start = {"ra": inputs, "rb": [field.modulus] * lanes, "ka": [1] * lanes}
+    regs, wires, at = {}, [], 0
+    for name, width in iteration.layout.items():
+        regs[name] = slice(at, at + width)
+        wires += pack_lanes(start.get(name, []), width)
+        at += width
+    ra = regs["ra"]
+    scratch_wires = itemgetter(*(i for name in SCRATCH for i in range(regs[name].start, regs[name].stop)))
+
+    def unfinished(wires: list[int]) -> int:
+        """The lanes whose A is not 1."""
+        a = wires[ra]
+        return mask & ~(a[0] & ~functools.reduce(or_, a[1:], 0))
+
+    def pairs(wires: list[int]) -> EuclideanPairs:
+        ka, A, kb, B = (next(lane_values(wires[regs[name]], lanes)) for name in ("ka", "ra", "kb", "rb"))
+        return EuclideanPairs(ka, A, kb, B)
+
     if trace is not None:
-        trace.append(EuclideanPairs(1, c_elem, 0, field.modulus))
+        trace.append(pairs(wires))
+    active = unfinished(wires)
     steps = 0
-    while state.get_reg("ra") != 1:
-        state = apply(iteration, state)
+    while active:
+        before = None if active == mask else list(wires)
+        wires = _simulate(iteration, wires, mask)
         steps += 1
         if steps > m - 1:
             raise InvariantViolation(f"Euclid failed to terminate within m - 1 = {m - 1} iterations")
         if trace is not None:
-            trace.append(
-                EuclideanPairs(state.get_reg("ka"), state.get_reg("ra"), state.get_reg("kb"), state.get_reg("rb"))
-            )
-        for scratch in ("q", "s", "flg"):
-            if state.get_reg(scratch) != 0:
-                raise InvariantViolation(f"scratch {scratch} not restored")
-    return state.get_reg("ka")
+            trace.append(pairs(wires))
+        if functools.reduce(or_, scratch_wires(wires)) & active:
+            for name in SCRATCH:
+                dirty = functools.reduce(or_, wires[regs[name]], 0) & active
+                if dirty:
+                    lane = dirty.bit_length() - 1
+                    raise InvariantViolation(f"scratch {name} not restored (input {inputs[lane]:b})")
+        if before is not None:
+            wires = [w & active | b & ~active for w, b in zip(wires, before)]
+        active = unfinished(wires)
+    return list(lane_values(wires[regs["ka"]], lanes))

@@ -7,11 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import blocks
-from .circuit import MAX_LANE_BITS, BasisState, apply, check_permutation, sweep
+from .circuit import MAX_LANE_BITS, check_permutation, run_lanes, sweep
 from .curve import CurvePoint, ec_add
 from .ecgroup import FixedPointParams, generic_points, simulate_group_add
 from .field import FieldSpec, default_field, field_invert
-from .naive import build_naive_long_division, run_naive_inversion
+from .naive import build_naive_long_division, run_naive_inversions
 from .optimized import run_synchronized
 from .poly import degree, format_poly, poly_divmod
 
@@ -50,8 +50,8 @@ def check_blocks(m: int) -> CheckResult:
 
 def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckResult:
     """The naive long division against poly_divmod, with its scratch back at
-    0: on every pair a != 0 in one sweep, or on the given (a, b) pairs, one
-    lane each."""
+    0: on every pair a != 0 in one sweep, or on the given (a, b) pairs in
+    one run, one lane each."""
     division = build_naive_long_division(m)
     scratch = ("s", "anc", "flg")
     if pairs is None:  # lane j holds a = j mod 2^m, b = j >> m
@@ -59,8 +59,9 @@ def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckR
         lanes = zip(range(run.lanes), run.values("q"), run.values("b"), zip(*map(run.values, scratch)))
         results = ((j % (1 << m), j >> m, q, r, dirt) for j, q, r, dirt in lanes if j % (1 << m))
     else:
-        outs = (apply(division, BasisState.from_values(division.layout, a=a, b=b)).bits for a, b in pairs)
-        results = ((a, b, out["q"], out["b"], [out[s] for s in scratch]) for (a, b), out in zip(pairs, outs))
+        run = run_lanes(division, {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]})
+        outs = zip(run.values("q"), run.values("b"), zip(*map(run.values, scratch)))
+        results = ((a, b, q, r, dirt) for (a, b), (q, r, dirt) in zip(pairs, outs))
     checked, mismatches = 0, []
     for a, b, q, r, dirt in results:
         checked += 1
@@ -71,12 +72,13 @@ def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckR
 
 def check_inversion(field: FieldSpec, backend: str, inputs) -> CheckResult:
     """The naive or the synchronized ("opt") inverter against field_invert.
-    The opt backend runs all inputs under one run_synchronized schedule and
-    counts fidelity-loss inputs (quotient over the bounded register) in
-    `flagged` instead of comparing them."""
+    The naive backend runs the inputs as lanes of one run_naive_inversions
+    call.  The opt backend runs all inputs under one run_synchronized
+    schedule and counts fidelity-loss inputs (quotient over the bounded
+    register) in `flagged` instead of comparing them."""
     inputs = list(inputs)
     if backend == "naive":
-        results = [(c, run_naive_inversion(c, field), False) for c in inputs]
+        results = [(c, inverse, False) for c, inverse in zip(inputs, run_naive_inversions(inputs, field))]
     elif backend == "opt":
         final = run_synchronized(inputs, field)
         results = [(c, final[c].inverse, final[c].quotient_overflow) for c in inputs]

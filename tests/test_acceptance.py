@@ -51,12 +51,14 @@ def test_criterion_1_inversion_oracle_equivalence(announce):
             mismatches += len(result.mismatches)
             flagged += result.flagged
         checked += len(fs.nonzero_elements())
+    naive_16 = check_inversion(F2_16, "naive", F2_16.nonzero_elements())
+    mismatches += len(naive_16.mismatches)
     announce(
         1,
-        mismatches == 0 and flagged == 0,
+        mismatches == 0 and flagged == 0 and naive_16.checked == 65_535,
         f"naive and optimized inversion match the oracle on all {checked} "
-        f"nonzero inputs, m = 2..8 exhaustive ({mismatches} mismatches, "
-        f"{flagged} fidelity-loss inputs)",
+        f"nonzero inputs, m = 2..8 exhaustive, and naive on all {naive_16.checked} "
+        f"of F2_16 ({mismatches} mismatches, {flagged} fidelity-loss inputs)",
     )
 
 

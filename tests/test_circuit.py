@@ -16,8 +16,11 @@ from revgf2.circuit import (
     emit_netlist,
     gate_not,
     inverse,
+    lane_values,
+    pack_lanes,
     parse_netlist,
     report,
+    run_lanes,
     swap,
     sweep,
 )
@@ -128,6 +131,45 @@ def test_every_lane_matches_a_one_lane_run():
             state = BasisState.from_values(layout, x=j % (1 << layout["x"]), z=j >> layout["x"])
             out = apply(c, state)
             assert {name: outputs[name][j] for name in layout} == out.bits
+
+
+@pytest.mark.parametrize("lanes", [0, 1, 2, 37])
+@pytest.mark.parametrize("width", [0, 1, 5])
+def test_lane_packing_round_trip(lanes, width):
+    rng = random.Random(lanes * 8 + width)
+    values = [rng.getrandbits(width) if width else 0 for _ in range(lanes)]
+    wires = pack_lanes(values, width)
+    assert len(wires) == width
+    assert all(0 <= w < 1 << lanes for w in wires)
+    assert list(lane_values(wires, lanes)) == values
+
+
+def test_lane_packing_rejects_values_that_do_not_fit():
+    for bad in ([0, 8], [-1]):
+        with pytest.raises(ValueError):
+            pack_lanes(bad, 3)
+
+
+def test_given_lanes_match_one_lane_runs():
+    rng = random.Random(5)
+    for _ in range(10):
+        layout = {"x": rng.randint(1, 3), "y": rng.randint(1, 2), "z": rng.randint(1, 3)}
+        c = random_circuit(rng, layout)
+        xs = [rng.getrandbits(layout["x"]) for _ in range(9)]
+        zs = [rng.getrandbits(layout["z"]) for _ in range(9)]
+        run = run_lanes(c, {"x": xs, "z": zs})  # y starts at 0 in every lane
+        outputs = {name: list(run.values(name)) for name in layout}
+        for j, (x, z) in enumerate(zip(xs, zs)):
+            out = apply(c, BasisState.from_values(layout, x=x, z=z))
+            assert {name: outputs[name][j] for name in layout} == out.bits
+
+
+def test_given_lanes_are_checked():
+    c = toy_circuit()
+    with pytest.raises(LayoutMismatch):
+        run_lanes(c, {"nope": [0]})
+    with pytest.raises(ValueError):
+        run_lanes(c, {"a": [0, 1], "b": [0]})
 
 
 def test_kernel_matches_a_gate_by_gate_reference():

@@ -6,10 +6,16 @@ import pytest
 
 from revgf2 import naive
 from revgf2.blocks import log2_ceil
-from revgf2.circuit import BasisState, Circuit, apply, cnot, report, sweep
+from revgf2.circuit import BasisState, Circuit, apply, cnot, gate_not, report, sweep
 from revgf2.errors import InvariantViolation, ZeroElement
-from revgf2.field import FieldSpec, default_field, field_invert
-from revgf2.naive import build_euclid_iteration, euclid_iteration_layout, normalize_gates, run_naive_inversion
+from revgf2.field import FieldSpec, default_field, field_invert, field_mul
+from revgf2.naive import (
+    build_euclid_iteration,
+    euclid_iteration_layout,
+    normalize_gates,
+    run_naive_inversion,
+    run_naive_inversions,
+)
 from revgf2.poly import degree, poly_divmod
 
 
@@ -33,11 +39,12 @@ def test_zero_rejected():
 
 def test_inversion_stops_after_m_minus_1_iterations(monkeypatch):
     # an iteration that does nothing never reaches A = 1; the inversion must
-    # give up after the proven m - 1 iterations, having applied m of them
+    # give up after the proven m - 1 iterations, having run m kernel passes
     m = 4
     calls = []
+    simulate = naive._simulate
     monkeypatch.setattr(naive, "build_euclid_iteration", lambda m: Circuit(euclid_iteration_layout(m)))
-    monkeypatch.setattr(naive, "apply", lambda circ, state: calls.append(1) or apply(circ, state))
+    monkeypatch.setattr(naive, "_simulate", lambda circ, wires, mask: calls.append(1) or simulate(circ, wires, mask))
     with pytest.raises(InvariantViolation, match="m - 1 = 3"):
         run_naive_inversion(0b101, FieldSpec(m, 0b10011))
     assert len(calls) == m
@@ -97,5 +104,47 @@ def test_largest_control_is_the_top_normalize_pattern(m):
 @pytest.mark.parametrize("m", range(2, 11))
 def test_naive_inversion_matches_field_invert(m):
     field = default_field(m)
-    for c in field.nonzero_elements():
-        assert run_naive_inversion(c, field) == field_invert(c, field)
+    inputs = field.nonzero_elements()
+    assert run_naive_inversions(inputs, field) == [field_invert(c, field) for c in inputs]
+
+
+def test_every_input_of_gf_2_16_in_one_call():
+    # c * x = 1 pins x to c's inverse; field_mul is about 7x cheaper than field_invert here
+    field = default_field(16)
+    inputs = field.nonzero_elements()
+    assert len(inputs) == 65_535 <= naive.MAX_INVERSION_LANES
+    inverses = run_naive_inversions(inputs, field)
+    assert len(inverses) == len(inputs)
+    assert all(field_mul(c, x, field) == 1 for c, x in zip(inputs, inverses))
+
+
+def test_many_lanes_agree_with_one_lane_calls():
+    # lanes that finish after 0, 1, ... m - 1 passes, duplicates included
+    field = default_field(8)
+    inputs = [1, 2, 1] + list(field.nonzero_elements())[::-1]
+    assert run_naive_inversions(inputs, field) == [run_naive_inversion(c, field) for c in inputs]
+
+
+def test_batches_split_at_the_lane_bound(monkeypatch):
+    field = default_field(6)
+    inputs = field.nonzero_elements()
+    monkeypatch.setattr(naive, "MAX_INVERSION_LANES", 5)
+    assert run_naive_inversions(inputs, field) == [field_invert(c, field) for c in inputs]
+    assert run_naive_inversions([], field) == []
+
+
+def test_zero_lane_rejected():
+    with pytest.raises(ZeroElement):
+        run_naive_inversions([0b11, 0], FieldSpec(4, 0b10011))
+
+
+@pytest.mark.parametrize("inputs", [[0b1011], [0b1, 0b1011, 0b110]])
+def test_dirty_scratch_is_named(monkeypatch, inputs):
+    # an iteration that leaves q[0] set fails the scratch check of its first
+    # pass, on every active lane; the lane holding 1 is never active
+    field = FieldSpec(4, 0b10011)
+    clean = build_euclid_iteration(4)
+    faulty = Circuit(dict(clean.layout), list(clean.gates) + [gate_not(("q", 0))])
+    monkeypatch.setattr(naive, "build_euclid_iteration", lambda m: faulty)
+    with pytest.raises(InvariantViolation, match="scratch q not restored"):
+        run_naive_inversions(inputs, field)
