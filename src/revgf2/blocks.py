@@ -11,7 +11,7 @@ import math
 
 from .circuit import Circuit, Gate, cnot, gate_not, swap
 from .errors import BadParameter
-from .field import FieldSpec
+from .field import FieldSpec, default_field
 
 
 def log2_ceil(m: int) -> int:
@@ -193,14 +193,16 @@ def build_mul_accumulate(field: FieldSpec) -> Circuit:
     return c
 
 
-BLOCK_BUILDERS = {
-    "swap": lambda args: build_swap(),
-    "shiftl": lambda args: build_cyclic_shift(args["n"], "left"),
-    "shiftr": lambda args: build_cyclic_shift(args["n"], "right"),
-    "cshift": lambda args: build_controlled_shift(args["n"], args["k"]),
-    "inc": lambda args: build_increment(args["w"]),
-    "dec": lambda args: build_decrement(args["w"]),
-    "deg": lambda args: build_degree(args["m"]),
-    "cxor": lambda args: build_conditional_xor(args["m"]),
-    "mulacc": lambda args: build_mul_accumulate(args["field"]),
+# Every block by name: its builder and the integer sizes it takes, in order.
+# `revgf2 synth` makes each size a required option; `verify.check_blocks` builds every block.
+BLOCKS = {
+    "swap": (build_swap, ()),
+    "shiftl": (build_cyclic_shift, ("n",)),
+    "shiftr": (lambda n: build_cyclic_shift(n, "right"), ("n",)),
+    "cshift": (build_controlled_shift, ("n", "k")),
+    "inc": (build_increment, ("w",)),
+    "dec": (build_decrement, ("w",)),
+    "deg": (build_degree, ("m",)),
+    "cxor": (build_conditional_xor, ("m",)),
+    "mulacc": (lambda m: build_mul_accumulate(default_field(m)), ("m",)),
 }

@@ -2,7 +2,9 @@
 
 Commands print flat JSON reports (no timestamps, stable keys) so runs are
 byte-reproducible.  Exit codes: 0 all checks pass, 1 verification found a
-mismatch, 2 usage or configuration error.
+mismatch, 2 usage or configuration error.  Each `verify` target and each
+`synth` block has its own sub-command that declares only the options it
+reads, so any other option is a usage error.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from . import blocks, optimized, verify
 from .circuit import emit_netlist, report
 from .curve import CurvePoint, ec_add, enumerate_points, load_curve
 from .ecgroup import FixedPointParams, simulate_group_add
-from .errors import (
-    BadParameter,
-    RevGF2Error,
-    ScopeTooLarge,
-    UnknownBlock,
-)
+from .errors import BadParameter, RevGF2Error, ScopeTooLarge
 from .field import FieldSpec, default_field, load_field
 from .poly import format_poly, parse_poly
 
@@ -33,10 +30,32 @@ def _emit(payload: dict):
     print(json.dumps(payload, sort_keys=True))
 
 
+def _write(text: str, out: str | None):
+    """`text` into the file `out`, or to stdout without one."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _point(text: str) -> CurvePoint:
+    """A point from "x,y", both MSB-first bit strings."""
+    x, y = text.split(",")
+    return CurvePoint(parse_poly(x), parse_poly(y))
+
+
+def _add_field_options(parser):
+    """--m and --field, at most one of them."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--m", type=int)
+    group.add_argument("--field")
+
+
 def _field_from_args(args) -> FieldSpec:
-    if getattr(args, "field", None):
+    if args.field is not None:
         return load_field(args.field)
-    if getattr(args, "m", None) is not None:
+    if args.m is not None:
         return default_field(args.m)
     raise BadParameter("provide --field <file> or --m <degree>")
 
@@ -45,27 +64,9 @@ def _field_from_args(args) -> FieldSpec:
 
 
 def cmd_synth(args) -> int:
-    if args.block not in blocks.BLOCK_BUILDERS:
-        raise UnknownBlock(f"no builder named {args.block!r}")
-    params = {}
-    for key in ("m", "n", "k", "w"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if args.block == "mulacc":
-        if "m" not in params:
-            raise BadParameter("mulacc needs --m")
-        params["field"] = default_field(params["m"])
-    try:
-        built = blocks.BLOCK_BUILDERS[args.block](params)
-    except KeyError as missing:
-        raise BadParameter(f"block {args.block!r} needs parameter {missing}") from None
-    text = emit_netlist(built)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    build, params = blocks.BLOCKS[args.block]
+    built = build(*(getattr(args, name) for name in params))
+    _write(emit_netlist(built), args.out)
     _emit(dict(report(built).to_json(), block=args.block))
     return 0
 
@@ -99,6 +100,8 @@ def cmd_estimate(args) -> int:
 def cmd_trace(args) -> int:
     element = parse_poly(args.element)
     if args.dividend:
+        if args.field is not None:
+            raise BadParameter("trace --dividend takes --m, not --field")
         dividend = parse_poly(args.dividend)
         # trace_table rejects a zero dividend and any m below 2, --m 0 included
         m = args.m if args.m is not None else max(dividend.bit_length() - 1, 2)
@@ -110,16 +113,16 @@ def cmd_trace(args) -> int:
     lines = ["\t".join(columns)]
     for row in rows:
         lines.append("\t".join(str(row[c]) for c in columns))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 # --- verify ------------------------------------------------------------------
+
+
+def _add_sample_options(parser):
+    parser.add_argument("--sample", type=int)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def _distinct_sample(args, draw, population: int) -> list:
@@ -137,9 +140,7 @@ def _scope(args, space: int):
     if args.sample is not None:
         return _distinct_sample(args, lambda rng: rng.randrange(1, space), space - 1)
     if space > EXHAUSTIVE_STATE_LIMIT:
-        raise ScopeTooLarge(
-            f"{space} states exceed the exhaustive limit; use --sample <n>"
-        )
+        raise ScopeTooLarge(f"{space} states exceed the exhaustive limit; use --sample <n>")
     return range(1, space)
 
 
@@ -159,22 +160,21 @@ def _verify_payload(target: str, result: verify.CheckResult, extra: dict) -> int
     return 0 if not result.mismatches else 1
 
 
-def _m_or_default(args, target: str, least: int) -> int:
-    """--m, or 4 when it is absent; a value below `least` is a usage error."""
-    m = 4 if args.m is None else args.m
-    if m < least:
-        raise BadParameter(f"verify {target} needs --m >= {least}, not {m}")
-    return m
+def _m_at_least(args, target: str, least: int) -> int:
+    """--m; a value below `least` is a usage error."""
+    if args.m < least:
+        raise BadParameter(f"verify {target} needs --m >= {least}, not {args.m}")
+    return args.m
 
 
 def verify_blocks(args) -> int:
-    m = _m_or_default(args, "blocks", 2)
+    m = _m_at_least(args, "blocks", 2)
     result = verify.check_blocks(m)
     return _verify_payload("blocks", result, {"m": m, "skipped": result.skipped})
 
 
 def verify_naive_div(args) -> int:
-    m = _m_or_default(args, "naive-div", 1)
+    m = _m_at_least(args, "naive-div", 1)
     pairs = None  # every pair a != 0
     if args.sample is not None:
         pairs = _distinct_sample(
@@ -183,20 +183,19 @@ def verify_naive_div(args) -> int:
     return _verify_payload("naive-div", verify.check_division(m, pairs), {"m": m})
 
 
-def verify_inversion(args, backend: str) -> int:
+def verify_inversion(args) -> int:
     field = _field_from_args(args)
-    result = verify.check_inversion(field, backend, _scope(args, 1 << field.m))
+    result = verify.check_inversion(field, args.backend, _scope(args, 1 << field.m))
     extra = {"m": field.m}
-    if backend == "opt":  # an empty scope is refused in _verify_payload
+    if args.backend == "opt":  # an empty scope is refused in _verify_payload
         extra["quotient_bound_fraction"] = result.flagged / max(result.checked, 1)
-    return _verify_payload(f"{backend}-invert", result, extra)
+    return _verify_payload(f"{args.backend}-invert", result, extra)
 
 
 def verify_ec_add(args) -> int:
     curve = load_curve(args.curve)
     if args.fixed:
-        ax, ay = args.fixed.split(",")
-        fixed = CurvePoint(parse_poly(ax), parse_poly(ay))
+        fixed = _point(args.fixed)
     else:
         affine = [p for p in enumerate_points(curve) if not p.is_infinity]
         if not affine:
@@ -207,30 +206,14 @@ def verify_ec_add(args) -> int:
     return _verify_payload("ec-add", result, extra)
 
 
-VERIFY_TARGETS = {
-    "blocks": verify_blocks,
-    "naive-div": verify_naive_div,
-    "naive-invert": lambda args: verify_inversion(args, "naive"),
-    "opt-invert": lambda args: verify_inversion(args, "opt"),
-    "ec-add": verify_ec_add,
-}
-
-
-def cmd_verify(args) -> int:
-    return VERIFY_TARGETS[args.target](args)
-
-
 # --- ec-add ------------------------------------------------------------------
 
 
 def cmd_ec_add(args) -> int:
     curve = load_curve(args.curve)
-    ax, ay = args.fixed.split(",")
-    px, py = args.point.split(",")
-    params = FixedPointParams(curve, parse_poly(ax), parse_poly(ay))
-    s = CurvePoint(parse_poly(px), parse_poly(py))
-    result = simulate_group_add(s, params, args.backend)
-    want = ec_add(s, CurvePoint(params.alpha, params.beta), curve)
+    fixed, s = _point(args.fixed), _point(args.point)
+    result = simulate_group_add(s, FixedPointParams(curve, fixed.x, fixed.y), args.backend)
+    want = ec_add(s, fixed, curve)
     m = curve.field.m
     _emit(
         {
@@ -254,24 +237,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="build a block and emit its netlist")
-    p.add_argument("block", choices=sorted(blocks.BLOCK_BUILDERS))
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_synth)
+    block_parsers = p.add_subparsers(dest="block", required=True, metavar="block")
+    for name, (_, params) in blocks.BLOCKS.items():
+        b = block_parsers.add_parser(name, help=" ".join(f"--{param}" for param in params))
+        for param in params:
+            b.add_argument(f"--{param}", type=int, required=True)
+        b.add_argument("--out")
+        b.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="oracle-equivalence sweeps")
-    p.add_argument("target", choices=sorted(VERIFY_TARGETS))
-    p.add_argument("--m", type=int)
-    p.add_argument("--field")
-    p.add_argument("--curve")
-    p.add_argument("--fixed")
-    p.add_argument("--backend", choices=("naive", "opt"), default="naive")
-    p.add_argument("--sample", type=int)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_verify)
+    targets = p.add_subparsers(dest="target", required=True, metavar="target")
+    t = targets.add_parser("blocks", help="every block is a permutation; the degree block is exact")
+    t.add_argument("--m", type=int, default=4)
+    t.set_defaults(func=verify_blocks)
+    t = targets.add_parser("naive-div", help="the long division against poly_divmod")
+    t.add_argument("--m", type=int, default=4)
+    _add_sample_options(t)
+    t.set_defaults(func=verify_naive_div)
+    for backend in ("naive", "opt"):
+        t = targets.add_parser(f"{backend}-invert", help=f"the {backend} inverter: c * x = 1")
+        _add_field_options(t)
+        _add_sample_options(t)
+        t.set_defaults(func=verify_inversion, backend=backend)
+    t = targets.add_parser("ec-add", help="the group-add plan against ec_add on every generic point")
+    t.add_argument("--curve", required=True)
+    t.add_argument("--fixed", help="alpha,beta as MSB-first bit strings; default the first affine point")
+    t.add_argument("--backend", choices=("naive", "opt"), default="naive")
+    t.set_defaults(func=verify_ec_add)
 
     p = sub.add_parser("estimate", help="qubit budget for the optimized inverter")
     p.add_argument("--m", type=int, required=True)
@@ -279,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="step table of the synchronized machine")
     p.add_argument("--element", required=True, help="MSB-first bits of the input")
-    p.add_argument("--m", type=int)
-    p.add_argument("--field")
+    _add_field_options(p)
     p.add_argument("--dividend", help="trace one long division of this dividend")
     p.add_argument("--out")
     p.set_defaults(func=cmd_trace)

@@ -146,7 +146,7 @@ def enumerate_points(curve: CurveSpec) -> list[CurvePoint]:
 
 def load_curve(path) -> CurveSpec:
     """Load a CurveSpec from a key-value file (keys m, modulus, kind, a, b, c)."""
-    entries = parse_keyvalue_file(path)
+    entries = parse_keyvalue_file(path, ("m", "modulus", "kind", "a", "b"))
     field = FieldSpec(m=int(entries["m"]), modulus=parse_poly(entries["modulus"]))
     kind = CurveKind(entries["kind"])
     return CurveSpec(

@@ -231,7 +231,9 @@ def group_op_width(field: FieldSpec, backend: str = "naive") -> dict[str, int]:
     m = field.m
     if backend == "naive":
         inverter = sum(euclid_iteration_layout(m).values())
-    else:
+    elif backend == "opt":
         inverter = qubit_budget(m, halting_counter_width(m))
+    else:
+        raise ValueError(f"backend must be naive or opt, not {backend!r}")
     return {"point_registers": 2 * m, "product_scratch": m,
             "inverter_scratch": inverter - 2 * m, "total": m + inverter}

@@ -54,9 +54,5 @@ class ScopeTooLarge(RevGF2Error):
     """Verification scope exceeds the exhaustive enumeration limit."""
 
 
-class UnknownBlock(RevGF2Error):
-    """No circuit builder registered under that name."""
-
-
 class BadParameter(RevGF2Error):
     """A CLI or builder parameter is out of range or malformed."""

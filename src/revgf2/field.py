@@ -118,8 +118,9 @@ def default_field(m: int) -> FieldSpec:
     return FieldSpec(m, default_modulus(m))
 
 
-def parse_keyvalue_file(path) -> dict[str, str]:
-    """Read a `key = value` config file, ignoring blank lines and # comments."""
+def parse_keyvalue_file(path, required=()) -> dict[str, str]:
+    """Read a `key = value` config file, ignoring blank lines and # comments.
+    A key in `required` that the file lacks is a BadParameter."""
     entries: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -130,10 +131,13 @@ def parse_keyvalue_file(path) -> dict[str, str]:
                 raise ValueError(f"malformed config line: {line!r}")
             key, value = line.split("=", 1)
             entries[key.strip()] = value.strip()
+    for key in required:
+        if key not in entries:
+            raise BadParameter(f"config file {path} lacks the key {key!r}")
     return entries
 
 
 def load_field(path) -> FieldSpec:
     """Load a FieldSpec from a key-value file with keys m and modulus."""
-    entries = parse_keyvalue_file(path)
+    entries = parse_keyvalue_file(path, ("m", "modulus"))
     return FieldSpec(m=int(entries["m"]), modulus=parse_poly(entries["modulus"]))

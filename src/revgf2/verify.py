@@ -10,7 +10,7 @@ from . import blocks
 from .circuit import MAX_LANE_BITS, check_permutation, run_lanes, sweep
 from .curve import CurvePoint, ec_add
 from .ecgroup import FixedPointParams, generic_points, simulate_group_add
-from .field import FieldSpec, default_field, field_invert
+from .field import FieldSpec, field_mul
 from .naive import build_naive_long_division, run_naive_inversions
 from .optimized import run_synchronized
 from .poly import degree, format_poly, poly_divmod
@@ -27,16 +27,16 @@ class CheckResult:
 
 
 def check_blocks(m: int) -> CheckResult:
-    """Every builder at size m is a permutation, and the degree block gives
-    deg(a) with clean scratch on every nonzero a.  A block wider than
-    MAX_LANE_BITS is listed in `skipped`, not counted as checked."""
+    """Every block in `blocks.BLOCKS`, sized from m, is a permutation, and
+    the degree block gives deg(a) with clean scratch on every nonzero a.  A
+    block wider than MAX_LANE_BITS is listed in `skipped`, not counted as
+    checked."""
     mismatches, skipped = [], []
     L = blocks.log2_ceil(m)
-    builds = [("swap", {}), ("shiftl", {"n": m + 1}), ("shiftr", {"n": m + 1}),
-              ("cshift", {"n": m, "k": L}), ("inc", {"w": L}), ("dec", {"w": L}),
-              ("deg", {"m": m}), ("cxor", {"m": m}), ("mulacc", {"field": default_field(m)})]
-    for name, params in builds:
-        built = blocks.BLOCK_BUILDERS[name](params)
+    sizes = {"swap": (), "shiftl": (m + 1,), "shiftr": (m + 1,), "cshift": (m, L), "inc": (L,),
+             "dec": (L,), "deg": (m,), "cxor": (m,), "mulacc": (m,)}
+    for name, (build, _) in blocks.BLOCKS.items():
+        built = build(*sizes[name])
         if built.width > MAX_LANE_BITS:
             skipped.append(name)
         elif not check_permutation(built):
@@ -45,7 +45,7 @@ def check_blocks(m: int) -> CheckResult:
     for a, deg, anc in zip(range(run.lanes), run.values("deg"), run.values("anc")):
         if a and (deg != degree(a) or anc):
             mismatches.append(f"deg: a={format_poly(a, m)}")
-    return CheckResult(len(builds) - len(skipped) + (1 << m) - 1, mismatches, skipped=skipped)
+    return CheckResult(len(blocks.BLOCKS) - len(skipped) + (1 << m) - 1, mismatches, skipped=skipped)
 
 
 def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckResult:
@@ -71,11 +71,12 @@ def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckR
 
 
 def check_inversion(field: FieldSpec, backend: str, inputs) -> CheckResult:
-    """The naive or the synchronized ("opt") inverter against field_invert.
-    The naive backend runs the inputs as lanes of one run_naive_inversions
-    call.  The opt backend runs all inputs under one run_synchronized
-    schedule and counts fidelity-loss inputs (quotient over the bounded
-    register) in `flagged` instead of comparing them."""
+    """The naive or the synchronized ("opt") inverter: an output x for c
+    passes when it is a field element with c * x = 1, which in a field only
+    the inverse satisfies.  The naive backend runs the inputs as lanes of
+    one run_naive_inversions call.  The opt backend runs all inputs under
+    one run_synchronized schedule and counts fidelity-loss inputs (quotient
+    over the bounded register) in `flagged` instead of comparing them."""
     inputs = list(inputs)
     if backend == "naive":
         results = [(c, inverse, False) for c, inverse in zip(inputs, run_naive_inversions(inputs, field))]
@@ -85,7 +86,9 @@ def check_inversion(field: FieldSpec, backend: str, inputs) -> CheckResult:
     else:
         raise ValueError(f"backend must be naive or opt, not {backend!r}")
     mismatches = [
-        format_poly(c, field.m) for c, got, lost in results if not lost and got != field_invert(c, field)
+        format_poly(c, field.m)
+        for c, got, lost in results
+        if not lost and not (0 <= got < 1 << field.m and field_mul(c, got, field) == 1)
     ]
     return CheckResult(len(inputs), mismatches, flagged=sum(lost for _, _, lost in results))
 

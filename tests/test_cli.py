@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from revgf2.cli import main
+from revgf2.cli import build_parser, main
 
 
 def last_json(capsys):
@@ -218,3 +219,71 @@ def test_nonpositive_field_degree_is_usage_error(argv, m, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"field degree must be positive, not {m}" in captured.err and captured.out == ""
+
+
+def exit_code(argv, capsys):
+    """main's return code, or the code argparse exits with; and the output."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+# each names an option its command does not read, or omits one it needs;
+# f4 is a GF(2^4) field file
+UNREAD_OPTION_CASES = [
+    (["verify", "naive-invert", "--m", "3", "--backend", "opt"], "unrecognized arguments: --backend opt"),
+    (["verify", "blocks", "--sample", "2"], "unrecognized arguments: --sample 2"),
+    (["verify", "ec-add", "--curve", "ns", "--sample", "3"], "unrecognized arguments: --sample 3"),
+    (["verify", "naive-div", "--field", "f4"], "unrecognized arguments: --field"),
+    (["verify", "naive-invert", "--m", "8", "--field", "f4"], "argument --field: not allowed with argument --m"),
+    (["synth", "swap", "--m", "3"], "unrecognized arguments: --m 3"),
+    (["trace", "--element", "101", "--dividend", "10101", "--field", "f4"], "--dividend takes --m, not --field"),
+    (["verify", "ec-add"], "the following arguments are required: --curve"),
+    (["synth", "cshift", "--n", "4"], "the following arguments are required: --k"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_OPTION_CASES, ids=[" ".join(a) for a, _ in UNREAD_OPTION_CASES])
+def test_unread_or_missing_option_is_usage_error(argv, message, curve_files, tmp_path, capsys):
+    field = tmp_path / "f4.field"
+    field.write_text("m = 4\nmodulus = 10011\n")
+    files = dict(curve_files, f4=str(field))
+    code, captured = exit_code([files.get(word, word) for word in argv], capsys)
+    assert code == 2 and message in captured.err and captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def command_paths(parser, path=()):
+    """Every command, verify target and synth block, as an argv prefix."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from command_paths(sub, path + (name,))
+
+
+def test_every_command_has_help(capsys):
+    paths = list(command_paths(build_parser()))
+    assert ("verify", "opt-invert") in paths and ("synth", "mulacc") in paths
+    assert len(paths) == 1 + 5 + 5 + 9  # revgf2, its commands, verify targets, synth blocks
+    for path in paths:
+        code, captured = exit_code([*path, "--help"], capsys)
+        assert code == 0 and captured.out.startswith("usage: revgf2")
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (["verify", "naive-invert", "--field"], "m = 4\n", "modulus"),
+        (["verify", "ec-add", "--curve"], "m = 4\nmodulus = 10011\na = 10\nb = 1\n", "kind"),
+    ],
+    ids=["field", "curve"],
+)
+def test_config_missing_key_is_usage_error(argv, text, key, tmp_path, capsys):
+    path = tmp_path / "incomplete.cfg"
+    path.write_text(text)
+    code, captured = exit_code([*argv, str(path)], capsys)
+    assert code == 2 and captured.out == ""
+    assert f"config file {path} lacks the key {key!r}" in captured.err

@@ -197,3 +197,8 @@ def test_width_bounded_by_division():
         assert w["total"] == (
             w["point_registers"] + w["product_scratch"] + w["inverter_scratch"]
         )
+
+
+def test_width_rejects_unknown_backend():
+    with pytest.raises(ValueError, match="backend must be naive or opt, not 'bogus'"):
+        group_op_width(F16, "bogus")
