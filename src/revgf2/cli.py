@@ -39,10 +39,12 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _point(text: str) -> CurvePoint:
-    """A point from "x,y", both MSB-first bit strings."""
-    x, y = text.split(",")
-    return CurvePoint(parse_poly(x), parse_poly(y))
+def _point(text: str, option: str) -> CurvePoint:
+    """A point from `option`'s value "x,y", both MSB-first bit strings."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise BadParameter(f"{option} takes a point as x,y, not {text!r}")
+    return CurvePoint(parse_poly(parts[0]), parse_poly(parts[1]))
 
 
 def _add_field_options(parser):
@@ -195,7 +197,7 @@ def verify_inversion(args) -> int:
 def verify_ec_add(args) -> int:
     curve = load_curve(args.curve)
     if args.fixed:
-        fixed = _point(args.fixed)
+        fixed = _point(args.fixed, "--fixed")
     else:
         affine = [p for p in enumerate_points(curve) if not p.is_infinity]
         if not affine:
@@ -211,7 +213,7 @@ def verify_ec_add(args) -> int:
 
 def cmd_ec_add(args) -> int:
     curve = load_curve(args.curve)
-    fixed, s = _point(args.fixed), _point(args.point)
+    fixed, s = _point(args.fixed, "--fixed"), _point(args.point, "--point")
     result = simulate_group_add(s, FixedPointParams(curve, fixed.x, fixed.y), args.backend)
     want = ec_add(s, fixed, curve)
     m = curve.field.m

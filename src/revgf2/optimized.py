@@ -14,14 +14,16 @@ early finishers tick so the global schedule can run to a fixed length:
 2m - 2 rounds, the proven worst case (see default_cycles).
 
 The scheduled steps are modeled as named reversible primitives that act
-bit-exactly on `SyncState`, which keeps A, B, a and b as plain
-polynomials.  The layout, not the model, is what the qubit-budget audit
-measures, and the model does not yet fit it: (a, A) always fits one
-m-bit word, but o1b adds a*z^shift from the largest shift down, so
-mid-division the (b, B) pair exceeds m bits (at m = 8, 192 of 255 inputs
-reach deg(b) + deg(B) > m, up to 2m - 2).  The 2m data term of
-machine_layout is therefore the paper's claim, not yet the model's.  The
-steps have no gate list yet, so the machine has no gate count or depth.
+bit-exactly on `SyncState`, which holds machine_layout's registers (A,
+B, a, b and q as plain, unbounded polynomials) and the clock; the degree
+bank is updated as registers, never read off the polynomials.  The
+layout, not the model, is what the qubit-budget audit measures, and
+the model does not yet fit it: (a, A) always fits one m-bit word, but
+o1b adds a*z^shift from the largest shift down, so mid-division the
+(b, B) pair exceeds m bits (at m = 8, 192 of 255 inputs reach
+deg(b) + deg(B) > m, up to 2m - 2).  The 2m data term of machine_layout
+is therefore the paper's claim, not yet the model's.  The steps have no
+gate list yet, so the machine has no gate count or depth.
 """
 
 from __future__ import annotations
@@ -107,12 +109,13 @@ class SyncState:
     """One input's view of the synchronized machine; run_synchronized
     returns the final one.
 
-    A/B are the remainder pair (B doubles as the evolving partial
-    remainder during a division), a/b the coefficient pair.  degB is the
-    working alignment: it starts at the true degree of B and is stepped
-    down by the shifts, returning to the true degree of the new remainder
-    at each iteration boundary.  rounds counts global clock ticks, idle
-    rounds included."""
+    The fields are machine_layout's registers but deg_anc, plus m, the
+    clock `rounds` (idle rounds included), the iteration count and the
+    fidelity flag.  A/B are the remainder pair (B doubles as the evolving
+    partial remainder during a division), a/b the coefficient pair.  degB
+    is the working alignment: it starts at the true degree of B and is
+    stepped down by the shifts to the new remainder's.  q is nonzero
+    exactly while a division runs, since its first bit is B's leading 1."""
 
     m: int
     A: int
@@ -122,14 +125,12 @@ class SyncState:
     degA: int = 0
     degB: int = 0
     dega: int = 0
-    degb: int | None = None  # None while b is still the zero polynomial
+    degb: int = 0
     q: int = 0
-    q_len: int = 0
     quotient_overflow: bool = False
     f: int = 1
     c: int = O1A
     h: int = 0
-    done: bool = False
     iterations: int = 0
     rounds: int = 0
 
@@ -137,10 +138,12 @@ class SyncState:
     def initial(c_elem: int, modulus: int, m: int) -> "SyncState":
         if c_elem == 0:
             raise ZeroElement("cannot invert 0")
-        st = SyncState(m=m, A=c_elem, B=modulus, degA=degree(c_elem), degB=degree(modulus))
-        if st.A == 1:
-            st.done = True
-        return st
+        return SyncState(m=m, A=c_elem, B=modulus, degA=degree(c_elem), degB=degree(modulus))
+
+    @property
+    def done(self) -> bool:
+        """The termination state A = 1."""
+        return self.A == 1
 
     @property
     def inverse(self) -> int:
@@ -182,16 +185,17 @@ def step_o1a(state: SyncState) -> bool:
     """The bit at the working alignment becomes the next quotient bit; on
     the last read of a division the final conditional subtract, the
     quotient uncompute, and the coefficient co-update fold in here (o1b and
-    o1c are flag-suppressed afterwards)."""
+    o1c are flag-suppressed afterwards), and degb becomes dega + deg(q),
+    which is deg(b + q a) since deg(b) < deg(a)."""
     bit = _coeff(state.B, state.degB)
     state.q = (state.q << 1) | bit
-    state.q_len += 1
-    if state.q_len > quotient_capacity(state.m):
+    if state.q.bit_length() > quotient_capacity(state.m):
         state.quotient_overflow = True
     if aligned_with_divisor(state):
         if bit:
             state.B ^= state.A
             state.b ^= state.a
+        state.degb = state.dega + state.q.bit_length() - 1
         _uncompute_quotient(state)
     return True
 
@@ -199,7 +203,7 @@ def step_o1a(state: SyncState) -> bool:
 def step_o1b(state: SyncState) -> bool:
     """Conditioned on the new quotient bit, subtract the aligned divisor
     from B, and fold the same update into the coefficient pair."""
-    if state.q_len == 0:
+    if not state.q:
         return False  # flag-suppressed tail of a finished division
     if state.q & 1:
         shift = state.degB - state.degA
@@ -210,7 +214,7 @@ def step_o1b(state: SyncState) -> bool:
 
 def step_o1c(state: SyncState) -> bool:
     """Shift B one slot toward the high-order end."""
-    if state.q_len == 0:
+    if not state.q:
         return False
     state.degB -= 1
     return True
@@ -220,7 +224,7 @@ def step_o2(state: SyncState) -> bool:
     """Shift one leading zero off the remainder; on the shift that brings a
     1 into the high-order slot, the iteration boundary is reached and the
     Euclidean pairs swap."""
-    if state.q_len != 0:
+    if state.q:
         return False  # mid-division pass-through
     if aligned_with_divisor(state):
         state.f ^= 1
@@ -235,30 +239,20 @@ SLOTS = (step_o1a, step_o1b, step_o1c, step_o2)  # indexed by O1A..O2
 
 
 def _uncompute_quotient(state: SyncState) -> None:
-    """Clear q via q = floor((b + q a)/a); valid because deg(b) < deg(a)."""
-    if not state.quotient_overflow:
-        check, _ = poly_divmod(state.b, state.a)
-        if check != state.q:
-            raise InvariantViolation("quotient uncompute mismatch")
-    state.q = 0
-    state.q_len = 0
+    """q ^= floor(b/a), which clears q because b now holds b + q a and
+    deg(b) < deg(a)."""
+    state.q ^= poly_divmod(state.b, state.a)[0]
+    if state.q:
+        raise InvariantViolation("quotient uncompute left q nonzero")
 
 
 def _swap_pairs(state: SyncState) -> None:
-    """(a,A)(b,B) -> (b+qa, B+qA)(a,A): the registers trade roles and the
-    degree bank is refreshed for the next iteration."""
-    new_a, new_A = state.b, state.B
-    new_b, new_B = state.a, state.A
-    state.a, state.A, state.b, state.B = new_a, new_A, new_b, new_B
-    state.dega, state.degA, state.degb, state.degB = (
-        degree(state.a),
-        state.degB,  # already stepped down to the remainder's true degree
-        state.dega,
-        state.degA,
-    )
+    """(a,A)(b,B) -> (b+qa, B+qA)(a,A): (a, A, dega, degA) and
+    (b, B, degb, degB) trade places, degB having been stepped down to the
+    remainder's true degree and degb set to deg(b + qa)."""
+    state.a, state.A, state.dega, state.degA, state.b, state.B, state.degb, state.degB = (
+        state.b, state.B, state.degb, state.degB, state.a, state.A, state.dega, state.degA)
     state.iterations += 1
-    if state.A == 1:
-        state.done = True
 
 
 def run_round(state: SyncState, on_fire=None) -> None:
@@ -268,11 +262,11 @@ def run_round(state: SyncState, on_fire=None) -> None:
     `on_fire(op_id)`, if given, is called after the advance-counter step
     of every slot that acted."""
     for op_id, step in enumerate(SLOTS):
-        fired = not state.done and state.c == op_id and step(state)
+        fired = state.A != 1 and state.c == op_id and step(state)
         advance_counter(state)
         if fired and on_fire is not None:
             on_fire(op_id)
-    if state.done:
+    if state.A == 1:
         state.h += 1
     state.rounds += 1
 
@@ -284,7 +278,7 @@ def _run_rounds(state: SyncState, cycles: int, stop_after_first_iteration: bool 
 
     run_round is looked up as a module global on every call, so a caller
     that rebinds `optimized.run_round` sees every round."""
-    while not (state.done or (stop_after_first_iteration and state.iterations >= 1)):
+    while not (state.A == 1 or (stop_after_first_iteration and state.iterations >= 1)):
         if state.rounds >= cycles:
             raise CycleBudgetExceeded(f"unfinished after {cycles} rounds, at A = {state.A:b}, B = {state.B:b}")
         run_round(state, on_fire)
@@ -341,7 +335,7 @@ def _working_row(state: SyncState) -> dict:
         "b": format(state.b, "b"),
         "degA": state.degA,
         "degB": state.degB,
-        "q": format(state.q, "b") if state.q_len else "0",
+        "q": format(state.q, "b"),
         "f": state.f,
         "c": OP_NAMES[state.c],
         "h": state.h,

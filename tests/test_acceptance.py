@@ -177,14 +177,14 @@ def test_criterion_6_synchronization(announce):
 
 
 def test_criterion_7_quotient_bound(announce):
-    traces = run_synchronized(F2_16.nonzero_elements(), F2_16)
-    flagged = sum(tr.quotient_overflow for tr in traces.values())
-    fraction = flagged / len(traces)
+    result = check_inversion(F2_16, "opt", F2_16.nonzero_elements())
+    fraction = result.flagged / result.checked
     announce(
         7,
-        fraction <= 12 / 16,
-        f"m = 16 exhaustive: the machine flags {flagged} of {len(traces)} inputs "
-        f"for a quotient over 3*ceil(log m) = 12 bits, fraction {fraction:.6f} <= 0.75",
+        fraction <= 12 / 16 and result.checked == 65_535 and not result.mismatches,
+        f"m = 16 exhaustive: the machine flags {result.flagged} of {result.checked} inputs "
+        f"for a quotient over 3*ceil(log m) = 12 bits, fraction {fraction:.6f} <= 0.75; "
+        f"{len(result.mismatches)} of the rest mismatch",
     )
 
 

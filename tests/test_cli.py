@@ -139,6 +139,21 @@ def test_ec_add_needs_point(curve_files, capsys):
     assert "--point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["ec-add", "--curve", "ns", "--fixed", "0010,1111,1", "--point", "0001,0001"], "--fixed"),
+        (["ec-add", "--curve", "ns", "--fixed", "0010,1111", "--point", "0001"], "--point"),
+        (["verify", "ec-add", "--curve", "ns", "--fixed", "0010"], "--fixed"),
+    ],
+    ids=["three-parts", "one-part", "verify-one-part"],
+)
+def test_malformed_point_is_usage_error(argv, option, curve_files, capsys):
+    code, captured = exit_code([curve_files.get(word, word) for word in argv], capsys)
+    assert code == 2 and captured.out == ""
+    assert f"{option} takes a point as x,y" in captured.err and "Traceback" not in captured.err
+
+
 def test_trace_division(capsys):
     assert main(["trace", "--element", "101", "--dividend", "10101", "--m", "4"]) == 0
     out = capsys.readouterr().out

@@ -69,7 +69,8 @@ def _load_benchmark_module(name: str):
 def test_benchmark_workloads_run_one_checked_input():
     """Each workload's set-up, one seeded call, its oracle check and its
     cost run against the library as it is, and the traced run can count
-    the rounds of what run_synchronized returns."""
+    the rounds of what run_synchronized returns and, on ec-add-m8, every
+    round run_round runs."""
     workloads, tracing = _load_benchmark_module("workloads"), _load_benchmark_module("tracing")
     for wl in workloads.WORKLOADS.values():
         fx = wl.setup()
@@ -81,3 +82,11 @@ def test_benchmark_workloads_run_one_checked_input():
             tracer = tracing.Tracer()
             tracer._count_traced_rounds(out)
             assert tracer.rounds == fx["cycles"] and tracer.rounds_ending_done == out[x].h >= 1
+        if wl.name == "ec-add-m8":  # the per-round counter reads SyncState.done
+            tracer = tracing.Tracer()
+            tracer.install(wl.extra_targets, [])
+            try:
+                wl.op(fx, x)
+            finally:
+                tracer.uninstall()
+            assert tracer.rounds > 0 and tracer.rounds_ending_done == 4  # one per E pass

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
 from revgf2.errors import BadParameter, CycleBudgetExceeded, ZeroElement
-from revgf2.field import FieldSpec, default_field, field_invert
+from revgf2.field import FieldSpec, default_field, field_invert, is_irreducible
 from revgf2.naive import run_naive_inversion
 from revgf2.optimized import (
+    O1A,
+    O2,
     SyncState,
     advance_counter,
     default_cycles,
@@ -16,6 +20,7 @@ from revgf2.optimized import (
     run_synchronized,
     trace_table,
 )
+from revgf2.poly import degree
 
 F16 = FieldSpec(4, 0b10011)
 F256 = FieldSpec(8, 0b100011011)
@@ -111,3 +116,45 @@ def test_trace_q_clear_at_boundaries():
     for row in rows:
         if row["op"] == "o2" and row["f"] == 1:  # iteration boundary
             assert row["q"] == "0"
+
+
+def test_state_holds_the_machine_registers():
+    registers = set(machine_layout(8)) - {"rAa", "rBb", "deg_anc"} | {"A", "a", "B", "b"}
+    fields = {field.name for field in dataclasses.fields(SyncState)}
+    assert fields == registers | {"m", "rounds", "iterations", "quotient_overflow"}
+    assert SyncState.initial(1, F16.modulus, 4).done and not SyncState.initial(0b10, F16.modulus, 4).done
+
+
+def fired_slots(c, modulus, m):
+    """(op, iterations, q, A, B, a, b, degA, degB, dega, degb) after every
+    fired slot of one input's run."""
+    state = SyncState.initial(c, modulus, m)
+    shots = []
+
+    def record(op_id):
+        shots.append((op_id, state.iterations, state.q, state.A, state.B, state.a, state.b,
+                      state.degA, state.degB, state.dega, state.degb))
+
+    for _ in range(default_cycles(m)):
+        run_round(state, record)
+    assert state.done
+    return shots
+
+
+def test_degree_bank_and_quotient_follow_the_registers():
+    """After every swap the degree bank holds the true degrees, and q is
+    nonzero exactly between a division's first quotient read and its last,
+    the (deg B - deg A + 1)-th."""
+    moduli = [f for m in range(2, 9) for f in range(1 << m, 2 << m) if is_irreducible(f)]
+    assert len(moduli) == 69
+    for f in moduli:
+        m = degree(f)
+        for c in range(1, 1 << m):
+            iterations, reads, needed = 0, 0, m - degree(c) + 1
+            for op_id, its, q, A, B, a, b, degA, degB, dega, degb in fired_slots(c, f, m):
+                reads += op_id == O1A
+                if its != iterations:
+                    assert op_id == O2 and its == iterations + 1
+                    assert (degA, degB, dega, degb) == tuple(map(degree, (A, B, a, b)))
+                    iterations, reads, needed = its, 0, degree(B) - degree(A) + 1
+                assert (q != 0) == (0 < reads < needed), (f, c, op_id)
