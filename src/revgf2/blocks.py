@@ -1,8 +1,11 @@
 """Builders for the reversible building blocks: SWAP, shifts, counters,
-degree computation, conditional XOR, and the modular multiply-accumulate.
+the leading-zero count and degree computation, conditional XOR, and the
+modular multiply-accumulate.
 
-Width conventions follow the usual ceil(log m) collapse: the same
-ceil(log2 m)-wire register serves for values up to m-1, m, or m+1.
+Count and degree registers for an m-wire value have ceil(log2 m) wires.
+They hold 0..m-1, every degree and every leading-zero count of a nonzero
+m-wire value.  They hold m only when m is not a power of two: at m = 2^k,
+m needs ceil(log2(m+1)) = k+1 bits.
 """
 
 from __future__ import annotations
@@ -91,21 +94,10 @@ def build_controlled_shift(n: int, k: int, direction: str = "left") -> Circuit:
     return c
 
 
-def _increment_gates(reg: str, w: int, anc: str, extra_controls=()):
-    """Gate list for +1 mod 2^(w+1) on reg[0..w-1] with anc[0] as the
-    most-significant result bit.  Optional extra controls condition the
-    whole increment (used by the degree circuit's gated decrements)."""
-    extra = list(extra_controls)
-    gates = []
-    for j in range(w, 0, -1):
-        target = (anc, 0) if j == w else (reg, j)
-        controls = extra + [((reg, i), 1) for i in range(j)]
-        gates.append(cnot(controls, target))
-    if extra:
-        gates.append(cnot(extra, (reg, 0)))
-    else:
-        gates.append(gate_not((reg, 0)))
-    return gates
+def _increment_gates(wires) -> list[Gate]:
+    """Gate list for +1 mod 2^len(wires), least significant wire first."""
+    gates = [cnot([(w, 1) for w in wires[:j]], wires[j]) for j in range(len(wires) - 1, 0, -1)]
+    return gates + [gate_not(wires[0])]
 
 
 def build_increment(w: int) -> Circuit:
@@ -114,7 +106,7 @@ def build_increment(w: int) -> Circuit:
     if w < 1:
         raise BadParameter("increment needs w >= 1")
     c = Circuit({"k": w, "anc": 1})
-    c.extend(_increment_gates("k", w, "anc"))
+    c.extend(_increment_gates([("k", i) for i in range(w)] + [("anc", 0)]))
     return c
 
 
@@ -124,30 +116,46 @@ def build_decrement(w: int) -> Circuit:
     if w < 1:
         raise BadParameter("decrement needs w >= 1")
     c = Circuit({"k": w, "anc": 1})
-    c.extend(reversed(_increment_gates("k", w, "anc")))
+    c.extend(reversed(_increment_gates([("k", i) for i in range(w)] + [("anc", 0)])))
     return c
+
+
+def normalize_gates(div: str, n: int, s: str) -> list[Gate]:
+    """Binary-search normalization of a nonzero n-wire register `div` with
+    the ceil(log n)-wire register `s` at 0 (Warren, Hacker's Delight,
+    section 5-3): for j = L-1 down to 0, NOT s_j under 0-controls on the
+    top 2^j wires of div, then rotate div left by 2^j on s_j.  Each stage
+    leaves fewer than 2^j leading zeros, so s ends as n-1-deg(div) and
+    div's top wire at 1; a rotation over zero top wires is a shift.  The
+    gates reversed undo both."""
+    L = log2_ceil(n)
+    gates = []
+    for j in reversed(range(L)):
+        gates.append(cnot([((div, n - 1 - u), 0) for u in range(1 << j)], (s, j)))
+        gates.extend(controlled_rotation_stage(div, n, s, j, "left"))
+    return gates
 
 
 def build_degree(m: int) -> Circuit:
     """Compute deg(A) of a nonzero A into a ceil(log m)-wire register.
 
-    The degree register is initialized to m-1, then one gated decrement per
-    prefix length t = 1..m-1, firing when the top t coefficients of A are
-    all zero (0-controls), counts it down to deg(A).  One shared ancilla
-    serves all the decrements, so the block costs ceil(log m)+1 qubits
-    beyond |A>.
+    The normalization leaves A's leading-zero count s = m-1-deg(A) in the
+    register, with A rotated left by s; rotating A right by s restores it.
+    A NOT on every register wire gives 2^L-1-s, and adding m mod 2^L, one
+    increment over deg[i..L-1] per set bit i, leaves deg(A).  No ancilla:
+    ceil(log m) qubits beyond |A>.
     """
     if m < 2:
         raise BadParameter("the degree block needs m >= 2")
     L = log2_ceil(m)
-    c = Circuit({"a": m, "deg": L, "anc": 1})
-    init = m - 1
-    for j in range(L):
-        if (init >> j) & 1:
-            c.add(gate_not(("deg", j)))
-    for t in range(1, m):
-        prefix_zero = [(("a", m - 1 - u), 0) for u in range(t)]
-        c.extend(reversed(_increment_gates("deg", L, "anc", extra_controls=prefix_zero)))
+    deg = [("deg", j) for j in range(L)]
+    c = Circuit({"a": m, "deg": L})
+    c.extend(normalize_gates("a", m, "deg"))
+    c.extend(controlled_rotation_gates("a", m, "deg", L, "right"))
+    c.extend(gate_not(w) for w in deg)
+    for i in range(L):
+        if (m >> i) & 1:
+            c.extend(_increment_gates(deg[i:]))
     return c
 
 

@@ -128,8 +128,9 @@ class Circuit:
 
 
 # Gate lines per generated function.  Compiling the m = 16 Euclid iteration
-# (1 708 gates) as one function peaks at about 6 MB of compiler memory,
-# 128-line chunks at about 1.1 MB.
+# (1 424 gates, 1 360 lines once SWAPs are relabellings) as one function
+# peaks at about 3.7 MB under tracemalloc on Python 3.11, 128-line chunks
+# at about 0.65 MB.
 _CHUNK_GATES = 128
 
 

@@ -3,11 +3,12 @@
 The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
 (q, r) = divmod(B, A), as a fixed gate sequence:
 
-  1-2. normalize: a binary search for A's leading zeros (Warren, Hacker's
-     Delight, section 5-3).  For j = L-1 down to 0, bit j of a register S
-     is set if the top 2^j wires of A are all zero, and A then rotates
-     left by 2^j if that bit is set.  S ends as A's leading-zero count,
-     and A's leading coefficient sits at the top wire,
+  1-2. normalize with `blocks.normalize_gates`, a binary search for A's
+     leading zeros (Warren, Hacker's Delight, section 5-3).  For j = L-1
+     down to 0, bit j of a register S is set if the top 2^j wires of A
+     are all zero, and A then rotates left by 2^j if that bit is set.  S
+     ends as A's leading-zero count, and A's leading coefficient sits at
+     the top wire,
   3. m+1 quotient rounds with fixed wiring: round t copies B's bit m-t
      into the quotient register and conditionally subtracts the aligned
      divisor; rounds beyond the quotient length are disabled by a flag
@@ -30,8 +31,8 @@ import functools
 from dataclasses import dataclass
 from operator import itemgetter, or_
 
-from .blocks import controlled_rotation_gates, controlled_rotation_stage, log2_ceil, rotation_gates
-from .circuit import Circuit, Gate, _simulate, cnot, gate_not, lane_values, pack_lanes, swap
+from .blocks import controlled_rotation_gates, log2_ceil, normalize_gates, rotation_gates
+from .circuit import Circuit, _simulate, cnot, gate_not, lane_values, pack_lanes, swap
 from .errors import InvariantViolation, ZeroElement
 from .field import FieldSpec, require_element
 from .poly import degree
@@ -59,21 +60,6 @@ class EuclideanPairs:
 def _pattern_controls(reg: str, width: int, value: int):
     """Controls asserting reg == value (0-controls on the clear bits)."""
     return [((reg, i), (value >> i) & 1) for i in range(width)]
-
-
-def normalize_gates(div: str, n: int, s: str) -> list[Gate]:
-    """Binary-search normalization of a nonzero n-wire register `div` with
-    the ceil(log n)-wire register `s` at 0: for j = L-1 down to 0, NOT s_j
-    under 0-controls on the top 2^j wires of div, then rotate div left by
-    2^j on s_j.  Each stage leaves fewer than 2^j leading zeros, so s ends
-    as n-1-deg(div) and div's top wire at 1; a rotation over zero top wires
-    is a shift.  The gates reversed undo both."""
-    L = log2_ceil(n)
-    gates = []
-    for j in reversed(range(L)):
-        gates.append(cnot([((div, n - 1 - u), 0) for u in range(1 << j)], (s, j)))
-        gates.extend(controlled_rotation_stage(div, n, s, j, "left"))
-    return gates
 
 
 def _division_gates(m: int, div: str, dvd: str, quo: str, s: str, flg: str):

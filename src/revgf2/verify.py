@@ -28,7 +28,7 @@ class CheckResult:
 
 def check_blocks(m: int) -> CheckResult:
     """Every block in `blocks.BLOCKS`, sized from m, is a permutation, and
-    the degree block gives deg(a) with clean scratch on every nonzero a.  A
+    the degree block gives deg(a) and restores a on every nonzero a.  A
     block wider than MAX_LANE_BITS is listed in `skipped`, not counted as
     checked."""
     mismatches, skipped = [], []
@@ -42,8 +42,8 @@ def check_blocks(m: int) -> CheckResult:
         elif not check_permutation(built):
             mismatches.append(f"{name}: not a permutation")
     run = sweep(blocks.build_degree(m), ("a",))
-    for a, deg, anc in zip(range(run.lanes), run.values("deg"), run.values("anc")):
-        if a and (deg != degree(a) or anc):
+    for a, deg, out in zip(range(run.lanes), run.values("deg"), run.values("a")):
+        if a and (deg != degree(a) or out != a):
             mismatches.append(f"deg: a={format_poly(a, m)}")
     return CheckResult(len(blocks.BLOCKS) - len(skipped) + (1 << m) - 1, mismatches, skipped=skipped)
 

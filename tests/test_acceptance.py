@@ -87,13 +87,13 @@ def test_criterion_3_structural_gate_counts(announce):
     )
     inc_ok = all(build_increment(w).layout["anc"] == 1 for w in (1, 3, 5))
     deg_ok = all(
-        build_degree(m).width - m == log2_ceil(m) + 1 for m in (2, 4, 8, 16)
+        build_degree(m).width - m == log2_ceil(m) for m in (2, 4, 8, 16)
     )
     announce(
         3,
         ok and shift_ok and inc_ok and deg_ok,
         "swap = 3 CNOT, shift(n) = n-1 SWAP, increment has exactly 1 ancilla, "
-        "degree block adds ceil(log m)+1 qubits",
+        "degree block adds ceil(log m) qubits",
     )
 
 

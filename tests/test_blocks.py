@@ -102,14 +102,26 @@ def test_decrement_inverts_increment():
 
 
 def test_degree_block_width_and_oracle():
-    for m in (2, 3, 4, 5, 8):
+    for m in range(2, 17):
         c = build_degree(m)
-        assert c.width == m + log2_ceil(m) + 1  # ceil(log m)+1 beyond |A>
-        for a in range(1, 1 << m):
-            out = run(c, a=a)
-            assert out.get_reg("deg") == degree(a)
-            assert out.get_reg("anc") == 0
-            assert out.get_reg("a") == a
+        assert c.width == m + log2_ceil(m)  # no ancilla beyond |A> and the degree
+        run_all = sweep(c, ("a",))
+        for a, deg, out in zip(range(run_all.lanes), run_all.values("deg"), run_all.values("a")):
+            if a:
+                assert (deg, out) == (degree(a), a), (m, a)
+
+
+def toffoli_equiv(circ):
+    """2k - 3 Toffolis per NOT with k >= 2 controls (Barenco et al. 1995)."""
+    return sum((2 * k - 3) * n for k, n in report(circ).control_arity.items() if k >= 2)
+
+
+def test_degree_block_costs():
+    for m in range(2, 17):
+        # the widest gate is the top-half zero test, or a controlled swap's Toffoli
+        assert max(report(build_degree(m)).control_arity) == max(2, 1 << (log2_ceil(m) - 1))
+    assert toffoli_equiv(build_degree(16)) <= 117
+    assert toffoli_equiv(build_degree(163)) <= 3141
 
 
 def test_degree_block_needs_m_at_least_2():

@@ -30,7 +30,7 @@ def test_synth_shift_netlist_file(tmp_path, capsys):
 def test_synth_degree_width(capsys):
     assert main(["synth", "deg", "--m", "4"]) == 0
     payload, _ = last_json(capsys)
-    assert payload["width"] == 7  # 4 + ceil(log 4) + 1
+    assert payload["width"] == 6  # 4 + ceil(log 4)
 
 
 def test_synth_unknown_block_usage_error(capsys):

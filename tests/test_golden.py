@@ -10,7 +10,13 @@ import hashlib
 
 import pytest
 
-from revgf2.blocks import build_controlled_shift, build_degree, build_mul_accumulate
+from revgf2.blocks import (
+    build_controlled_shift,
+    build_decrement,
+    build_degree,
+    build_increment,
+    build_mul_accumulate,
+)
 from revgf2.circuit import emit_netlist, report
 from revgf2.cli import main
 from revgf2.field import default_field
@@ -43,13 +49,29 @@ GOLDEN = {
     "degree-m8": (
         lambda: build_degree(8),
         {
-            "width": 12, "depth": 29, "gates_total": 31, "gates_not": 3,
-            "gates_cnot": 28, "gates_swap": 0, "cnot_arity_1": 1,
-            "cnot_arity_2": 2, "cnot_arity_3": 3, "cnot_arity_4": 4,
-            "cnot_arity_5": 4, "cnot_arity_6": 4, "cnot_arity_7": 4,
-            "cnot_arity_8": 3, "cnot_arity_9": 2, "cnot_arity_10": 1,
+            "width": 11, "depth": 76, "gates_total": 108, "gates_not": 3,
+            "gates_cnot": 105, "gates_swap": 0, "cnot_arity_1": 69,
+            "cnot_arity_2": 35, "cnot_arity_4": 1,
         },
-        "5e83e3acd83e4e8e71a740100638045e4f0a7184d50aa6f1253d134564f06194",
+        "509d5974c742430c50a23a86b6dd10dc8133a77e4230e5a95f408309349ea27e",
+    ),
+    "increment-w3": (
+        lambda: build_increment(3),
+        {
+            "width": 4, "depth": 4, "gates_total": 4, "gates_not": 1,
+            "gates_cnot": 3, "gates_swap": 0, "cnot_arity_1": 1,
+            "cnot_arity_2": 1, "cnot_arity_3": 1,
+        },
+        "04b640d653206ffcba8b858c50abf595d2b210d41f39c2e7132698a2b2d16b87",
+    ),
+    "decrement-w3": (
+        lambda: build_decrement(3),
+        {
+            "width": 4, "depth": 4, "gates_total": 4, "gates_not": 1,
+            "gates_cnot": 3, "gates_swap": 0, "cnot_arity_1": 1,
+            "cnot_arity_2": 1, "cnot_arity_3": 1,
+        },
+        "eb9245d7c1663e00e9d816b6577a24758675d87f7924d0093542579681bcf206",
     ),
     "controlled-shift-n5-k3": (
         lambda: build_controlled_shift(5, 3),

@@ -1,6 +1,7 @@
 import pytest
 
-from revgf2 import verify
+from revgf2 import blocks, verify
+from revgf2.circuit import Circuit
 from revgf2.field import FieldSpec, field_invert
 from revgf2.poly import format_poly
 
@@ -21,3 +22,21 @@ def test_faulty_inverse_is_reported(fault, monkeypatch):
     assert result.checked == 15 and result.flagged == 0
     assert result.mismatches == [format_poly(c, 4) for c in inputs]
 
+
+
+def test_degree_block_that_leaves_a_rotated_is_reported(monkeypatch):
+    build_degree = blocks.build_degree
+
+    def without_rotate_back(m):
+        """The degree block without its step that rotates a back."""
+        full = build_degree(m)
+        start = len(blocks.normalize_gates("a", m, "deg"))
+        end = start + len(blocks.controlled_rotation_gates("a", m, "deg", blocks.log2_ceil(m), "right"))
+        broken = Circuit(full.layout)
+        broken.extend(full.gates[:start] + full.gates[end:])
+        return broken
+
+    monkeypatch.setattr(blocks, "build_degree", without_rotate_back)
+    m = 4
+    # deg is still right; a stays rotated left by its leading-zero count
+    assert verify.check_blocks(m).mismatches == [f"deg: a={format_poly(a, m)}" for a in range(1, 1 << (m - 1))]
