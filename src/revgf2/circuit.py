@@ -8,9 +8,13 @@ runs one state as one lane, `sweep` every value of the named registers and
 `run_lanes` a given list of values, one lane each; `pack_lanes` and
 `lane_values` convert between per-lane values and a register's wire ints.
 All of them run one kernel, generated once per circuit on its first run: each gate
-becomes one line of straight-line Python such as `w17 ^= w3 & ~w9`, compiled
-in chunks of functions over local wire ints.  A SWAP only relabels which list
-slot holds which wire while the code is generated, so it costs nothing to run.
+becomes one line of Python such as `w17 ^= w3 & ~w9`, compiled in chunks of
+functions over local wire ints.  A SWAP only relabels which list slot holds
+which wire while the code is generated, so it costs nothing to run.  A run
+of lines that does nothing in a lane where one wire g is 0 (gates that share
+the 1-control g, or the three lines of a controlled swap on g) runs as one
+block under `if w{g}:`.  No line in the block writes g, and the block is
+skipped only when g is 0 in every lane, so this is exact for any lane count.
 """
 
 from __future__ import annotations
@@ -94,54 +98,112 @@ class Circuit:
         return sum(self.layout.values())
 
     def _kernel(self) -> tuple[list, list[int]]:
-        """The generated kernel, built on the first run: straight-line chunk
-        functions over the wire list, and the slot each wire ends in."""
+        """The generated kernel, built on the first run: chunk functions over
+        the wire list, and the slot each wire ends in.
+
+        One streaming pass turns the gates into slot-resolved lines, the
+        lines into units and the units into chunks.  A unit is one line, or
+        the three lines `a ^= b; b ^= s & a; a ^= b` of a controlled swap.
+        It is the identity in every lane where its guard is 0: any 1-control
+        of a single line, but only s of a controlled swap, whose first line
+        writes a.  Consecutive units in a chunk that share a guard g run
+        under one `if w{g}:`.  Since g is a control in every unit of the
+        run, none writes it: when g is 0 in every lane at the run's start,
+        every unit is the identity, and only then is the run skipped.
+        """
         if self._ops is None:
             wires = [(name, i) for name, width in self.layout.items() for i in range(width)]
             index = {w: i for i, w in enumerate(wires)}
             slot = list(range(len(wires)))  # slot[i]: the list position holding wire i
-            chunks = []
-            lines: list[str] = []
-            loads: dict[int, None] = {}  # slots the chunk reads, in first-use order
-            stores: dict[int, None] = {}  # slots it writes
-            for g in self.gates:
-                if g.kind == SWAP:
-                    a, b = (index[w] for w in g.targets)
-                    slot[a], slot[b] = slot[b], slot[a]
-                    continue
-                ones = [slot[index[w]] for w, pol in g.controls if pol]
-                zeros = [slot[index[w]] for w, pol in g.controls if not pol]
-                t = slot[index[g.targets[0]]]
-                # without a 1-control, mask keeps ~w inside the lanes
-                terms = [f"w{c}" for c in ones] or ["mask"]
-                terms += [f"~w{c}" for c in zeros]
-                lines.append(f"w{t} ^= {' & '.join(terms)}")
-                loads.update(dict.fromkeys(ones + zeros + [t]))
-                stores[t] = None
-                if len(lines) == _CHUNK_GATES:
-                    chunks.append(_compile_chunk(lines, loads, stores))
-                    lines, loads, stores = [], {}, {}
-            if lines:
-                chunks.append(_compile_chunk(lines, loads, stores))
+            chunks = [_compile_chunk(runs) for runs in _chunk_runs(_units(_slot_lines(self.gates, index, slot)))]
             self._ops = (chunks, slot)
         return self._ops
 
 
 # Gate lines per generated function.  Compiling the m = 16 Euclid iteration
-# (1 424 gates, 1 360 lines once SWAPs are relabellings) as one function
-# peaks at about 3.7 MB under tracemalloc on Python 3.11, 128-line chunks
-# at about 0.65 MB.
+# (1 424 gates, 1 360 lines once SWAPs are relabellings, with its guarded
+# blocks) as one function peaks at about 4.2 MB under tracemalloc on
+# Python 3.11, streamed into 128-line chunks at about 0.75 MB.
 _CHUNK_GATES = 128
 
 
-def _compile_chunk(lines: list[str], loads, stores):
+def _slot_lines(gates, index: dict[Wire, int], slot: list[int]):
+    """Each NOT and CNOT as (target, 1-controls, 0-controls) in list slots.
+    A SWAP exchanges two entries of `slot` and yields nothing."""
+    for g in gates:
+        if g.kind == SWAP:
+            a, b = (index[w] for w in g.targets)
+            slot[a], slot[b] = slot[b], slot[a]
+            continue
+        ones = [slot[index[w]] for w, pol in g.controls if pol]
+        zeros = [slot[index[w]] for w, pol in g.controls if not pol]
+        yield slot[index[g.targets[0]]], ones, zeros
+
+
+def _units(lines):
+    """(guards, lines) per unit: a controlled swap `a ^= b; b ^= s & a;
+    a ^= b` whose only guard is s, or one line guarded by each 1-control.
+    Holds at most three lines, to see a controlled swap whole."""
+    window = []
+    for line in lines:
+        window.append(line)
+        if len(window) < 3:
+            continue
+        (a, ab, az), (b, bb, bz), third = window
+        if ab == [b] and not az and len(bb) == 2 and a in bb and not bz and third == window[0]:
+            yield frozenset(bb) - {a}, window
+            window = []
+        else:
+            yield frozenset(ab), window[:1]
+            del window[0]
+    for line in window:
+        yield frozenset(line[1]), [line]
+
+
+def _chunk_runs(units):
+    """Pack units into chunks of at most _CHUNK_GATES lines; a chunk is a
+    list of [guards, lines] runs, where a unit joins the run before it if
+    they share a guard and the run's guards narrow to the shared ones."""
+    runs: list[list] = []
+    size = 0
+    for guards, lines in units:
+        if size + len(lines) > _CHUNK_GATES:
+            yield runs
+            runs, size = [], 0
+        if runs and runs[-1][0] & guards:
+            runs[-1][0] &= guards
+            runs[-1][1] += lines
+        else:
+            runs.append([guards, list(lines)])
+        size += len(lines)
+    if runs:
+        yield runs
+
+
+def _compile_chunk(runs):
     """One chunk: load the wires it touches into locals, clear the target
     slots so each target's old int dies when its first line replaces it, run
-    its gate lines, store the targets back.  The source holds only slot
+    its gate lines, store the targets back.  A run of more than one line
+    runs under `if w{g}:` on its lowest guard g.  The source holds only slot
     numbers, `w`, `mask` and the operators, never a register name, and runs
     without builtins."""
+    loads: dict[int, None] = {}  # slots the chunk reads, in first-use order
+    stores: dict[int, None] = {}  # slots it writes
+    code: list[str] = []
+    for guards, lines in runs:
+        indent = ""
+        if len(lines) > 1:
+            code.append(f"if w{min(guards)}:")
+            indent = " "
+        for t, ones, zeros in lines:
+            # without a 1-control, mask keeps ~w inside the lanes
+            terms = [f"w{c}" for c in ones] or ["mask"]
+            terms += [f"~w{c}" for c in zeros]
+            code.append(f"{indent}w{t} ^= {' & '.join(terms)}")
+            loads.update(dict.fromkeys(ones + zeros + [t]))
+            stores[t] = None
     body = [f"w{s} = w[{s}]" for s in loads] + [f"w[{s}] = 0" for s in stores]
-    body += lines + [f"w[{s}] = w{s}" for s in stores]
+    body += code + [f"w[{s}] = w{s}" for s in stores]
     namespace: dict = {"__builtins__": {}}
     exec(compile("def chunk(w, mask):\n " + "\n ".join(body), "<circuit kernel>", "exec"), namespace)
     return namespace["chunk"]

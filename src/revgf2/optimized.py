@@ -28,6 +28,7 @@ gate list yet, so the machine has no gate count or depth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .blocks import log2_ceil
@@ -43,6 +44,7 @@ OP_NAMES = {O1A: "o1a", O1B: "o1b", O1C: "o1c", O2: "o2"}
 # --- layout and budget -----------------------------------------------------
 
 
+@functools.cache  # o1a reads it on every quotient bit
 def quotient_capacity(m: int) -> int:
     """The bounded quotient register width, 3*ceil(log m) bits."""
     return 3 * log2_ceil(m)

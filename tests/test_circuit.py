@@ -1,9 +1,11 @@
+import dis
 import random
 import tracemalloc
 
 import pytest
 
 from revgf2 import circuit
+from revgf2.blocks import controlled_rotation_stage
 from revgf2.circuit import (
     SWAP,
     BasisState,
@@ -200,6 +202,73 @@ def test_register_names_never_reach_the_kernel():
         assert all(v in ("w", "mask") or v[0] == "w" and v[1:].isdigit() for v in code.co_varnames)
 
 
+def guarded_blocks(c):
+    """How many `if w{g}:` blocks the circuit's kernel runs."""
+    return sum(i.opname.startswith("POP_JUMP") for chunk in c._kernel()[0] for i in dis.get_instructions(chunk))
+
+
+def check_every_guard_value(c, data, guard, rng):
+    """check_against_reference with the guard register 0 in every lane (only
+    `data` swept), swept with `data` (mixed), and 1 in every lane (NOTs in front)."""
+    check_against_reference(c, data, rng)
+    check_against_reference(c, data + (guard,), rng)
+    ones = [gate_not((guard, i)) for i in range(c.layout[guard])]
+    check_against_reference(Circuit(dict(c.layout), ones + c.gates), data, rng)
+
+
+def test_controlled_swaps_run_in_guarded_blocks():
+    rng = random.Random(13)
+    for n, k in ((3, 2), (5, 3), (6, 3)):
+        stages = [(j, d) for d in ("left", "right") for j in range(k) if (1 << j) % n]
+        c = Circuit({"d": n, "s": k})
+        for j, direction in stages:
+            c.extend(controlled_rotation_stage("d", n, "s", j, direction))
+        assert guarded_blocks(c) == len(stages)  # one per stage: its swaps share s_j
+        check_every_guard_value(c, ("d",), "s", rng)
+    # a lone controlled swap runs under s, never under its middle gate's other control
+    c = Circuit({"d": 2, "s": 1}, controlled_rotation_stage("d", 2, "s", 0, "left"))
+    assert guarded_blocks(c) == 1
+    check_every_guard_value(c, ("d",), "s", rng)
+
+
+def test_toffolis_that_share_a_one_control_run_in_one_block():
+    rng = random.Random(17)
+    c = Circuit({"x": 4, "y": 4, "g": 2})
+    g, h = ("g", 1), ("g", 0)
+    c.add(cnot([(g, 1), (h, 1)], ("y", 0)))  # guarded by g or h; the next gate narrows the run to g
+    c.extend(cnot([(("x", i), 1), (g, 1), (("x", i - 1), 0)], ("y", i)) for i in range(1, 4))
+    c.add(cnot([(h, 1)], ("y", 0)))  # a run of one line stays a plain line
+    assert guarded_blocks(c) == 1
+    check_every_guard_value(c, ("x", "y"), "g", rng)
+    # a run longer than a chunk ends with the chunk and goes on under a new
+    # guard; the two lines left over make the second block
+    c = Circuit({"x": 4, "y": 4, "g": 2})
+    lines = circuit._CHUNK_GATES + 2
+    c.extend(cnot([(g, 1), (("x", i % 4), 1)], ("y", i * 3 % 4)) for i in range(lines))
+    assert len(c._kernel()[0]) == 2 and guarded_blocks(c) == 2
+    check_every_guard_value(c, ("x",), "g", rng)
+
+
+def test_near_misses_stay_unguarded():
+    rng = random.Random(19)
+    layout = {"a": 1, "b": 1, "c": 1, "g": 1, "x": 3, "y": 3}
+    a, b, c, g = ("a", 0), ("b", 0), ("c", 0), ("g", 0)
+    x, y = [("x", i) for i in range(3)], [("y", i) for i in range(3)]
+    near_misses = {
+        "a line between two that share g writes g": [
+            cnot([(g, 1), (x[0], 1)], y[0]), cnot([(x[1], 1)], g), cnot([(g, 1), (x[2], 1)], y[2])],
+        "the middle gate's other control is not the outer target": [
+            cnot([(b, 1)], a), cnot([(g, 1), (c, 1)], b), cnot([(b, 1)], a)],
+        "a SWAP relabels the outer target inside the triple": [
+            cnot([(b, 1)], a), cnot([(g, 1), (a, 1)], b), swap(a, c), cnot([(b, 1)], a)],
+        "a shared 0-control": [cnot([(g, 0), (x[i], 1)], y[i]) for i in range(3)],
+    }
+    for name, gates in near_misses.items():
+        circ = Circuit(dict(layout), gates)
+        assert guarded_blocks(circ) == 0, name
+        check_every_guard_value(circ, ("a", "b", "c", "x"), "g", rng)
+
+
 def test_compiled_gates_follow_add():
     c = Circuit({"a": 2})
     c.add(gate_not(("a", 0)))
@@ -213,8 +282,9 @@ def test_compiled_gates_follow_add():
 
 
 def test_kernel_generation_memory_is_bounded():
-    # the m = 16 Euclid iteration compiled as one function peaks at about 6 MB;
-    # 128-gate chunks keep the compiler near 1.1 MB
+    # the m = 16 Euclid iteration compiled as one function peaks at about 4 MB;
+    # streamed into chunks of _CHUNK_GATES lines it peaks near 0.75 MB, and
+    # listing every line before chunking them takes it above 1.2 MB
     iteration = build_euclid_iteration(16)
     c = Circuit(dict(iteration.layout), list(iteration.gates))  # a copy with no kernel yet
     tracemalloc.start()
@@ -223,7 +293,7 @@ def test_kernel_generation_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000
+    assert peak < 1_000_000
 
 
 def test_sweep_memory_holds_one_int_per_wire():
