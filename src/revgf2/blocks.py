@@ -202,7 +202,7 @@ def build_mul_accumulate(field: FieldSpec) -> Circuit:
 
 
 # Every block by name: its builder and the integer sizes it takes, in order.
-# `revgf2 synth` makes each size a required option; `verify.check_blocks` builds every block.
+# `revgf2 synth` makes each size a required option; `verify.check_blocks` holds each oracle.
 BLOCKS = {
     "swap": (build_swap, ()),
     "shiftl": (build_cyclic_shift, ("n",)),

@@ -342,18 +342,6 @@ def run_lanes(circuit: Circuit, values: dict[str, list[int]]) -> Sweep:
     return _run_sweep(circuit, n, before)
 
 
-def inverse(circuit: Circuit) -> Circuit:
-    """Reverse the gate order; every gate kind here is self-inverse."""
-    return Circuit(dict(circuit.layout), list(reversed(circuit.gates)))
-
-
-def compose(first: Circuit, second: Circuit) -> Circuit:
-    """Concatenate: run `first` then `second` (second's registers must exist)."""
-    if not _compatible(first.layout, second.layout):
-        raise LayoutMismatch("second circuit's registers missing from first's layout")
-    return Circuit(dict(first.layout), list(first.gates) + list(second.gates))
-
-
 @dataclass
 class ResourceReport:
     """Width, per-kind and per-control-arity gate counts, greedy depth."""
@@ -396,13 +384,6 @@ def report(circuit: Circuit) -> ResourceReport:
             wire_layer[w] = layer
         depth = max(depth, layer)
     return ResourceReport(circuit.width, counts, arity, depth)
-
-
-def check_permutation(circuit: Circuit) -> bool:
-    """Exhaustively verify the circuit is a bijection: one sweep through it and
-    its inverse gives every basis state back, so the circuit is injective."""
-    run = sweep(compose(circuit, inverse(circuit)), tuple(circuit.layout))
-    return run.after == run.before
 
 
 # --- text netlist format ---------------------------------------------------

@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import blocks, optimized, verify
-from .circuit import emit_netlist, report
+from .circuit import MAX_LANE_BITS, emit_netlist, report
 from .curve import CurvePoint, ec_add, enumerate_points, load_curve
 from .ecgroup import FixedPointParams, simulate_group_add
 from .errors import BadParameter, RevGF2Error, ScopeTooLarge
@@ -182,6 +182,8 @@ def verify_naive_div(args) -> int:
         pairs = _distinct_sample(
             args, lambda rng: (rng.randrange(1, 1 << m), rng.randrange(0, 1 << (m + 1))), ((1 << m) - 1) << (m + 1)
         )
+    elif 2 * m + 1 > MAX_LANE_BITS:
+        raise ScopeTooLarge(f"{2 * m + 1} swept bits exceed the {MAX_LANE_BITS}-bit lane bound; use --sample <n>")
     return _verify_payload("naive-div", verify.check_division(m, pairs), {"m": m})
 
 
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle-equivalence sweeps")
     targets = p.add_subparsers(dest="target", required=True, metavar="target")
-    t = targets.add_parser("blocks", help="every block is a permutation; the degree block is exact")
+    t = targets.add_parser("blocks", help="every block against its oracle on every swept input")
     t.add_argument("--m", type=int, default=4)
     t.set_defaults(func=verify_blocks)
     t = targets.add_parser("naive-div", help="the long division against poly_divmod")

@@ -7,10 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import blocks
-from .circuit import MAX_LANE_BITS, check_permutation, run_lanes, sweep
+from .circuit import MAX_LANE_BITS, lane_values, run_lanes, sweep
 from .curve import CurvePoint, ec_add
 from .ecgroup import FixedPointParams, generic_points, simulate_group_add
-from .field import FieldSpec, field_mul
+from .field import FieldSpec, default_field, field_mul
 from .naive import build_naive_long_division, run_naive_inversions
 from .optimized import run_synchronized
 from .poly import degree, format_poly, poly_divmod
@@ -27,25 +27,42 @@ class CheckResult:
 
 
 def check_blocks(m: int) -> CheckResult:
-    """Every block in `blocks.BLOCKS`, sized from m, is a permutation, and
-    the degree block gives deg(a) and restores a on every nonzero a.  A
-    block wider than MAX_LANE_BITS is listed in `skipped`, not counted as
-    checked."""
-    mismatches, skipped = [], []
-    L = blocks.log2_ceil(m)
-    sizes = {"swap": (), "shiftl": (m + 1,), "shiftr": (m + 1,), "cshift": (m, L), "inc": (L,),
-             "dec": (L,), "deg": (m,), "cxor": (m,), "mulacc": (m,)}
+    """Every block in `blocks.BLOCKS`, sized from m, against its oracle.  Its
+    row in `table` holds the sizes, the registers one sweep runs through, and
+    each lane's expected registers in layout order from its swept values, or
+    None for a lane outside the block's domain (the degree block's a = 0).
+    `checked` counts (block, input) pairs; a mismatch names the block and the
+    input.  A block whose swept registers exceed MAX_LANE_BITS is `skipped`."""
+    L, n, field = blocks.log2_ceil(m), m + 1, default_field(m)
+    rot = lambda v, w, d: (v << d % w | v >> w - d % w) & ((1 << w) - 1)  # left by d, right for d < 0
+    count = lambda k, anc, d: divmod(((k | anc << L) + d) % (2 << L), 1 << L)[::-1]  # k | anc << L, plus d, wrapped
+    table = {
+        "swap": ((), ("q",), lambda q: (q >> 1 | (q & 1) << 1,)),
+        "shiftl": ((n,), ("r",), lambda r: (rot(r, n, 1),)),
+        "shiftr": ((n,), ("r",), lambda r: (rot(r, n, -1),)),
+        "cshift": ((m, L), ("data", "shift"), lambda data, shift: (rot(data, m, shift), shift)),
+        "inc": ((L,), ("k", "anc"), lambda k, anc: count(k, anc, 1)),
+        "dec": ((L,), ("k", "anc"), lambda k, anc: count(k, anc, -1)),
+        "deg": ((m,), ("a",), lambda a: (a, degree(a)) if a else None),
+        "cxor": ((m,), ("ctl", "a", "b"), lambda ctl, a, b: (ctl, a, b ^ a * ctl)),
+        "mulacc": ((m,), ("x", "y", "t"), lambda x, y, t: (x, y, t ^ field_mul(x, y, field))),
+    }
+    checked, mismatches, skipped = 0, [], []
     for name, (build, _) in blocks.BLOCKS.items():
-        built = build(*sizes[name])
-        if built.width > MAX_LANE_BITS:
+        sizes, swept, expect = table[name]
+        built = build(*sizes)
+        if sum(built.layout[r] for r in swept) > MAX_LANE_BITS:
             skipped.append(name)
-        elif not check_permutation(built):
-            mismatches.append(f"{name}: not a permutation")
-    run = sweep(blocks.build_degree(m), ("a",))
-    for a, deg, out in zip(range(run.lanes), run.values("deg"), run.values("a")):
-        if a and (deg != degree(a) or out != a):
-            mismatches.append(f"deg: a={format_poly(a, m)}")
-    return CheckResult(len(blocks.BLOCKS) - len(skipped) + (1 << m) - 1, mismatches, skipped=skipped)
+            continue
+        run = sweep(built, swept)
+        inputs = zip(*(lane_values(run.before[r], run.lanes) for r in swept))
+        for values, got in zip(inputs, zip(*map(run.values, built.layout))):
+            want = expect(*values)
+            checked += want is not None
+            if want is not None and got != want:
+                named = (f"{r}={format_poly(v, built.layout[r])}" for r, v in zip(swept, values))
+                mismatches.append(f"{name}: {' '.join(named)}")
+    return CheckResult(checked, mismatches, skipped=skipped)
 
 
 def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckResult:

@@ -14,10 +14,11 @@ from revgf2.blocks import (
     log2_ceil,
     rotation_gates,
 )
-from revgf2.circuit import BasisState, apply, check_permutation, report, swap, sweep
+from revgf2.circuit import BasisState, apply, report, swap, sweep
 from revgf2.errors import BadParameter
 from revgf2.field import FieldSpec, field_mul
 from revgf2.poly import degree
+from revgf2.verify import check_blocks
 
 
 def run(circ, **values):
@@ -30,12 +31,19 @@ def test_log2_ceil():
         log2_ceil(0)
 
 
+@pytest.mark.parametrize("m", range(2, 6))
+def test_every_block_matches_its_oracle(m):
+    result = check_blocks(m)
+    assert result.mismatches == [] and result.skipped == []
+    L = log2_ceil(m)
+    # swept bits per block: swap 2, shifts m + 1, cshift m + L, inc/dec L + 1, cxor 2m + 1, mulacc 3m;
+    # deg sweeps a's m bits and skips a = 0
+    swept = [2, m + 1, m + 1, m + L, L + 1, L + 1, 2 * m + 1, 3 * m]
+    assert result.checked == sum(1 << bits for bits in swept) + (1 << m) - 1
+
+
 def test_swap_three_cnots():
-    c = build_swap()
-    assert report(c).gate_counts == {"CNOT": 3}
-    for q in range(4):
-        out = run(c, q=q)
-        assert out.get_reg("q") == ((q >> 1) | ((q & 1) << 1))
+    assert report(build_swap()).gate_counts == {"CNOT": 3}
 
 
 def rotate(v, n, d, direction):
@@ -46,13 +54,12 @@ def rotate(v, n, d, direction):
 
 def test_cyclic_shift_swap_count_and_action():
     for n in (2, 3, 5, 8):
-        left = build_cyclic_shift(n, "left")
-        assert report(left).gate_counts == {"SWAP": n - 1}
-        for v in range(1 << n):
-            assert run(left, r=v).get_reg("r") == rotate(v, n, 1, "left")
-        right = build_cyclic_shift(n, "right")
-        for v in range(1 << n):
-            assert run(right, r=v).get_reg("r") == rotate(v, n, 1, "right")
+        for direction in ("left", "right"):
+            assert report(build_cyclic_shift(n, direction)).gate_counts == {"SWAP": n - 1}
+    for n in (2, 8):  # test_every_block_matches_its_oracle covers n = m + 1 = 3..6
+        for direction in ("left", "right"):
+            c = build_cyclic_shift(n, direction)
+            assert list(sweep(c, ("r",)).values("r")) == [rotate(v, n, 1, direction) for v in range(1 << n)]
 
 
 def test_unit_rotation_is_the_adjacent_chain():
@@ -81,13 +88,11 @@ def test_controlled_shift():
 
 def test_increment_single_ancilla():
     for w in (1, 2, 3, 4):
-        c = build_increment(w)
-        assert c.layout["anc"] == 1  # exactly one ancilla
-        for k in range(1 << w):
-            out = run(c, k=k)
-            full = out.get_reg("k") | (out.get_reg("anc") << w)
-            assert full == k + 1
-        assert check_permutation(c)
+        assert build_increment(w).layout["anc"] == 1  # exactly one ancilla
+    c = build_increment(4)  # test_every_block_matches_its_oracle covers w = log2_ceil(m) = 1..3
+    for k in range(1 << 4):
+        out = run(c, k=k)
+        assert out.get_reg("k") | (out.get_reg("anc") << 4) == k + 1
 
 
 def test_decrement_inverts_increment():

@@ -12,12 +12,9 @@ from revgf2.circuit import (
     Circuit,
     Gate,
     apply,
-    check_permutation,
     cnot,
-    compose,
     emit_netlist,
     gate_not,
-    inverse,
     lane_values,
     pack_lanes,
     parse_netlist,
@@ -63,18 +60,6 @@ def test_apply_polarity():
     assert out.get_reg("b") == 1
     out = apply(c, BasisState.from_values(c.layout, a=1))
     assert out.get_reg("b") == 0
-
-
-def test_inverse_is_identity():
-    c = toy_circuit()
-    run = sweep(compose(c, inverse(c)), ("a", "b"))
-    assert run.lanes == 8 and run.after == run.before
-
-
-def test_check_permutation():
-    assert check_permutation(toy_circuit())
-    with pytest.raises(WidthTooLarge):
-        check_permutation(Circuit({"a": 30}))
 
 
 def random_gates(rng, wires, count, max_controls=3):
@@ -172,6 +157,12 @@ def test_given_lanes_are_checked():
         run_lanes(c, {"nope": [0]})
     with pytest.raises(ValueError):
         run_lanes(c, {"a": [0, 1], "b": [0]})
+
+
+def test_sweep_refuses_more_bits_than_the_lane_bound():
+    c = Circuit({"a": circuit.MAX_LANE_BITS, "b": 1})
+    with pytest.raises(WidthTooLarge, match=f"sweeping {circuit.MAX_LANE_BITS + 1} bits"):
+        sweep(c, ("a", "b"))
 
 
 def test_kernel_matches_a_gate_by_gate_reference():

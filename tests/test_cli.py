@@ -59,7 +59,11 @@ def test_verify_naive_div_exhaustive(capsys):
 
 
 def test_verify_scope_too_large(capsys):
-    assert main(["verify", "naive-div", "--m", "12"]) == 2
+    for m in (11, 12):  # a sweeps m bits, b m + 1
+        assert main(["verify", "naive-div", "--m", str(m)]) == 2
+        captured = capsys.readouterr()
+        assert f"{2 * m + 1} swept bits exceed the 22-bit lane bound; use --sample <n>" in captured.err
+        assert captured.out == ""
 
 
 def test_verify_opt_invert_sample(capsys):
@@ -87,14 +91,15 @@ def test_verify_sample_must_be_positive(target, sample, capsys):
     assert "--sample must be positive" in captured.err and captured.out == ""
 
 
-def test_verify_blocks_lists_skipped_permutation_checks(capsys):
+def test_verify_blocks_lists_skipped_blocks(capsys):
     assert main(["verify", "blocks", "--m", "8"]) == 0
     payload, _ = last_json(capsys)
     assert payload["pass"] and payload["skipped"] == ["mulacc"]  # 24 wires, over the lane bound
-    assert payload["checked"] == 8 + 255  # permutation checks run + degree oracle checks
-    assert main(["verify", "blocks", "--m", "6"]) == 0
+    # swap, shifts, cshift, inc, dec, deg (a != 0), cxor: one check per swept input
+    assert payload["checked"] == 4 + 2 * 512 + 2048 + 2 * 16 + 255 + (1 << 17)
+    assert main(["verify", "blocks", "--m", "5"]) == 0
     payload, _ = last_json(capsys)
-    assert payload["skipped"] == [] and payload["checked"] == 9 + 63
+    assert payload["skipped"] == [] and payload["checked"] == 35267
 
 
 @pytest.mark.parametrize("target, m, least", [("blocks", "1", 2), ("blocks", "0", 2), ("naive-div", "0", 1)])

@@ -120,7 +120,7 @@ def test_golden_division_trace(capsys):
 CLI_REPORTS = {
     "verify naive-div --m 4": "1f9a215d929c5a988ca10717461ccbe6bc26549f7afc5db5f2fe5f28f594245f",
     "verify naive-div --m 6 --sample 50": "525bc64d4142ff89f52ea31f9090575e27357fb3a9c51511c830508f31d770d1",
-    "verify blocks --m 4": "4b7b8c632751916b7f1f2657e9b8318a59733a8ebb197bb9583a7dc70c0adcdc",
+    "verify blocks --m 4": "da754a8ceea545e4f048252e4b11c3a1a7aaffa9b5e560f0ac3a1741e061dcad",
     "verify naive-invert --m 5": "be869d3dd0dcddff42b873b5596fe74cb2dd941bd7651386d11fd1fa130d3b98",
     "verify opt-invert --m 8": "07fb916df8f290c68deed7e4ed450277296a71556a7dc82f0f9d5b52a3bdf1cc",
     "verify ec-add --curve ns": "ee52c3f7f1acf724a2758a401151247bff087ec5ddc0283cf051ca149d4a7306",

@@ -1,7 +1,8 @@
 import pytest
 
 from revgf2 import blocks, verify
-from revgf2.circuit import Circuit
+from revgf2.circuit import Circuit, gate_not
+from revgf2.cli import main
 from revgf2.field import FieldSpec, field_invert
 from revgf2.poly import format_poly
 
@@ -23,7 +24,6 @@ def test_faulty_inverse_is_reported(fault, monkeypatch):
     assert result.mismatches == [format_poly(c, 4) for c in inputs]
 
 
-
 def test_degree_block_that_leaves_a_rotated_is_reported(monkeypatch):
     build_degree = blocks.build_degree
 
@@ -36,7 +36,26 @@ def test_degree_block_that_leaves_a_rotated_is_reported(monkeypatch):
         broken.extend(full.gates[:start] + full.gates[end:])
         return broken
 
-    monkeypatch.setattr(blocks, "build_degree", without_rotate_back)
+    monkeypatch.setitem(blocks.BLOCKS, "deg", (without_rotate_back, ("m",)))
     m = 4
     # deg is still right; a stays rotated left by its leading-zero count
     assert verify.check_blocks(m).mismatches == [f"deg: a={format_poly(a, m)}" for a in range(1, 1 << (m - 1))]
+
+
+# blocks that compute the wrong thing but still permute their basis states,
+# with the number of check_blocks(4) inputs each gets wrong
+WRONG_BLOCKS = {
+    "shiftl": (lambda n: Circuit({"r": n}), 30),  # no gates: only r = 0 and r = 2^5 - 1 rotate to themselves
+    "inc": (lambda w: Circuit({"k": w, "anc": 1}, [gate_not(("k", 0))]), 4),  # wrong wherever k0 = 1 carries
+    "mulacc": (lambda m: Circuit({"x": m, "y": m, "t": m}), 15 * 15 * 16),  # wrong wherever x * y != 0
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_BLOCKS))
+def test_block_that_computes_the_wrong_thing_is_reported(name, monkeypatch, capsys):
+    build, wrong = WRONG_BLOCKS[name]
+    monkeypatch.setitem(blocks.BLOCKS, name, (build, blocks.BLOCKS[name][1]))
+    mismatches = verify.check_blocks(4).mismatches
+    assert len(mismatches) == wrong and all(line.startswith(f"{name}: ") for line in mismatches)
+    assert main(["verify", "blocks", "--m", "4"]) == 1
+    assert f'"mismatches": {wrong}' in capsys.readouterr().out
