@@ -266,8 +266,8 @@ def apply(circuit: Circuit, state: BasisState) -> BasisState:
 
 # 2**22 lanes make each wire int 512 KiB.  At this bound the 22-wire round
 # trip takes 0.02 s and 33 MB.  The m = 10 division sweep (21 bits) takes
-# 0.05 s and 33 MB; `verify naive-div --m 10` takes 8-9 s and 91 MB, nearly
-# all of it in the poly_divmod oracle (Python 3.11, 2-core Xeon).
+# 0.05 s and 33 MB; `verify naive-div --m 10` takes 5-6 s and 81 MB, nearly
+# all of it in the per-lane Python loop over poly_divmod (Python 3.11, 2-core Xeon).
 MAX_LANE_BITS = 22
 
 

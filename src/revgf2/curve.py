@@ -65,11 +65,12 @@ def on_curve(p: CurvePoint, curve: CurveSpec) -> bool:
     x, y = p.x, p.y
     if not (f.contains(x) and f.contains(y)):
         return False
+    x2 = field_sqr(x, f)
     lhs = field_sqr(y, f)
-    rhs = field_mul(field_sqr(x, f), x, f) ^ curve.b
+    rhs = field_mul(x2, x, f) ^ curve.b
     if curve.kind is CurveKind.NON_SUPERSINGULAR:
         lhs ^= field_mul(x, y, f)
-        rhs ^= field_mul(curve.a, field_sqr(x, f), f)
+        rhs ^= field_mul(curve.a, x2, f)
     else:
         lhs ^= field_mul(curve.c, y, f)
         rhs ^= field_mul(curve.a, x, f)

@@ -104,8 +104,8 @@ def swap_yt(regs, ctx: StepContext):
 
 
 def square_into_x(regs, ctx: StepContext, linear: bool, c: int):
-    """x ^= y^2 (+ y) + c.  Squaring is GF(2)-linear (bit spreading then
-    reduction), so the whole contribution is a fixed linear map of y."""
+    """x ^= y^2 (+ y) + c.  Squaring is GF(2)-linear (the cross terms of
+    (u + v)^2 cancel), so the whole contribution is a fixed linear map of y."""
     x, y, t = regs
     x ^= field_sqr(y, ctx.field) ^ c
     if linear:

@@ -64,26 +64,14 @@ def require_element(c: int, m: int) -> None:
         raise BadParameter(f"{bin(c)} is not an element of GF(2^{m})")
 
 
-def reduce_mod(p: int, field: FieldSpec) -> int:
-    """Reduce an arbitrary binary polynomial mod the field modulus."""
-    return poly_divmod(p, field.modulus)[1]
-
-
 def field_mul(x: int, y: int, field: FieldSpec) -> int:
     """Product in GF(2^m): carry-less multiply then reduce mod f."""
-    return reduce_mod(poly_mul(x, y), field)
+    return poly_divmod(poly_mul(x, y), field.modulus)[1]
 
 
 def field_sqr(x: int, field: FieldSpec) -> int:
-    """Square in GF(2^m) (the GF(2)-linear bit-spreading map, then reduce)."""
-    spread = 0
-    i = 0
-    while x:
-        if x & 1:
-            spread |= 1 << (2 * i)
-        x >>= 1
-        i += 1
-    return reduce_mod(spread, field)
+    """Square in GF(2^m), a GF(2)-linear map: the cross terms of (u + v)^2 cancel."""
+    return field_mul(x, x, field)
 
 
 def field_invert(c: int, field: FieldSpec) -> int:
@@ -93,7 +81,7 @@ def field_invert(c: int, field: FieldSpec) -> int:
     g, k, _ = extended_euclid(c, field.modulus)
     if g != 1:
         raise InvariantViolation("modulus is irreducible, so gcd(c, f) = 1")
-    return reduce_mod(k, field)
+    return poly_divmod(k, field.modulus)[1]
 
 
 def field_div(x: int, y: int, field: FieldSpec) -> int:

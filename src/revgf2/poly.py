@@ -39,13 +39,11 @@ def poly_divmod(b: int, a: int) -> tuple[int, int]:
     if a == 0:
         raise DivisionByZero("polynomial division by zero")
     q = 0
-    r = b
-    da = degree(a)
-    while r != 0 and degree(r) >= da:
-        shift = degree(r) - da
+    la = a.bit_length()
+    while (shift := b.bit_length() - la) >= 0:
         q ^= 1 << shift
-        r ^= a << shift
-    return q, r
+        b ^= a << shift
+    return q, b
 
 
 def extended_euclid(a: int, b: int) -> tuple[int, int, int]:

@@ -5,6 +5,8 @@ MSB-first bit strings."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
+from operator import or_, xor
 
 from . import blocks
 from .circuit import MAX_LANE_BITS, lane_values, run_lanes, sweep
@@ -66,23 +68,26 @@ def check_blocks(m: int) -> CheckResult:
 
 
 def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckResult:
-    """The naive long division against poly_divmod, with its scratch back at
-    0: on every pair a != 0 in one sweep, or on the given (a, b) pairs in
-    one run, one lane each."""
+    """The naive long division against poly_divmod, with the divisor a read
+    back unchanged and the scratch back at 0: on every pair a != 0 in one
+    sweep, or on the given (a, b) pairs in one run, one lane each."""
     division = build_naive_long_division(m)
-    scratch = ("s", "anc", "flg")
     if pairs is None:  # lane j holds a = j mod 2^m, b = j >> m
         run = sweep(division, ("a", "b"))
-        lanes = zip(range(run.lanes), run.values("q"), run.values("b"), zip(*map(run.values, scratch)))
-        results = ((j % (1 << m), j >> m, q, r, dirt) for j, q, r, dirt in lanes if j % (1 << m))
+        given = ((j % (1 << m), j >> m) for j in range(run.lanes))
     else:
         run = run_lanes(division, {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]})
-        outs = zip(run.values("q"), run.values("b"), zip(*map(run.values, scratch)))
-        results = ((a, b, q, r, dirt) for (a, b), (q, r, dirt) in zip(pairs, outs))
+        given = pairs
+    after = run.after
+    # lane j's bit is set where its a came back changed or its scratch is not 0
+    dirt = reduce(or_, map(xor, run.before["a"], after["a"]), reduce(or_, after["s"] + after["anc"] + after["flg"]))
+    outs = zip(run.values("q"), run.values("b"), lane_values([dirt], run.lanes))
     checked, mismatches = 0, []
-    for a, b, q, r, dirt in results:
+    for (a, b), (q, r, dirty) in zip(given, outs):
+        if pairs is None and a == 0:
+            continue
         checked += 1
-        if (q, r) != poly_divmod(b, a) or any(dirt):
+        if (q, r) != poly_divmod(b, a) or dirty:
             mismatches.append(f"a={format_poly(a, m)} b={format_poly(b, m + 1)}")
     return CheckResult(checked, mismatches)
 

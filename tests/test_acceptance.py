@@ -59,7 +59,8 @@ def test_criterion_2_division_oracle_equivalence(announce):
         2,
         not any(r.mismatches for r in exhaustive + [sampled]) and example_ok
         and n_exhaustive == 173_736,  # sum of (2^m - 1) 2^(m+1)
-        f"naive division equals divmod with clean scratch on {n_exhaustive + sampled.checked} inputs "
+        f"naive division equals divmod with a read back unchanged and clean scratch on "
+        f"{n_exhaustive + sampled.checked} inputs "
         f"(all {n_exhaustive} pairs a != 0 for m = 2..8, 1000 random for m = 16) "
         f"and the z^4+z^2+1 / z^2+1 example",
     )

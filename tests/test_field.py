@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -38,9 +39,18 @@ def test_mul_commutative_associative():
     assert field_mul(field_mul(x, y, F16), z, F16) == field_mul(x, field_mul(y, z, F16), F16)
 
 
-def test_sqr_matches_mul():
-    for x in F16.elements():
-        assert field_sqr(x, F16) == field_mul(x, x, F16)
+def interleaved_square(x: int, field: FieldSpec) -> int:
+    """Reference: the square of a GF(2) polynomial has x's bits at the even
+    powers (the cross terms cancel), reduced mod f."""
+    return poly_divmod(int("0".join(format(x, "b")), 2), field.modulus)[1]
+
+
+def test_sqr_matches_interleaved_square():
+    fields = [FieldSpec(m, f) for m in range(2, 9) for f in range(1 << m, 2 << m) if is_irreducible(f)]
+    assert len(fields) == 69
+    for field in fields:
+        for x in field.elements():
+            assert field_sqr(x, field) == interleaved_square(x, field)
 
 
 def test_invert_exhaustive():
@@ -87,10 +97,21 @@ def test_ben_or_matches_trial_division():
     assert not any(is_irreducible(f) for f in (0, 1))
 
 
+# the FIPS 186 reduction polynomials, as exponent lists
+NIST_MODULI = [(163, 7, 6, 3, 0), (233, 74, 0), (283, 12, 7, 5, 0), (409, 87, 0), (571, 10, 5, 2, 0)]
+
+
 def test_standard_size_field_builds_fast():
-    start = time.perf_counter()
-    spec = FieldSpec(163, (1 << 163) | 0b11001001)  # z^163 + z^7 + z^6 + z^3 + 1
-    assert time.perf_counter() - start < 0.1
-    assert spec.m == 163
+    times, specs = {}, []
+    for powers in NIST_MODULI:
+        start = time.perf_counter()
+        specs.append(FieldSpec(powers[0], sum(1 << e for e in powers)))
+        times[powers[0]] = time.perf_counter() - start
+    assert times[163] < 0.1 and sum(times.values()) < 2
+    rng = random.Random(186)
+    for spec in specs:
+        for c in (rng.randrange(1, 1 << spec.m) for _ in range(3)):
+            assert field_mul(c, field_invert(c, spec), spec) == 1
+            assert field_sqr(c, spec) == interleaved_square(c, spec)
     with pytest.raises(NotIrreducible):
         FieldSpec(163, (1 << 163) | 1)  # z^163 + 1 has the root 1

@@ -28,12 +28,18 @@ def test_mul_small_cases():
 
 
 def test_divmod_identity_exhaustive():
-    for a in range(1, 64):
-        for b in range(64):
-            q, r = poly_divmod(b, a)
-            assert poly_mul(q, a) ^ r == b
-            if r:
-                assert degree(r) < degree(a)
+    pairs = [(a, b) for a in range(1, 64) for b in range(64)]
+    rng = random.Random(600)
+    for _ in range(300):  # wide operands, as at the FIPS 186 sizes (m <= 571)
+        a = rng.randrange(1, 1 << rng.randrange(1, 601))
+        pairs += [(a, rng.randrange(1 << rng.randrange(1, 601))), (a, 0), (a, rng.randrange(a))]
+    for a, b in pairs:
+        q, r = poly_divmod(b, a)
+        assert poly_mul(q, a) ^ r == b
+        if r:
+            assert degree(r) < degree(a)
+        if b.bit_length() < a.bit_length():
+            assert (q, r) == (0, b)
 
 
 def test_divmod_worked_example():

@@ -1,10 +1,10 @@
 import pytest
 
 from revgf2 import blocks, verify
-from revgf2.circuit import Circuit, gate_not
+from revgf2.circuit import Circuit, cnot, gate_not
 from revgf2.cli import main
 from revgf2.field import FieldSpec, field_invert
-from revgf2.poly import format_poly
+from revgf2.poly import format_poly, poly_divmod
 
 F16 = FieldSpec(4, 0b10011)
 
@@ -22,6 +22,26 @@ def test_faulty_inverse_is_reported(fault, monkeypatch):
     result = verify.check_inversion(F16, "naive", inputs)
     assert result.checked == 15 and result.flagged == 0
     assert result.mismatches == [format_poly(c, 4) for c in inputs]
+
+
+def test_division_that_corrupts_the_divisor_is_reported(monkeypatch, capsys):
+    build = verify.build_naive_long_division
+
+    def corrupting(m):
+        """The division, then a CNOT from the remainder's bit 0 onto a[m - 1]."""
+        division = build(m)
+        division.add(cnot([(("b", 0), 1)], ("a", m - 1)))
+        return division
+
+    monkeypatch.setattr(verify, "build_naive_long_division", corrupting)
+    result = verify.check_division(4)
+    # q, the remainder and the scratch are right; a is wrong wherever b mod a has bit 0 set
+    odd = [(a, b) for b in range(32) for a in range(1, 16) if poly_divmod(b, a)[1] & 1]
+    assert result.checked == 480 and len(odd) == 224
+    assert result.mismatches == [f"a={format_poly(a, 4)} b={format_poly(b, 5)}" for a, b in odd]
+    assert verify.check_division(4, [(0b101, 0b10101)]).mismatches == ["a=0101 b=10101"]
+    assert main(["verify", "naive-div", "--m", "4"]) == 1
+    assert '"mismatches": 224' in capsys.readouterr().out
 
 
 def test_degree_block_that_leaves_a_rotated_is_reported(monkeypatch):
