@@ -13,10 +13,13 @@ a flag wire marking sequence boundaries, and a halting counter that
 early finishers tick so the global schedule can run to a fixed length:
 2m - 2 rounds, the proven worst case (see default_cycles).
 
-The scheduled steps are modeled as named reversible primitives that act
-bit-exactly on `SyncState`, which holds machine_layout's registers (A,
-B, a, b and q as plain, unbounded polynomials) and the clock; the degree
-bank is updated as registers, never read off the polynomials.  The
+The model acts bit-exactly on `SyncState`, which holds machine_layout's
+registers (A, B, a, b and q as plain, unbounded polynomials) and the
+clock; the degree bank is updated as registers, never read off the
+polynomials.  Of the four slots' possible round starts only two are
+reachable (run_round proves it), so run_round runs a round as one of
+two kinds: a division round (o1a, then o1b and o1c, or o2 once the last
+quotient read has cleared q) or a shift round (o2 alone).  The
 layout, not the model, is what the qubit-budget audit measures, and
 the model does not yet fit it: (a, A) always fits one m-bit word, but
 o1b adds a*z^shift from the largest shift down, so mid-division the
@@ -106,7 +109,7 @@ def qubit_budget(m: int, H: int = 0) -> int:
 # --- the synchronized machine ----------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SyncState:
     """One input's view of the synchronized machine; run_synchronized
     returns the final one.
@@ -158,116 +161,108 @@ class SyncState:
                 self.q, self.f, self.c, self.h)
 
 
-def _coeff(p: int, e: int) -> int:
-    return (p >> e) & 1 if e >= 0 else 0
-
-
 def advance_counter(state: SyncState) -> None:
     """ac: c <- (c + f) mod 4; a bijection on the (f, c) wires."""
     state.c = (state.c + state.f) % 4
 
 
-def aligned_with_divisor(state: SyncState) -> bool:
-    """The working alignment has reached deg(A): o1a's last quotient read,
-    and o2's first shift after a division."""
-    return state.degA == state.degB
+def _division_round(state: SyncState, on_fire) -> None:
+    """The round from (c, f) = (O1A, 1).
 
-
-def o2_last_predicate(state: SyncState) -> bool:
-    """The bit now in the high-order slot is 1: the remainder is aligned."""
-    return _coeff(state.B, state.degB) == 1
-
-
-# The four scheduled slots of the adaptive long division.  run_round calls
-# a slot only when the counter selects it; the slot returns whether it
-# acted (False when flag-suppressed).
-
-
-def step_o1a(state: SyncState) -> bool:
-    """The bit at the working alignment becomes the next quotient bit; on
-    the last read of a division the final conditional subtract, the
-    quotient uncompute, and the coefficient co-update fold in here (o1b and
-    o1c are flag-suppressed afterwards), and degb becomes dega + deg(q),
-    which is deg(b + q a) since deg(b) < deg(a)."""
-    bit = _coeff(state.B, state.degB)
-    state.q = (state.q << 1) | bit
-    if state.q.bit_length() > quotient_capacity(state.m):
+    o1a: the bit at the working alignment becomes the next quotient bit.
+    On the last read of a division (the alignment has reached deg(A)) the
+    final conditional subtract, the quotient uncompute and the coefficient
+    co-update fold in here, and degb becomes dega + deg(q), which is
+    deg(b + q a) since deg(b) < deg(a).  While q is nonzero, o1b subtracts
+    the aligned divisor from B if the new bit is 1, folding the same update
+    into the coefficient pair, o1c shifts B one slot toward the high-order
+    end, and o2 passes through; once q is clear, o1b and o1c pass through
+    and o2 acts as in a shift round."""
+    degB = state.degB  # >= degA >= 0 while a division runs
+    bit = (state.B >> degB) & 1
+    q = (state.q << 1) | bit
+    if q.bit_length() > quotient_capacity(state.m):
         state.quotient_overflow = True
-    if aligned_with_divisor(state):
+    if state.degA == degB:
         if bit:
             state.B ^= state.A
             state.b ^= state.a
-        state.degb = state.dega + state.q.bit_length() - 1
-        _uncompute_quotient(state)
-    return True
-
-
-def step_o1b(state: SyncState) -> bool:
-    """Conditioned on the new quotient bit, subtract the aligned divisor
-    from B, and fold the same update into the coefficient pair."""
-    if not state.q:
-        return False  # flag-suppressed tail of a finished division
-    if state.q & 1:
-        shift = state.degB - state.degA
+        state.degb = state.dega + q.bit_length() - 1
+        q ^= poly_divmod(state.b, state.a)[0]  # clears q, since deg(b + q a) < deg(a)
+        if q:
+            raise InvariantViolation("quotient uncompute left q nonzero")
+    state.q = q
+    state.c = O1B
+    if on_fire is not None:
+        on_fire(O1A)
+    if not q:
+        state.c = O2
+        _shift(state, on_fire)
+        return
+    if q & 1:
+        shift = degB - state.degA
         state.B ^= state.A << shift
         state.b ^= state.a << shift
-    return True
+    state.c = O1C
+    if on_fire is not None:
+        on_fire(O1B)
+    state.degB = degB - 1
+    state.c = O2
+    if on_fire is not None:
+        on_fire(O1C)
+    state.c = O1A
 
 
-def step_o1c(state: SyncState) -> bool:
-    """Shift B one slot toward the high-order end."""
-    if not state.q:
-        return False
-    state.degB -= 1
-    return True
-
-
-def step_o2(state: SyncState) -> bool:
-    """Shift one leading zero off the remainder; on the shift that brings a
-    1 into the high-order slot, the iteration boundary is reached and the
-    Euclidean pairs swap."""
-    if state.q:
-        return False  # mid-division pass-through
-    if aligned_with_divisor(state):
+def _shift(state: SyncState, on_fire) -> None:
+    """o2: shift one leading zero off the remainder.  The first shift after
+    a division, where the alignment still equals deg(A), sets f = 0; the
+    shift that brings a 1 into the high-order slot reaches the iteration
+    boundary, sets f back to 1 and swaps the Euclidean pairs,
+    (a,A)(b,B) -> (b+qa, B+qA)(a,A), degB having been stepped down to the
+    remainder's true degree and degb set to deg(b + qa).  A coefficient at
+    a negative alignment reads 0: after an exact division (a reducible
+    modulus) B is 0 and the shifts run on past degree 0."""
+    if state.degA == state.degB:
         state.f ^= 1
-    state.degB -= 1
-    if o2_last_predicate(state):
+    degB = state.degB = state.degB - 1
+    if degB >= 0 and (state.B >> degB) & 1:
         state.f ^= 1
-        _swap_pairs(state)
-    return True
-
-
-SLOTS = (step_o1a, step_o1b, step_o1c, step_o2)  # indexed by O1A..O2
-
-
-def _uncompute_quotient(state: SyncState) -> None:
-    """q ^= floor(b/a), which clears q because b now holds b + q a and
-    deg(b) < deg(a)."""
-    state.q ^= poly_divmod(state.b, state.a)[0]
-    if state.q:
-        raise InvariantViolation("quotient uncompute left q nonzero")
-
-
-def _swap_pairs(state: SyncState) -> None:
-    """(a,A)(b,B) -> (b+qa, B+qA)(a,A): (a, A, dega, degA) and
-    (b, B, degb, degB) trade places, degB having been stepped down to the
-    remainder's true degree and degb set to deg(b + qa)."""
-    state.a, state.A, state.dega, state.degA, state.b, state.B, state.degb, state.degB = (
-        state.b, state.B, state.degb, state.degB, state.a, state.A, state.dega, state.degA)
-    state.iterations += 1
+        state.a, state.A, state.dega, state.degA, state.b, state.B, state.degb, state.degB = (
+            state.b, state.B, state.degb, degB, state.a, state.A, state.dega, state.degA)
+        state.iterations += 1
+    state.c = O1A if state.f else O2
+    if on_fire is not None:
+        on_fire(O2)
 
 
 def run_round(state: SyncState, on_fire=None) -> None:
     """One global round: the four operation slots, each followed by the
-    advance-counter step; early finishers tick the halting counter.
+    advance-counter step; a finished input ticks the halting counter.
 
-    `on_fire(op_id)`, if given, is called after the advance-counter step
-    of every slot that acted."""
-    for op_id, step in enumerate(SLOTS):
-        fired = state.A != 1 and state.c == op_id and step(state)
-        advance_counter(state)
-        if fired and on_fire is not None:
-            on_fire(op_id)
+    Only two kinds of round occur, so each runs as itself.  The machine
+    starts at (c, f) = (O1A, 1).  o1a, o1b and o1c never change f, so in a
+    *division round* from (O1A, 1) the three advances after them bring c
+    to O2: o1a runs, then o1b and o1c while q != 0 (o2 passes through), or
+    o2 once the last quotient read has cleared q.  o2, acting or passing
+    through, leaves f = 1, and its advance wraps c to O1A, or f = 0, and
+    c stays at O2.  A *shift round* from (O2, 0) has q = 0, because only
+    an acting o2 sets f = 0 and only o1a writes q; o1a..o1c are not
+    selected, their advances add f = 0, and o2 runs alone and leaves the
+    same two ways.  Once the input is done (A = 1) no slot acts and the
+    four advances add 4f = 0 (mod 4).  Any other start of an unfinished
+    input raises InvariantViolation.
+
+    `on_fire(op_id)`, if given, is called after every slot that acted,
+    with c already advanced."""
+    if state.A != 1:
+        if state.c == O1A and state.f == 1:
+            _division_round(state, on_fire)
+        elif state.c == O2 and state.f == 0 and not state.q:
+            _shift(state, on_fire)
+        else:
+            raise InvariantViolation(
+                f"a round starts at c = {OP_NAMES.get(state.c, state.c)}, f = {state.f}, q = {state.q:b}; "
+                "only (o1a, 1) and (o2, 0, q = 0) are reachable")
     if state.A == 1:
         state.h += 1
     state.rounds += 1

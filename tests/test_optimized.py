@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
-from revgf2.errors import BadParameter, CycleBudgetExceeded, ZeroElement
+from revgf2.errors import BadParameter, CycleBudgetExceeded, InvariantViolation, RevGF2Error, ZeroElement
 from revgf2.field import FieldSpec, default_field, field_invert, is_irreducible
 from revgf2.naive import run_naive_inversion
 from revgf2.optimized import (
     O1A,
+    O1B,
     O2,
     SyncState,
     advance_counter,
@@ -24,6 +27,7 @@ from revgf2.poly import degree
 
 F16 = FieldSpec(4, 0b10011)
 F256 = FieldSpec(8, 0b100011011)
+IRREDUCIBLE_2_TO_8 = [f for m in range(2, 9) for f in range(1 << m, 2 << m) if is_irreducible(f)]
 
 
 def test_advance_counter_bijection():
@@ -145,9 +149,8 @@ def test_degree_bank_and_quotient_follow_the_registers():
     """After every swap the degree bank holds the true degrees, and q is
     nonzero exactly between a division's first quotient read and its last,
     the (deg B - deg A + 1)-th."""
-    moduli = [f for m in range(2, 9) for f in range(1 << m, 2 << m) if is_irreducible(f)]
-    assert len(moduli) == 69
-    for f in moduli:
+    assert len(IRREDUCIBLE_2_TO_8) == 69
+    for f in IRREDUCIBLE_2_TO_8:
         m = degree(f)
         for c in range(1, 1 << m):
             iterations, reads, needed = 0, 0, m - degree(c) + 1
@@ -158,3 +161,46 @@ def test_degree_bank_and_quotient_follow_the_registers():
                     assert (degA, degB, dega, degb) == tuple(map(degree, (A, B, a, b)))
                     iterations, reads, needed = its, 0, degree(B) - degree(A) + 1
                 assert (q != 0) == (0 < reads < needed), (f, c, op_id)
+
+
+def test_final_states_match_pinned_digest():
+    """Every nonzero input's final SyncState, every register, the clock and
+    the flags, under all 69 irreducible moduli of degree 2..8.  The digest
+    was taken from the four-slot round loop that run_round replaced, so it
+    catches a drift that comparing run_round with run_synchronized cannot."""
+    h = hashlib.sha256()
+    for f in IRREDUCIBLE_2_TO_8:
+        fs = FieldSpec(degree(f), f)
+        for c, state in run_synchronized(fs.nonzero_elements(), fs).items():
+            h.update(repr((f, c, dataclasses.astuple(state))).encode())
+    assert h.hexdigest() == "4e2cfc5f9c4192e6d0936302b24c3aed32bd7857695f575310125e269bbef726"
+
+
+def test_trace_tables_match_pinned_digest():
+    """trace_table's rows, or the error it raises, for every c < 2^(m+1)
+    under every modulus of degree 2..5, reducible ones included, in both
+    modes; pinned from the four-slot round loop like the test above."""
+    h = hashlib.sha256()
+    for m in range(2, 6):
+        for f in range(1 << m, 2 << m):
+            for c in range(2 << m):
+                for first in (False, True):
+                    try:
+                        out = json.dumps(trace_table(c, f, m, first), sort_keys=True)
+                    except RevGF2Error as e:
+                        out = f"{type(e).__name__}: {e}"
+                    h.update(f"{f} {c} {first} {out}\n".encode())
+    assert h.hexdigest() == "75d0ef680cafb06b289268cff379f07990b3a60710a8b4e213d7329665abcdc1"
+
+
+@pytest.mark.parametrize("c, f, q", [(O1B, 1, 0), (O2, 1, 0), (O1A, 0, 0), (O2, 0, 0b1)])
+def test_unreachable_round_start_fails_loudly(c, f, q):
+    """Only (o1a, f = 1) and (o2, f = 0) with q = 0 can start a round of an
+    unfinished input (run_round's docstring proves it), so any other start
+    raises, while a done input at any start only ticks h and the clock."""
+    state = SyncState(m=4, A=0b11, B=0b10011, degA=1, degB=4, q=q, f=f, c=c)
+    with pytest.raises(InvariantViolation, match="a round starts at"):
+        run_round(state)
+    done = SyncState(m=4, A=1, B=0b10011, degB=4, f=f, c=c)  # a done input only ticks h
+    run_round(done)
+    assert (done.c, done.h, done.rounds) == (c, 1, 1)
