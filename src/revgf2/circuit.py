@@ -15,12 +15,19 @@ of lines that does nothing in a lane where one wire g is 0 (gates that share
 the 1-control g, or the three lines of a controlled swap on g) runs as one
 block under `if w{g}:`.  No line in the block writes g, and the block is
 skipped only when g is 0 in every lane, so this is exact for any lane count.
+A run made only of controlled swaps on g also gets a branch for g = 1 in
+every lane, `if w{g} == mask:`, where its swaps are only swaps: one
+assignment permutes the locals, as a SWAP would relabel them.  A chunk
+clears the list slots it writes, so that a many-lane run's old wire ints
+die early; a one-lane run, whose ints are all 0 or 1, skips the clear.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice, repeat
+from operator import itemgetter
 
 from .errors import LayoutMismatch, WidthTooLarge
 
@@ -97,9 +104,10 @@ class Circuit:
     def width(self) -> int:
         return sum(self.layout.values())
 
-    def _kernel(self) -> tuple[list, list[int]]:
+    def _kernel(self) -> tuple[list, itemgetter]:
         """The generated kernel, built on the first run: chunk functions over
-        the wire list, and the slot each wire ends in.
+        the wire list, and a getter that reads the wires, in layout order,
+        from the slots they end in.
 
         One streaming pass turns the gates into slot-resolved lines, the
         lines into units and the units into chunks.  A unit is one line, or
@@ -109,21 +117,28 @@ class Circuit:
         writes a.  Consecutive units in a chunk that share a guard g run
         under one `if w{g}:`.  Since g is a control in every unit of the
         run, none writes it: when g is 0 in every lane at the run's start,
-        every unit is the identity, and only then is the run skipped.
+        every unit is the identity, and only then is the run skipped.  When
+        every unit of the run is a controlled swap on g and g is 1 in every
+        lane, every unit swaps a and b, so the run is one permutation of
+        its locals, composed in order.
         """
         if self._ops is None:
             wires = [(name, i) for name, width in self.layout.items() for i in range(width)]
             index = {w: i for i, w in enumerate(wires)}
             slot = list(range(len(wires)))  # slot[i]: the list position holding wire i
             chunks = [_compile_chunk(runs) for runs in _chunk_runs(_units(_slot_lines(self.gates, index, slot)))]
-            self._ops = (chunks, slot)
+            # below two wires no SWAP can move one, and itemgetter of one slot returns no sequence
+            self._ops = (chunks, itemgetter(*slot) if len(slot) > 1 else itemgetter(slice(None)))
         return self._ops
 
 
 # Gate lines per generated function.  Compiling the m = 16 Euclid iteration
 # (1 424 gates, 1 360 lines once SWAPs are relabellings, with its guarded
 # blocks) as one function peaks at about 4.2 MB under tracemalloc on
-# Python 3.11, streamed into 128-line chunks at about 0.75 MB.
+# Python 3.11, streamed into 128-line chunks at about 0.75 MB.  Longer
+# chunks run fewer calls and loads, but the benchmark's peak RSS prices them:
+# at 2048 lines `invert-naive-m16` ran 13-26 % more inversions per second
+# and its peak RSS rose from 18.9 to 22.9 MB (+21 %), past the 10 % bound.
 _CHUNK_GATES = 128
 
 
@@ -141,9 +156,10 @@ def _slot_lines(gates, index: dict[Wire, int], slot: list[int]):
 
 
 def _units(lines):
-    """(guards, lines) per unit: a controlled swap `a ^= b; b ^= s & a;
-    a ^= b` whose only guard is s, or one line guarded by each 1-control.
-    Holds at most three lines, to see a controlled swap whole."""
+    """(guards, lines, pair) per unit: a controlled swap `a ^= b; b ^= s & a;
+    a ^= b` whose only guard is s and whose pair is (a, b), or one line
+    guarded by each 1-control, whose pair is None.  Holds at most three
+    lines, to see a controlled swap whole."""
     window = []
     for line in lines:
         window.append(line)
@@ -151,30 +167,34 @@ def _units(lines):
             continue
         (a, ab, az), (b, bb, bz), third = window
         if ab == [b] and not az and len(bb) == 2 and a in bb and not bz and third == window[0]:
-            yield frozenset(bb) - {a}, window
+            yield frozenset(bb) - {a}, window, (a, b)
             window = []
         else:
-            yield frozenset(ab), window[:1]
+            yield frozenset(ab), window[:1], None
             del window[0]
     for line in window:
-        yield frozenset(line[1]), [line]
+        yield frozenset(line[1]), [line], None
 
 
 def _chunk_runs(units):
     """Pack units into chunks of at most _CHUNK_GATES lines; a chunk is a
-    list of [guards, lines] runs, where a unit joins the run before it if
-    they share a guard and the run's guards narrow to the shared ones."""
+    list of [guards, lines, pairs] runs, where a unit joins the run before
+    it if they share a guard and the run's guards narrow to the shared ones.
+    `pairs` lists the swapped pairs of a run made only of controlled swaps,
+    and is None in any other run."""
     runs: list[list] = []
     size = 0
-    for guards, lines in units:
+    for guards, lines, pair in units:
         if size + len(lines) > _CHUNK_GATES:
             yield runs
             runs, size = [], 0
         if runs and runs[-1][0] & guards:
-            runs[-1][0] &= guards
-            runs[-1][1] += lines
+            run = runs[-1]
+            run[0] &= guards
+            run[1] += lines
+            run[2] = run[2] + [pair] if run[2] and pair else None
         else:
-            runs.append([guards, list(lines)])
+            runs.append([guards, list(lines), pair and [pair]])
         size += len(lines)
     if runs:
         yield runs
@@ -182,17 +202,23 @@ def _chunk_runs(units):
 
 def _compile_chunk(runs):
     """One chunk: load the wires it touches into locals, clear the target
-    slots so each target's old int dies when its first line replaces it, run
-    its gate lines, store the targets back.  A run of more than one line
-    runs under `if w{g}:` on its lowest guard g.  The source holds only slot
-    numbers, `w`, `mask` and the operators, never a register name, and runs
-    without builtins."""
+    slots when there is more than one lane, so each target's old int dies
+    when its first line replaces it, run its gate lines, store the targets
+    back.  A run of more than one line runs under `if w{g}:` on its lowest
+    guard g; a run of controlled swaps on g runs as one permutation under
+    `if w{g} == mask:`, and as its lines under `elif w{g}:`.  The source
+    holds only slot numbers, `w`, `mask` and the operators, never a register
+    name, and runs without builtins."""
     loads: dict[int, None] = {}  # slots the chunk reads, in first-use order
     stores: dict[int, None] = {}  # slots it writes
     code: list[str] = []
-    for guards, lines in runs:
+    for guards, lines, pairs in runs:
         indent = ""
-        if len(lines) > 1:
+        if pairs:
+            g = min(guards)
+            code += [f"if w{g} == mask:", f" {_permutation(pairs)}", f"elif w{g}:"]
+            indent = " "
+        elif len(lines) > 1:
             code.append(f"if w{min(guards)}:")
             indent = " "
         for t, ones, zeros in lines:
@@ -202,11 +228,22 @@ def _compile_chunk(runs):
             code.append(f"{indent}w{t} ^= {' & '.join(terms)}")
             loads.update(dict.fromkeys(ones + zeros + [t]))
             stores[t] = None
-    body = [f"w{s} = w[{s}]" for s in loads] + [f"w[{s}] = 0" for s in stores]
+    body = [f"w{s} = w[{s}]" for s in loads] + ["if mask > 1:"] + [f" w[{s}] = 0" for s in stores]
     body += code + [f"w[{s}] = w{s}" for s in stores]
     namespace: dict = {"__builtins__": {}}
     exec(compile("def chunk(w, mask):\n " + "\n ".join(body), "<circuit kernel>", "exec"), namespace)
     return namespace["chunk"]
+
+
+def _permutation(pairs) -> str:
+    """One statement that swaps each pair of locals, in order."""
+    held: dict[int, int] = {}  # held[x]: the local whose value x holds after the swaps so far
+    for a, b in pairs:
+        held[a], held[b] = held.get(b, b), held.get(a, a)
+    moved = [x for x, y in held.items() if x != y]
+    if not moved:
+        return "pass"
+    return f"{', '.join(f'w{x}' for x in moved)} = {', '.join(f'w{held[x]}' for x in moved)}"
 
 
 @dataclass
@@ -242,14 +279,14 @@ def _compatible(layout_a: dict[str, int], layout_b: dict[str, int]) -> bool:
     return all(layout_a.get(name) == width for name, width in layout_b.items())
 
 
-def _simulate(circuit: Circuit, wires: list[int], mask: int) -> list[int]:
+def _simulate(circuit: Circuit, wires: list[int], mask: int) -> Sequence[int]:
     """The kernel: run the generated chunks in place over the wire ints, in
     layout order with one bit per lane in `mask`, and return the wire ints in
     layout order, read from the slots the SWAPs relabelled them into."""
-    chunks, slot = circuit._kernel()
+    chunks, gather = circuit._kernel()
     for chunk in chunks:
         chunk(wires, mask)
-    return [wires[s] for s in slot]
+    return gather(wires)
 
 
 def apply(circuit: Circuit, state: BasisState) -> BasisState:
@@ -266,8 +303,9 @@ def apply(circuit: Circuit, state: BasisState) -> BasisState:
 
 # 2**22 lanes make each wire int 512 KiB.  At this bound the 22-wire round
 # trip takes 0.02 s and 33 MB.  The m = 10 division sweep (21 bits) takes
-# 0.05 s and 33 MB; `verify naive-div --m 10` takes 5-6 s and 81 MB, nearly
-# all of it in the per-lane Python loop over poly_divmod (Python 3.11, 2-core Xeon).
+# 0.04-0.06 s and 33 MB; `verify naive-div --m 10` takes 3.8-5.9 s over six
+# runs and 82 MB, nearly all of it in the per-lane Python loop over
+# poly_divmod (Python 3.11, shared 2-core Xeon).
 MAX_LANE_BITS = 22
 
 

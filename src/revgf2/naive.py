@@ -224,7 +224,7 @@ def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> li
     steps = 0
     while active:
         before = None if active == mask else list(wires)
-        wires = _simulate(iteration, wires, mask)
+        wires = list(_simulate(iteration, wires, mask))
         steps += 1
         if steps > m - 1:
             raise InvariantViolation(f"Euclid failed to terminate within m - 1 = {m - 1} iterations")

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from revgf2 import circuit
-from revgf2.blocks import controlled_rotation_stage
+from revgf2.blocks import build_controlled_shift, controlled_rotation_stage
 from revgf2.circuit import (
     SWAP,
     BasisState,
@@ -194,8 +194,14 @@ def test_register_names_never_reach_the_kernel():
 
 
 def guarded_blocks(c):
-    """How many `if w{g}:` blocks the circuit's kernel runs."""
-    return sum(i.opname.startswith("POP_JUMP") for chunk in c._kernel()[0] for i in dis.get_instructions(chunk))
+    """(permutation branches, guarded blocks) in the circuit's kernel: how
+    many `if w{s} == mask:` branches it runs, and how many `if w{g}:` blocks
+    or `elif w{s}:` fallbacks, past each chunk's `if mask > 1:` clear."""
+    chunks = c._kernel()[0]
+    ops = [i for chunk in chunks for i in dis.get_instructions(chunk)]
+    permutations = sum(i.opname == "COMPARE_OP" and "==" in i.argrepr for i in ops)
+    tests = sum(i.opname.startswith("POP_JUMP") for i in ops) - len(chunks)
+    return permutations, tests - permutations
 
 
 def check_every_guard_value(c, data, guard, rng):
@@ -214,12 +220,51 @@ def test_controlled_swaps_run_in_guarded_blocks():
         c = Circuit({"d": n, "s": k})
         for j, direction in stages:
             c.extend(controlled_rotation_stage("d", n, "s", j, direction))
-        assert guarded_blocks(c) == len(stages)  # one per stage: its swaps share s_j
+        # one permutation branch and one guarded fallback per stage: its swaps share s_j
+        assert guarded_blocks(c) == (len(stages), len(stages))
         check_every_guard_value(c, ("d",), "s", rng)
     # a lone controlled swap runs under s, never under its middle gate's other control
     c = Circuit({"d": 2, "s": 1}, controlled_rotation_stage("d", 2, "s", 0, "left"))
-    assert guarded_blocks(c) == 1
+    assert guarded_blocks(c) == (1, 1)
     check_every_guard_value(c, ("d",), "s", rng)
+    # swaps that compose to the identity leave nothing to permute
+    c = Circuit({"d": 2, "s": 1}, 2 * controlled_rotation_stage("d", 2, "s", 0, "left"))
+    assert guarded_blocks(c) == (1, 1)
+    check_every_guard_value(c, ("d",), "s", rng)
+
+
+def test_a_toffoli_on_the_swap_guard_keeps_the_run_plain():
+    rng = random.Random(23)
+    layout = {"d": 4, "x": 2, "s": 1}
+    s = ("s", 0)
+    toffolis = [cnot([(s, 1), (("x", i), 1)], ("d", i)) for i in range(2)]
+    stage = controlled_rotation_stage("d", 4, "s", 0, "left")
+    for gates in (stage + toffolis[:1], toffolis[:1] + stage, stage[:3] + toffolis + stage[3:]):
+        c = Circuit(dict(layout), gates)
+        assert guarded_blocks(c) == (0, 1)  # one run on s, with no permutation branch
+        check_every_guard_value(c, ("d", "x"), "s", rng)
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (5, 3), (8, 3)])
+def test_one_lane_controlled_shift_matches_the_reference(n, k):
+    c = build_controlled_shift(n, k)
+    for shift in range(1 << k):
+        for data in range(1 << n):
+            values = {"data": data, "shift": shift}
+            assert apply(c, BasisState.from_values(c.layout, **values)).bits == reference_run(c, values)
+
+
+def test_one_wire_and_zero_or_one_lane_runs():
+    c = Circuit({"a": 1}, [gate_not(("a", 0))])
+    assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == 1
+    assert apply(c, BasisState.from_values(c.layout, a=1)).get_reg("a") == 0
+    assert list(run_lanes(c, {"a": [1]}).values("a")) == [0]
+    assert list(run_lanes(c, {"a": []}).values("a")) == []
+    assert list(sweep(c, ("a",)).values("a")) == [1, 0]
+    c = toy_circuit()  # more wires than one, and a SWAP that moves them
+    assert list(run_lanes(c, {"a": []}).values("b")) == []
+    run = run_lanes(c, {"a": [2]})
+    assert {name: next(run.values(name)) for name in c.layout} == reference_run(c, {"a": 2})
 
 
 def test_toffolis_that_share_a_one_control_run_in_one_block():
@@ -229,14 +274,14 @@ def test_toffolis_that_share_a_one_control_run_in_one_block():
     c.add(cnot([(g, 1), (h, 1)], ("y", 0)))  # guarded by g or h; the next gate narrows the run to g
     c.extend(cnot([(("x", i), 1), (g, 1), (("x", i - 1), 0)], ("y", i)) for i in range(1, 4))
     c.add(cnot([(h, 1)], ("y", 0)))  # a run of one line stays a plain line
-    assert guarded_blocks(c) == 1
+    assert guarded_blocks(c) == (0, 1)
     check_every_guard_value(c, ("x", "y"), "g", rng)
     # a run longer than a chunk ends with the chunk and goes on under a new
     # guard; the two lines left over make the second block
     c = Circuit({"x": 4, "y": 4, "g": 2})
     lines = circuit._CHUNK_GATES + 2
     c.extend(cnot([(g, 1), (("x", i % 4), 1)], ("y", i * 3 % 4)) for i in range(lines))
-    assert len(c._kernel()[0]) == 2 and guarded_blocks(c) == 2
+    assert len(c._kernel()[0]) == 2 and guarded_blocks(c) == (0, 2)
     check_every_guard_value(c, ("x",), "g", rng)
 
 
@@ -256,7 +301,7 @@ def test_near_misses_stay_unguarded():
     }
     for name, gates in near_misses.items():
         circ = Circuit(dict(layout), gates)
-        assert guarded_blocks(circ) == 0, name
+        assert guarded_blocks(circ) == (0, 0), name
         check_every_guard_value(circ, ("a", "b", "c", "x"), "g", rng)
 
 
