@@ -26,11 +26,8 @@ def log2_ceil(m: int) -> int:
 
 def build_swap() -> Circuit:
     """Two-wire bit transposition from 3 CNOT gates."""
-    c = Circuit({"q": 2})
-    c.add(cnot([(("q", 0), 1)], ("q", 1)))
-    c.add(cnot([(("q", 1), 1)], ("q", 0)))
-    c.add(cnot([(("q", 0), 1)], ("q", 1)))
-    return c
+    q0, q1 = ("q", 0), ("q", 1)
+    return Circuit({"q": 2}, [cnot([(q0, 1)], q1), cnot([(q1, 1)], q0), cnot([(q0, 1)], q1)])
 
 
 def _rotation_pairs(reg: str, n: int, amount: int, direction: str):
@@ -62,9 +59,7 @@ def build_cyclic_shift(n: int, direction: str = "left") -> Circuit:
     """Cyclic rotation of an n-wire register by one position (n-1 SWAPs)."""
     if n < 2:
         raise BadParameter("cyclic shift needs n >= 2")
-    c = Circuit({"r": n})
-    c.extend(rotation_gates("r", n, 1, direction))
-    return c
+    return Circuit({"r": n}, rotation_gates("r", n, 1, direction))
 
 
 def controlled_rotation_stage(data: str, n: int, shift: str, j: int, direction: str) -> list[Gate]:
@@ -89,9 +84,7 @@ def build_controlled_shift(n: int, k: int, direction: str = "left") -> Circuit:
     and a k-wire shift register."""
     if n < 2 or k < 1:
         raise BadParameter("controlled shift needs n >= 2 and k >= 1")
-    c = Circuit({"data": n, "shift": k})
-    c.extend(controlled_rotation_gates("data", n, "shift", k, direction))
-    return c
+    return Circuit({"data": n, "shift": k}, controlled_rotation_gates("data", n, "shift", k, direction))
 
 
 def _increment_gates(wires) -> list[Gate]:
@@ -105,9 +98,7 @@ def build_increment(w: int) -> Circuit:
     most-significant result bit (and stays 0 for k <= 2^w - 2)."""
     if w < 1:
         raise BadParameter("increment needs w >= 1")
-    c = Circuit({"k": w, "anc": 1})
-    c.extend(_increment_gates([("k", i) for i in range(w)] + [("anc", 0)]))
-    return c
+    return Circuit({"k": w, "anc": 1}, _increment_gates([("k", i) for i in range(w)] + [("anc", 0)]))
 
 
 def build_decrement(w: int) -> Circuit:
@@ -115,9 +106,7 @@ def build_decrement(w: int) -> Circuit:
     ancilla returns to 0, so one ancilla serves every decrement in a row."""
     if w < 1:
         raise BadParameter("decrement needs w >= 1")
-    c = Circuit({"k": w, "anc": 1})
-    c.extend(reversed(_increment_gates([("k", i) for i in range(w)] + [("anc", 0)])))
-    return c
+    return Circuit({"k": w, "anc": 1}, reversed(_increment_gates([("k", i) for i in range(w)] + [("anc", 0)])))
 
 
 def normalize_gates(div: str, n: int, s: str) -> list[Gate]:
@@ -149,24 +138,18 @@ def build_degree(m: int) -> Circuit:
         raise BadParameter("the degree block needs m >= 2")
     L = log2_ceil(m)
     deg = [("deg", j) for j in range(L)]
-    c = Circuit({"a": m, "deg": L})
-    c.extend(normalize_gates("a", m, "deg"))
-    c.extend(controlled_rotation_gates("a", m, "deg", L, "right"))
-    c.extend(gate_not(w) for w in deg)
-    for i in range(L):
-        if (m >> i) & 1:
-            c.extend(_increment_gates(deg[i:]))
-    return c
+    gates = normalize_gates("a", m, "deg") + controlled_rotation_gates("a", m, "deg", L, "right")
+    gates += [gate_not(w) for w in deg]
+    gates += [g for i in range(L) if (m >> i) & 1 for g in _increment_gates(deg[i:])]
+    return Circuit({"a": m, "deg": L}, gates)
 
 
 def build_conditional_xor(m: int) -> Circuit:
     """|q>|A>|B> <-> |q>|A>|B xor A if q=1>: m Toffoli gates."""
     if m < 1:
         raise BadParameter("conditional xor needs m >= 1")
-    c = Circuit({"ctl": 1, "a": m, "b": m})
-    for i in range(m):
-        c.add(cnot([(("ctl", 0), 1), (("a", i), 1)], ("b", i)))
-    return c
+    ctl = ("ctl", 0)
+    return Circuit({"ctl": 1, "a": m, "b": m}, [cnot([(ctl, 1), (("a", i), 1)], ("b", i)) for i in range(m)])
 
 
 def _times_z_gates(reg: str, m: int, modulus: int):
@@ -189,16 +172,14 @@ def build_mul_accumulate(field: FieldSpec) -> Circuit:
     no ancillas; the modulus is classical.
     """
     m = field.m
-    c = Circuit({"x": m, "y": m, "t": m})
     mulz = _times_z_gates("y", m, field.modulus)
+    gates = []
     for i in range(m):
-        for j in range(m):
-            c.add(cnot([(("x", i), 1), (("y", j), 1)], ("t", j)))
+        gates += [cnot([(("x", i), 1), (("y", j), 1)], ("t", j)) for j in range(m)]
         if i < m - 1:
-            c.extend(mulz)
-    for _ in range(m - 1):
-        c.extend(reversed(mulz))
-    return c
+            gates += mulz
+    gates += mulz[::-1] * (m - 1)
+    return Circuit({"x": m, "y": m, "t": m}, gates)
 
 
 # Every block by name: its builder and the integer sizes it takes, in order.

@@ -1,31 +1,36 @@
 """Reversible-gate IR, bit-sliced basis-state simulator, and resource accounting.
 
-A Circuit is an ordered gate list over a named-register layout.  Gates are
-NOT, multi-controlled NOT (controls carry a polarity: 1-control fires on
-|1>, 0-control on |0>), and SWAP, so every circuit permutes basis states.
+A Circuit is a value: an ordered gate tuple over a named-register layout,
+checked against the layout once, when it is made; a builder passes its
+whole gate list to the constructor.  Gates are NOT, multi-controlled NOT
+(controls carry a polarity: 1-control fires on |1>, 0-control on |0>), and
+SWAP, so every circuit permutes basis states.
 The simulator keeps one int per wire whose bit j is lane j's value: `apply`
 runs one state as one lane, `sweep` every value of the named registers and
 `run_lanes` a given list of values, one lane each; `pack_lanes` and
 `lane_values` convert between per-lane values and a register's wire ints.
-All of them run one kernel, generated once per circuit on its first run: each gate
-becomes one line of Python such as `w17 ^= w3 & ~w9`, compiled in chunks of
-functions over local wire ints.  A SWAP only relabels which list slot holds
-which wire while the code is generated, so it costs nothing to run.  A run
-of lines that does nothing in a lane where one wire g is 0 (gates that share
-the 1-control g, or the three lines of a controlled swap on g) runs as one
+All of them run one kernel, generated once per circuit on its first run
+and never reset, since the gates never change: each gate becomes one line
+of Python such as `w17 ^= w3 & ~w9`, compiled in chunks of functions over
+local wire ints.  A SWAP only relabels which list slot holds which wire
+while the code is generated, so it costs nothing to run.  A run of lines
+that does nothing in a lane where one wire g is 0 (single lines that share
+the 1-control g, or the three-line controlled swaps on g) runs as one
 block under `if w{g}:`.  No line in the block writes g, and the block is
 skipped only when g is 0 in every lane, so this is exact for any lane count.
-A run made only of controlled swaps on g also gets a branch for g = 1 in
-every lane, `if w{g} == mask:`, where its swaps are only swaps: one
-assignment permutes the locals, as a SWAP would relabel them.  A chunk
-clears the list slots it writes, so that a many-lane run's old wire ints
-die early; a one-lane run, whose ints are all 0 or 1, skips the clear.
+A run of controlled swaps takes in no single line, and also gets a branch
+for g = 1 in every lane, `if w{g} == mask:`, where its swaps are only
+swaps: one assignment permutes the locals, as a SWAP would relabel them.
+A chunk clears the list slots it writes, so that a many-lane run's old
+wire ints die early; a one-lane run, whose ints are all 0 or 1, skips the
+clear.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, repeat
 from operator import itemgetter
 
@@ -74,62 +79,50 @@ def swap(w1: Wire, w2: Wire) -> Gate:
     return Gate(SWAP, targets=(w1, w2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """An ordered gate sequence over a register-name -> width layout."""
+    """A value: an ordered gate tuple over a register-name -> width layout,
+    checked against the layout once, when it is made.  Its kernel is
+    generated on the first run and never reset, since the gates never change."""
 
     layout: dict[str, int]
-    gates: list[Gate] = field(default_factory=list)
-    _ops: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        for g in self.gates:
-            self._check_gate(g)
-
-    def _check_gate(self, g: Gate):
-        for reg, idx in g.wires():
-            if reg not in self.layout or not 0 <= idx < self.layout[reg]:
+        object.__setattr__(self, "gates", tuple(self.gates))
+        for reg, idx in (w for g in self.gates for w in g.wires()):
+            if not 0 <= idx < self.layout.get(reg, 0):
                 raise LayoutMismatch(f"wire {reg}[{idx}] not in layout")
-
-    def add(self, g: Gate):
-        self._check_gate(g)
-        self.gates.append(g)
-        self._ops = None
-
-    def extend(self, gates):
-        for g in gates:
-            self.add(g)
 
     @property
     def width(self) -> int:
         return sum(self.layout.values())
 
+    @cached_property
     def _kernel(self) -> tuple[list, itemgetter]:
-        """The generated kernel, built on the first run: chunk functions over
-        the wire list, and a getter that reads the wires, in layout order,
-        from the slots they end in.
+        """The generated kernel: chunk functions over the wire list, and a
+        getter that reads the wires, in layout order, from the slots they
+        end in.
 
         One streaming pass turns the gates into slot-resolved lines, the
         lines into units and the units into chunks.  A unit is one line, or
         the three lines `a ^= b; b ^= s & a; a ^= b` of a controlled swap.
         It is the identity in every lane where its guard is 0: any 1-control
         of a single line, but only s of a controlled swap, whose first line
-        writes a.  Consecutive units in a chunk that share a guard g run
-        under one `if w{g}:`.  Since g is a control in every unit of the
-        run, none writes it: when g is 0 in every lane at the run's start,
-        every unit is the identity, and only then is the run skipped.  When
-        every unit of the run is a controlled swap on g and g is 1 in every
-        lane, every unit swaps a and b, so the run is one permutation of
-        its locals, composed in order.
+        writes a.  Consecutive units of one kind in a chunk that share a
+        guard g run under one `if w{g}:`.  Since g is a control in every
+        unit of the run, none writes it: when g is 0 in every lane at the
+        run's start, every unit is the identity, and only then is the run
+        skipped.  When the run's units are controlled swaps and g is 1 in
+        every lane, every unit swaps a and b, so the run is one permutation
+        of its locals, composed in order.
         """
-        if self._ops is None:
-            wires = [(name, i) for name, width in self.layout.items() for i in range(width)]
-            index = {w: i for i, w in enumerate(wires)}
-            slot = list(range(len(wires)))  # slot[i]: the list position holding wire i
-            chunks = [_compile_chunk(runs) for runs in _chunk_runs(_units(_slot_lines(self.gates, index, slot)))]
-            # below two wires no SWAP can move one, and itemgetter of one slot returns no sequence
-            self._ops = (chunks, itemgetter(*slot) if len(slot) > 1 else itemgetter(slice(None)))
-        return self._ops
+        wires = [(name, i) for name, width in self.layout.items() for i in range(width)]
+        index = {w: i for i, w in enumerate(wires)}
+        slot = list(range(len(wires)))  # slot[i]: the list position holding wire i
+        chunks = [_compile_chunk(runs) for runs in _chunk_runs(_units(_slot_lines(self.gates, index, slot)))]
+        # below two wires no SWAP can move one, and itemgetter of one slot returns no sequence
+        return chunks, itemgetter(*slot) if len(slot) > 1 else itemgetter(slice(None))
 
 
 # Gate lines per generated function.  Compiling the m = 16 Euclid iteration
@@ -179,20 +172,22 @@ def _units(lines):
 def _chunk_runs(units):
     """Pack units into chunks of at most _CHUNK_GATES lines; a chunk is a
     list of [guards, lines, pairs] runs, where a unit joins the run before
-    it if they share a guard and the run's guards narrow to the shared ones.
-    `pairs` lists the swapped pairs of a run made only of controlled swaps,
-    and is None in any other run."""
+    it if both are controlled swaps or both single lines, they share a
+    guard, and the run's guards narrow to the shared ones.  `pairs` lists
+    the swapped pairs of a run of controlled swaps, and is None in a run of
+    single lines."""
     runs: list[list] = []
     size = 0
     for guards, lines, pair in units:
         if size + len(lines) > _CHUNK_GATES:
             yield runs
             runs, size = [], 0
-        if runs and runs[-1][0] & guards:
+        if runs and runs[-1][0] & guards and (runs[-1][2] is None) == (pair is None):
             run = runs[-1]
             run[0] &= guards
             run[1] += lines
-            run[2] = run[2] + [pair] if run[2] and pair else None
+            if pair:
+                run[2].append(pair)
         else:
             runs.append([guards, list(lines), pair and [pair]])
         size += len(lines)
@@ -283,7 +278,7 @@ def _simulate(circuit: Circuit, wires: list[int], mask: int) -> Sequence[int]:
     """The kernel: run the generated chunks in place over the wire ints, in
     layout order with one bit per lane in `mask`, and return the wire ints in
     layout order, read from the slots the SWAPs relabelled them into."""
-    chunks, gather = circuit._kernel()
+    chunks, gather = circuit._kernel
     for chunk in chunks:
         chunk(wires, mask)
     return gather(wires)

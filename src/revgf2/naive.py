@@ -114,9 +114,7 @@ def build_naive_long_division(m: int) -> Circuit:
     modulus fits on the first Euclid iteration), q (m+1 wires), plus the
     leading-zero count s and the round flag; all scratch returns to 0.
     """
-    c = Circuit(naive_division_layout(m))
-    c.extend(_division_gates(m, "a", "b", "q", "s", "flg"))
-    return c
+    return Circuit(naive_division_layout(m), _division_gates(m, "a", "b", "q", "s", "flg"))
 
 
 def euclid_iteration_layout(m: int) -> dict[str, int]:
@@ -140,13 +138,10 @@ def build_euclid_iteration(m: int) -> Circuit:
     the reversed division on (a, b) which replays b <- b+qa and clears q
     (valid because floor((b+qa)/a) = floor(B/A)), then the pair swap.
     """
-    c = Circuit(euclid_iteration_layout(m))
-    c.extend(_division_gates(m, "ra", "rb", "q", "s", "flg"))
-    c.extend(reversed(_division_gates(m, "ka", "kb", "q", "s", "flg")))
-    for i in range(m):
-        c.add(swap(("ra", i), ("rb", i)))
-        c.add(swap(("ka", i), ("kb", i)))
-    return c
+    gates = _division_gates(m, "ra", "rb", "q", "s", "flg")
+    gates += reversed(_division_gates(m, "ka", "kb", "q", "s", "flg"))
+    gates += [swap((a, i), (b, i)) for i in range(m) for a, b in (("ra", "rb"), ("ka", "kb"))]
+    return Circuit(euclid_iteration_layout(m), gates)
 
 
 # The iteration's scratch registers, back at 0 after every pass.

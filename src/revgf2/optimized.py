@@ -161,11 +161,6 @@ class SyncState:
                 self.q, self.f, self.c, self.h)
 
 
-def advance_counter(state: SyncState) -> None:
-    """ac: c <- (c + f) mod 4; a bijection on the (f, c) wires."""
-    state.c = (state.c + state.f) % 4
-
-
 def _division_round(state: SyncState, on_fire) -> None:
     """The round from (c, f) = (O1A, 1).
 

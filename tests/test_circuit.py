@@ -1,3 +1,4 @@
+import dataclasses
 import dis
 import random
 import tracemalloc
@@ -23,17 +24,19 @@ from revgf2.circuit import (
     swap,
     sweep,
 )
+from revgf2.ecgroup import build_division_with_uncompute
 from revgf2.errors import LayoutMismatch, WidthTooLarge
-from revgf2.naive import build_euclid_iteration, build_naive_long_division
+from revgf2.field import FieldSpec, field_invert
+from revgf2.naive import build_euclid_iteration, build_naive_long_division, run_naive_inversion
 
 
 def toy_circuit():
-    c = Circuit({"a": 2, "b": 1})
-    c.add(gate_not(("a", 0)))
-    c.add(cnot([(("a", 0), 1)], ("b", 0)))
-    c.add(cnot([(("a", 0), 1), (("a", 1), 0)], ("b", 0)))
-    c.add(swap(("a", 0), ("a", 1)))
-    return c
+    return Circuit({"a": 2, "b": 1}, [
+        gate_not(("a", 0)),
+        cnot([(("a", 0), 1)], ("b", 0)),
+        cnot([(("a", 0), 1), (("a", 1), 0)], ("b", 0)),
+        swap(("a", 0), ("a", 1)),
+    ])
 
 
 def test_gate_validation():
@@ -45,17 +48,28 @@ def test_gate_validation():
         Gate(SWAP, controls=((("a", 2), 1),), targets=(("a", 0), ("a", 1)))
 
 
-def test_layout_checked_on_add():
-    c = Circuit({"a": 2})
-    with pytest.raises(LayoutMismatch):
-        c.add(gate_not(("b", 0)))
-    with pytest.raises(LayoutMismatch):
-        c.add(gate_not(("a", 5)))
+def test_layout_checked_on_construction():
+    for reg, idx in (("b", 0), ("a", 5), ("a", -1)):
+        with pytest.raises(LayoutMismatch):
+            Circuit({"a": 2}, [gate_not(("a", 0)), cnot([(("a", 1), 1)], (reg, idx))])
+        with pytest.raises(LayoutMismatch):
+            parse_netlist(f"REG a 2\nNOT a[0]\nCNOT +a[1] > {reg}[{idx}]\n")
+
+
+def test_cached_circuits_are_values():
+    # every caller gets the same cached circuit, so none may change it
+    field = FieldSpec(4, 0b10011)
+    for c in (build_euclid_iteration(4), build_division_with_uncompute(field, "opt").multiplier):
+        assert isinstance(c.gates, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.gates = ()
+    assert not hasattr(Circuit, "add") and not hasattr(Circuit, "extend")
+    inputs = field.nonzero_elements()
+    assert [run_naive_inversion(x, field) for x in inputs] == [field_invert(x, field) for x in inputs]
 
 
 def test_apply_polarity():
-    c = Circuit({"a": 1, "b": 1})
-    c.add(cnot([(("a", 0), 0)], ("b", 0)))  # fires on |0>
+    c = Circuit({"a": 1, "b": 1}, [cnot([(("a", 0), 0)], ("b", 0))])  # fires on |0>
     out = apply(c, BasisState.zeros(c.layout))
     assert out.get_reg("b") == 1
     out = apply(c, BasisState.from_values(c.layout, a=1))
@@ -170,10 +184,11 @@ def test_kernel_matches_a_gate_by_gate_reference():
     layout = {"x": 3, "y": 3, "z": 4}
     wires = [(name, i) for name, width in layout.items() for i in range(width)]
     for _ in range(3):
-        c = Circuit(layout, list(random_gates(rng, wires, 150, max_controls=5)))
         # a SWAP chain moves every wire one slot; the gates after it land in later chunks
-        c.extend(swap(u, v) for u, v in zip(wires, wires[1:]))
-        c.extend(random_gates(rng, wires, 150, max_controls=5))
+        gates = list(random_gates(rng, wires, 150, max_controls=5))
+        gates += [swap(u, v) for u, v in zip(wires, wires[1:])]
+        gates += random_gates(rng, wires, 150, max_controls=5)
+        c = Circuit(layout, gates)
         assert sum(g.kind != SWAP for g in c.gates) > circuit._CHUNK_GATES
         assert 5 in report(c).control_arity
         check_against_reference(c, ("x", "z"), rng)
@@ -187,7 +202,7 @@ def test_register_names_never_reach_the_kernel():
     c = parse_netlist("\n".join(lines))
     assert list(c.layout) == names and len(c.gates) == 18
     check_against_reference(c, (names[0], names[2], names[4]), random.Random(3))
-    for chunk in c._ops[0]:
+    for chunk in c._kernel[0]:
         code = chunk.__code__
         assert code.co_names == () and {type(k) for k in code.co_consts} <= {int, type(None)}
         assert all(v in ("w", "mask") or v[0] == "w" and v[1:].isdigit() for v in code.co_varnames)
@@ -197,7 +212,7 @@ def guarded_blocks(c):
     """(permutation branches, guarded blocks) in the circuit's kernel: how
     many `if w{s} == mask:` branches it runs, and how many `if w{g}:` blocks
     or `elif w{s}:` fallbacks, past each chunk's `if mask > 1:` clear."""
-    chunks = c._kernel()[0]
+    chunks = c._kernel[0]
     ops = [i for chunk in chunks for i in dis.get_instructions(chunk)]
     permutations = sum(i.opname == "COMPARE_OP" and "==" in i.argrepr for i in ops)
     tests = sum(i.opname.startswith("POP_JUMP") for i in ops) - len(chunks)
@@ -210,16 +225,14 @@ def check_every_guard_value(c, data, guard, rng):
     check_against_reference(c, data, rng)
     check_against_reference(c, data + (guard,), rng)
     ones = [gate_not((guard, i)) for i in range(c.layout[guard])]
-    check_against_reference(Circuit(dict(c.layout), ones + c.gates), data, rng)
+    check_against_reference(Circuit(c.layout, [*ones, *c.gates]), data, rng)
 
 
 def test_controlled_swaps_run_in_guarded_blocks():
     rng = random.Random(13)
     for n, k in ((3, 2), (5, 3), (6, 3)):
         stages = [(j, d) for d in ("left", "right") for j in range(k) if (1 << j) % n]
-        c = Circuit({"d": n, "s": k})
-        for j, direction in stages:
-            c.extend(controlled_rotation_stage("d", n, "s", j, direction))
+        c = Circuit({"d": n, "s": k}, [g for j, d in stages for g in controlled_rotation_stage("d", n, "s", j, d)])
         # one permutation branch and one guarded fallback per stage: its swaps share s_j
         assert guarded_blocks(c) == (len(stages), len(stages))
         check_every_guard_value(c, ("d",), "s", rng)
@@ -233,15 +246,21 @@ def test_controlled_swaps_run_in_guarded_blocks():
     check_every_guard_value(c, ("d",), "s", rng)
 
 
-def test_a_toffoli_on_the_swap_guard_keeps_the_run_plain():
+def test_a_toffoli_on_the_swap_guard_starts_its_own_run():
+    # a single line never joins a run of controlled swaps on its guard, nor
+    # they its run, so every run of controlled swaps keeps its permutation branch
     rng = random.Random(23)
     layout = {"d": 4, "x": 2, "s": 1}
     s = ("s", 0)
     toffolis = [cnot([(s, 1), (("x", i), 1)], ("d", i)) for i in range(2)]
     stage = controlled_rotation_stage("d", 4, "s", 0, "left")
-    for gates in (stage + toffolis[:1], toffolis[:1] + stage, stage[:3] + toffolis + stage[3:]):
-        c = Circuit(dict(layout), gates)
-        assert guarded_blocks(c) == (0, 1)  # one run on s, with no permutation branch
+    for gates, blocks in (
+        (stage + toffolis[:1], (1, 1)),  # the swaps' branch and fallback; the Toffoli a plain line
+        (toffolis[:1] + stage, (1, 1)),
+        (stage[:3] + toffolis + stage[3:], (2, 3)),  # swap run, Toffoli block, swap run
+    ):
+        c = Circuit(layout, gates)
+        assert guarded_blocks(c) == blocks
         check_every_guard_value(c, ("d", "x"), "s", rng)
 
 
@@ -269,19 +288,20 @@ def test_one_wire_and_zero_or_one_lane_runs():
 
 def test_toffolis_that_share_a_one_control_run_in_one_block():
     rng = random.Random(17)
-    c = Circuit({"x": 4, "y": 4, "g": 2})
+    layout = {"x": 4, "y": 4, "g": 2}
     g, h = ("g", 1), ("g", 0)
-    c.add(cnot([(g, 1), (h, 1)], ("y", 0)))  # guarded by g or h; the next gate narrows the run to g
-    c.extend(cnot([(("x", i), 1), (g, 1), (("x", i - 1), 0)], ("y", i)) for i in range(1, 4))
-    c.add(cnot([(h, 1)], ("y", 0)))  # a run of one line stays a plain line
+    c = Circuit(layout, [
+        cnot([(g, 1), (h, 1)], ("y", 0)),  # guarded by g or h; the next gate narrows the run to g
+        *(cnot([(("x", i), 1), (g, 1), (("x", i - 1), 0)], ("y", i)) for i in range(1, 4)),
+        cnot([(h, 1)], ("y", 0)),  # a run of one line stays a plain line
+    ])
     assert guarded_blocks(c) == (0, 1)
     check_every_guard_value(c, ("x", "y"), "g", rng)
     # a run longer than a chunk ends with the chunk and goes on under a new
     # guard; the two lines left over make the second block
-    c = Circuit({"x": 4, "y": 4, "g": 2})
     lines = circuit._CHUNK_GATES + 2
-    c.extend(cnot([(g, 1), (("x", i % 4), 1)], ("y", i * 3 % 4)) for i in range(lines))
-    assert len(c._kernel()[0]) == 2 and guarded_blocks(c) == (0, 2)
+    c = Circuit(layout, [cnot([(g, 1), (("x", i % 4), 1)], ("y", i * 3 % 4)) for i in range(lines)])
+    assert len(c._kernel[0]) == 2 and guarded_blocks(c) == (0, 2)
     check_every_guard_value(c, ("x",), "g", rng)
 
 
@@ -300,21 +320,21 @@ def test_near_misses_stay_unguarded():
         "a shared 0-control": [cnot([(g, 0), (x[i], 1)], y[i]) for i in range(3)],
     }
     for name, gates in near_misses.items():
-        circ = Circuit(dict(layout), gates)
+        circ = Circuit(layout, gates)
         assert guarded_blocks(circ) == (0, 0), name
         check_every_guard_value(circ, ("a", "b", "c", "x"), "g", rng)
 
 
-def test_compiled_gates_follow_add():
-    c = Circuit({"a": 2})
-    c.add(gate_not(("a", 0)))
-    assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == 0b01
-    c.add(cnot([(("a", 0), 1)], ("a", 1)))
-    assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == 0b11
-    c.add(cnot([(("a", 1), 1)], ("a", 0)))
-    assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == 0b10
-    c.add(swap(("a", 0), ("a", 1)))  # emits no code, but relabels the output
-    assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == 0b01
+def test_each_prefix_compiles_its_own_kernel():
+    gates = [
+        gate_not(("a", 0)),
+        cnot([(("a", 0), 1)], ("a", 1)),
+        cnot([(("a", 1), 1)], ("a", 0)),
+        swap(("a", 0), ("a", 1)),  # emits no code, but relabels the output
+    ]
+    for n, out in zip(range(1, 5), (0b01, 0b11, 0b10, 0b01)):
+        c = Circuit({"a": 2}, gates[:n])
+        assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == out
 
 
 def test_kernel_generation_memory_is_bounded():
@@ -322,7 +342,7 @@ def test_kernel_generation_memory_is_bounded():
     # streamed into chunks of _CHUNK_GATES lines it peaks near 0.75 MB, and
     # listing every line before chunking them takes it above 1.2 MB
     iteration = build_euclid_iteration(16)
-    c = Circuit(dict(iteration.layout), list(iteration.gates))  # a copy with no kernel yet
+    c = Circuit(iteration.layout, iteration.gates)  # a copy with no kernel yet
     tracemalloc.start()
     try:
         apply(c, BasisState.zeros(c.layout))
@@ -337,7 +357,7 @@ def test_sweep_memory_holds_one_int_per_wire():
     # temporaries; a chunk that kept each target's old int until its stores
     # held up to one more per target (about 72 wire ints here)
     division = build_naive_long_division(8)
-    division._kernel()  # generated outside the measurement
+    division._kernel  # generated outside the measurement
     swept = ("a", "b")
     n = sum(division.layout[name] for name in swept)
     wire_bytes = (1 << n) // 8

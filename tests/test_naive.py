@@ -80,11 +80,9 @@ def test_normalize_counts_leading_zeros(n):
     # one sweep over every x: normalize, copy x and s out, normalize reversed
     L = log2_ceil(n)
     normalize = normalize_gates("x", n, "s")
-    circ = Circuit({"x": n, "s": L, "y": n, "t": L})
-    circ.extend(normalize)
-    circ.extend(cnot([(("x", i), 1)], ("y", i)) for i in range(n))
-    circ.extend(cnot([(("s", j), 1)], ("t", j)) for j in range(L))
-    circ.extend(reversed(normalize))
+    copies = [cnot([(("x", i), 1)], ("y", i)) for i in range(n)]
+    copies += [cnot([(("s", j), 1)], ("t", j)) for j in range(L)]
+    circ = Circuit({"x": n, "s": L, "y": n, "t": L}, normalize + copies + normalize[::-1])
     run = sweep(circ, ("x",))
     for x, y, s, x_back, s_back in zip(range(run.lanes), *map(run.values, ("y", "t", "x", "s"))):
         if x:
@@ -144,7 +142,7 @@ def test_dirty_scratch_is_named(monkeypatch, inputs):
     # pass, on every active lane; the lane holding 1 is never active
     field = FieldSpec(4, 0b10011)
     clean = build_euclid_iteration(4)
-    faulty = Circuit(dict(clean.layout), list(clean.gates) + [gate_not(("q", 0))])
+    faulty = Circuit(clean.layout, [*clean.gates, gate_not(("q", 0))])
     monkeypatch.setattr(naive, "build_euclid_iteration", lambda m: faulty)
     with pytest.raises(InvariantViolation, match="scratch q not restored"):
         run_naive_inversions(inputs, field)

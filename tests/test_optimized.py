@@ -12,7 +12,6 @@ from revgf2.optimized import (
     O1B,
     O2,
     SyncState,
-    advance_counter,
     default_cycles,
     halting_counter_width,
     machine_layout,
@@ -28,16 +27,6 @@ from revgf2.poly import degree
 F16 = FieldSpec(4, 0b10011)
 F256 = FieldSpec(8, 0b100011011)
 IRREDUCIBLE_2_TO_8 = [f for m in range(2, 9) for f in range(1 << m, 2 << m) if is_irreducible(f)]
-
-
-def test_advance_counter_bijection():
-    seen = set()
-    for f in (0, 1):
-        for c in range(4):
-            st = SyncState(m=4, A=1, B=0b10011, f=f, c=c)
-            advance_counter(st)
-            seen.add((f, st.c))
-    assert len(seen) == 8
 
 
 def test_budget_formula_and_layout_agree():

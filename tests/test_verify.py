@@ -30,8 +30,7 @@ def test_division_that_corrupts_the_divisor_is_reported(monkeypatch, capsys):
     def corrupting(m):
         """The division, then a CNOT from the remainder's bit 0 onto a[m - 1]."""
         division = build(m)
-        division.add(cnot([(("b", 0), 1)], ("a", m - 1)))
-        return division
+        return Circuit(division.layout, [*division.gates, cnot([(("b", 0), 1)], ("a", m - 1))])
 
     monkeypatch.setattr(verify, "build_naive_long_division", corrupting)
     result = verify.check_division(4)
@@ -52,9 +51,7 @@ def test_degree_block_that_leaves_a_rotated_is_reported(monkeypatch):
         full = build_degree(m)
         start = len(blocks.normalize_gates("a", m, "deg"))
         end = start + len(blocks.controlled_rotation_gates("a", m, "deg", blocks.log2_ceil(m), "right"))
-        broken = Circuit(full.layout)
-        broken.extend(full.gates[:start] + full.gates[end:])
-        return broken
+        return Circuit(full.layout, full.gates[:start] + full.gates[end:])
 
     monkeypatch.setitem(blocks.BLOCKS, "deg", (without_rotate_back, ("m",)))
     m = 4
