@@ -83,16 +83,29 @@ def swap(w1: Wire, w2: Wire) -> Gate:
 class Circuit:
     """A value: an ordered gate tuple over a register-name -> width layout,
     checked against the layout once, when it is made.  Its kernel is
-    generated on the first run and never reset, since the gates never change."""
+    generated on the first run and never reset, since the gates never change.
+    The layout is the circuit's own copy of the dict it is given; it is not
+    read-only, and nothing may change it."""
 
     layout: dict[str, int]
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "layout", dict(self.layout))
         object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "_growable", not self.gates)
         for reg, idx in (w for g in self.gates for w in g.wires()):
             if not 0 <= idx < self.layout.get(reg, 0):
                 raise LayoutMismatch(f"wire {reg}[{idx}] not in layout")
+
+    def add(self, gate: Gate) -> None:
+        """Append one gate to a circuit made empty, `Circuit(layout)`, before
+        its first run.  Only perfbench/tests/test_perfbench.py still grows a
+        circuit, and this goes once it passes its gates to the constructor;
+        a circuit made with gates, as every builder's is, refuses."""
+        if not self._growable or "_kernel" in self.__dict__:
+            raise TypeError("only a circuit made empty grows, and only before its first run")
+        object.__setattr__(self, "gates", self.gates + Circuit(self.layout, (gate,)).gates)
 
     @property
     def width(self) -> int:

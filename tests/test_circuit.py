@@ -63,9 +63,33 @@ def test_cached_circuits_are_values():
         assert isinstance(c.gates, tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.gates = ()
-    assert not hasattr(Circuit, "add") and not hasattr(Circuit, "extend")
+        with pytest.raises(TypeError):
+            c.add(gate_not(("q", 0)))
+    assert not hasattr(Circuit, "extend")
     inputs = field.nonzero_elements()
     assert [run_naive_inversion(x, field) for x in inputs] == [field_invert(x, field) for x in inputs]
+
+
+def test_only_a_circuit_made_empty_grows_before_its_first_run():
+    grown = Circuit({"a": 2, "b": 1})
+    for g in toy_circuit().gates:
+        grown.add(g)
+    assert grown == toy_circuit()
+    with pytest.raises(LayoutMismatch):
+        grown.add(gate_not(("c", 0)))
+    assert grown == toy_circuit()
+    assert apply(grown, BasisState.zeros(grown.layout)).get_reg("a") == 2
+    with pytest.raises(TypeError):
+        grown.add(gate_not(("a", 0)))  # its kernel is generated
+    with pytest.raises(TypeError):
+        toy_circuit().add(gate_not(("a", 0)))
+
+
+def test_a_circuit_keeps_its_own_layout():
+    layout = {"a": 2, "b": 1}
+    c = Circuit(layout, toy_circuit().gates)
+    layout["a"] = 5
+    assert c.layout == {"a": 2, "b": 1} and c.width == 3
 
 
 def test_apply_polarity():
