@@ -79,12 +79,12 @@ def controlled_rotation_gates(data: str, n: int, shift: str, k: int, direction: 
     return [g for j in range(k) for g in controlled_rotation_stage(data, n, shift, j, direction)]
 
 
-def build_controlled_shift(n: int, k: int, direction: str = "left") -> Circuit:
-    """|theta>|s> <-> |theta rotated by s>|s> with an n-wire data register
-    and a k-wire shift register."""
+def build_controlled_shift(n: int, k: int) -> Circuit:
+    """|theta>|s> <-> |theta rotated left by s>|s> with an n-wire data
+    register and a k-wire shift register."""
     if n < 2 or k < 1:
         raise BadParameter("controlled shift needs n >= 2 and k >= 1")
-    return Circuit({"data": n, "shift": k}, controlled_rotation_gates("data", n, "shift", k, direction))
+    return Circuit({"data": n, "shift": k}, controlled_rotation_gates("data", n, "shift", k, "left"))
 
 
 def _increment_gates(wires) -> list[Gate]:

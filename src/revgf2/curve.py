@@ -49,12 +49,8 @@ class CurvePoint:
     y: int = 0
     is_infinity: bool = False
 
-    @staticmethod
-    def infinity() -> "CurvePoint":
-        return CurvePoint(is_infinity=True)
 
-
-INFINITY = CurvePoint.infinity()
+INFINITY = CurvePoint(is_infinity=True)
 
 
 def on_curve(p: CurvePoint, curve: CurveSpec) -> bool:
@@ -157,16 +153,3 @@ def load_curve(path) -> CurveSpec:
         b=parse_poly(entries["b"]),
         c=parse_poly(entries.get("c", "0")),
     )
-
-
-__all__ = [
-    "CurveKind",
-    "CurveSpec",
-    "CurvePoint",
-    "INFINITY",
-    "on_curve",
-    "negate",
-    "ec_add",
-    "enumerate_points",
-    "load_curve",
-]

@@ -143,10 +143,6 @@ class GroupStepPlan:
     params: FixedPointParams
     chain: tuple[tuple[tuple, ...], ...]
 
-    @property
-    def arrows(self) -> int:
-        return len(self.chain)
-
     def inverse(self) -> "GroupStepPlan":
         """Every step is self-inverse, so the inverse runs every arrow
         reversed, in reverse order."""

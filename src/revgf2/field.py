@@ -78,7 +78,7 @@ def field_invert(c: int, field: FieldSpec) -> int:
     """Inverse of a nonzero element via the extended Euclidean algorithm."""
     if c == 0:
         raise ZeroElement("0 has no inverse")
-    g, k, _ = extended_euclid(c, field.modulus)
+    g, k = extended_euclid(c, field.modulus)
     if g != 1:
         raise InvariantViolation("modulus is irreducible, so gcd(c, f) = 1")
     return poly_divmod(k, field.modulus)[1]

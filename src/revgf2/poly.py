@@ -46,28 +46,22 @@ def poly_divmod(b: int, a: int) -> tuple[int, int]:
     return q, b
 
 
-def extended_euclid(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclidean algorithm: returns (g, k, kp) with g = k*a + kp*b.
+def extended_euclid(a: int, b: int) -> tuple[int, int]:
+    """Extended Euclidean algorithm: returns (g, k) with g = k*a + kp*b for
+    some kp, which is not tracked.
 
-    The loop exits when the remainder reaches 0; the returned coefficients
-    are the ones paired with the final nonzero remainder.
+    The loop exits when the remainder reaches 0; the returned coefficient
+    is the one paired with the final nonzero remainder.
     """
     if a == 0 and b == 0:
         raise BothZero("gcd(0, 0) is undefined")
-    # (r0, k0, kp0) and (r1, k1, kp1) track the last two remainder rows.
-    r0, k0, kp0 = a, 1, 0
-    r1, k1, kp1 = b, 0, 1
+    # (r0, k0) and (r1, k1) track the last two remainder rows.
+    r0, k0 = a, 1
+    r1, k1 = b, 0
     while r1 != 0:
         q, r = poly_divmod(r0, r1)
-        r0, k0, kp0, r1, k1, kp1 = (
-            r1,
-            k1,
-            kp1,
-            r,
-            k0 ^ poly_mul(q, k1),
-            kp0 ^ poly_mul(q, kp1),
-        )
-    return r0, k0, kp0
+        r0, k0, r1, k1 = r1, k1, r, k0 ^ poly_mul(q, k1)
+    return r0, k0
 
 
 def parse_poly(text: str) -> int:
@@ -78,10 +72,8 @@ def parse_poly(text: str) -> int:
     return int(text, 2)
 
 
-def format_poly(p: int, width: int | None = None) -> str:
-    """Render a polynomial MSB-first; pad to `width` coefficients if given."""
-    if width is None:
-        width = max(p.bit_length(), 1)
+def format_poly(p: int, width: int) -> str:
+    """Render a polynomial MSB-first, padded to `width` coefficients."""
     if p.bit_length() > width:
         raise ValueError(f"polynomial needs more than {width} coefficients")
     return format(p, f"0{width}b")

@@ -8,17 +8,17 @@ import pytest
 from revgf2 import circuit
 from revgf2.blocks import build_controlled_shift, controlled_rotation_stage
 from revgf2.circuit import (
+    CNOT,
+    NOT,
     SWAP,
     BasisState,
     Circuit,
     Gate,
     apply,
     cnot,
-    emit_netlist,
     gate_not,
     lane_values,
     pack_lanes,
-    parse_netlist,
     report,
     run_lanes,
     swap,
@@ -46,14 +46,16 @@ def test_gate_validation():
         swap(("a", 0), ("a", 0))
     with pytest.raises(ValueError):
         Gate(SWAP, controls=((("a", 2), 1),), targets=(("a", 0), ("a", 1)))
+    with pytest.raises(ValueError, match="NOT takes one target and no controls"):
+        Gate(NOT, controls=((("a", 1), 1),), targets=(("a", 0),))
+    with pytest.raises(ValueError, match="CNOT takes one target and at least one control"):
+        Gate(CNOT, targets=(("a", 0),))
 
 
 def test_layout_checked_on_construction():
     for reg, idx in (("b", 0), ("a", 5), ("a", -1)):
         with pytest.raises(LayoutMismatch):
             Circuit({"a": 2}, [gate_not(("a", 0)), cnot([(("a", 1), 1)], (reg, idx))])
-        with pytest.raises(LayoutMismatch):
-            parse_netlist(f"REG a 2\nNOT a[0]\nCNOT +a[1] > {reg}[{idx}]\n")
 
 
 def test_cached_circuits_are_values():
@@ -88,8 +90,23 @@ def test_only_a_circuit_made_empty_grows_before_its_first_run():
 def test_a_circuit_keeps_its_own_layout():
     layout = {"a": 2, "b": 1}
     c = Circuit(layout, toy_circuit().gates)
+    before = report(c)
     layout["a"] = 5
-    assert c.layout == {"a": 2, "b": 1} and c.width == 3
+    assert c.layout == {"a": 2, "b": 1} and c.width == 3 and report(c) == before
+    with pytest.raises(TypeError):
+        c.layout["a"] = 5  # read-only
+    assert Circuit(c.layout, c.gates) == c
+
+
+def test_basis_states_are_checked():
+    state = BasisState.zeros({"a": 2})
+    with pytest.raises(LayoutMismatch, match="no register 'b'"):
+        state.set_reg("b", 0)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match="does not fit register 'a'"):
+            state.set_reg("a", bad)
+    with pytest.raises(LayoutMismatch, match="does not cover"):
+        apply(toy_circuit(), state)  # no register b
 
 
 def test_apply_polarity():
@@ -169,8 +186,15 @@ def test_lane_packing_round_trip(lanes, width):
     assert list(lane_values(wires, lanes)) == values
 
 
+def test_lane_packing_of_a_constant_column():
+    # every lane alike: each wire is 0 or the all-lanes mask, packed without a transpose
+    assert pack_lanes([0b101] * 37, 3) == [(1 << 37) - 1, 0, (1 << 37) - 1]
+    assert pack_lanes([0] * 4, 2) == [0, 0]
+    assert list(lane_values(pack_lanes([0b10011] * 9, 5), 9)) == [0b10011] * 9
+
+
 def test_lane_packing_rejects_values_that_do_not_fit():
-    for bad in ([0, 8], [-1]):
+    for bad in ([0, 8], [-1], [8] * 3, [-1] * 2):
         with pytest.raises(ValueError):
             pack_lanes(bad, 3)
 
@@ -189,12 +213,16 @@ def test_given_lanes_match_one_lane_runs():
             assert {name: outputs[name][j] for name in layout} == out.bits
 
 
-def test_given_lanes_are_checked():
+def test_given_lanes_are_checked(monkeypatch):
     c = toy_circuit()
     with pytest.raises(LayoutMismatch):
         run_lanes(c, {"nope": [0]})
     with pytest.raises(ValueError):
         run_lanes(c, {"a": [0, 1], "b": [0]})
+    monkeypatch.setattr(circuit, "MAX_LANE_BITS", 2)
+    assert list(run_lanes(c, {"a": [0] * 4}).values("a")) == [2] * 4
+    with pytest.raises(WidthTooLarge, match="5 lanes exceed the 2\\^2-lane bound"):
+        run_lanes(c, {"a": [0] * 5})
 
 
 def test_sweep_refuses_more_bits_than_the_lane_bound():
@@ -220,10 +248,10 @@ def test_kernel_matches_a_gate_by_gate_reference():
 
 def test_register_names_never_reach_the_kernel():
     names = ["'\"", "x]#", "__import__('os')._exit(3)", "w", "w0", "mask", "{1/0}"]
-    lines = [f"REG {name} 2" for name in names]
+    gates = []
     for u, v in zip(names, names[1:]):
-        lines += [f"CNOT +{u}[0] -{v}[1] > {v}[0]", f"SWAP {u}[1] {v}[0]", f"NOT {u}[1]"]
-    c = parse_netlist("\n".join(lines))
+        gates += [cnot([((u, 0), 1), ((v, 1), 0)], (v, 0)), swap((u, 1), (v, 0)), gate_not((u, 1))]
+    c = Circuit(dict.fromkeys(names, 2), gates)
     assert list(c.layout) == names and len(c.gates) == 18
     check_against_reference(c, (names[0], names[2], names[4]), random.Random(3))
     for chunk in c._kernel[0]:
@@ -404,12 +432,3 @@ def test_report_counts_and_depth():
     assert rep.depth == 4
     flat = rep.to_json()
     assert flat["gates_total"] == 4 and flat["cnot_arity_2"] == 1
-
-
-def test_netlist_round_trip():
-    c = toy_circuit()
-    text = emit_netlist(c)
-    back = parse_netlist(text)
-    assert back.layout == c.layout
-    assert back.gates == c.gates
-    assert "CNOT +a[0] -a[1] > b[0]" in text

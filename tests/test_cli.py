@@ -49,6 +49,9 @@ def test_estimate(capsys):
     assert main(["estimate", "--m", "4"]) == 0
     payload, _ = last_json(capsys)
     assert payload["formula_h0"] == 29
+    assert main(["estimate", "--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "estimate needs m >= 2" in captured.err and captured.out == ""
 
 
 def test_verify_naive_div_exhaustive(capsys):
@@ -64,6 +67,9 @@ def test_verify_scope_too_large(capsys):
         captured = capsys.readouterr()
         assert f"{2 * m + 1} swept bits exceed the 22-bit lane bound; use --sample <n>" in captured.err
         assert captured.out == ""
+    assert main(["verify", "naive-invert", "--m", "21"]) == 2
+    captured = capsys.readouterr()
+    assert f"{1 << 21} states exceed the exhaustive limit; use --sample <n>" in captured.err and captured.out == ""
 
 
 def test_verify_opt_invert_sample(capsys):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from revgf2 import ecgroup
-from revgf2.curve import CurveKind, CurvePoint, CurveSpec, ec_add, enumerate_points
+from revgf2.curve import CurveKind, CurvePoint, CurveSpec, ec_add, enumerate_points, on_curve
 from revgf2.ecgroup import (
     DIVIDE,
     MULTIPLY,
@@ -44,8 +44,8 @@ def test_fixed_point_must_lie_on_curve():
 
 
 def test_plan_arrow_counts():
-    assert plan_group_add(params_for(NS)).arrows == 6
-    assert plan_group_add(params_for(SS)).arrows == 5
+    assert len(plan_group_add(params_for(NS)).chain) == 6
+    assert len(plan_group_add(params_for(SS)).chain) == 5
 
 
 def test_zero_constants_degenerate_to_identity():
@@ -158,12 +158,10 @@ def test_non_generic_inputs_rejected():
         simulate_group_add(CurvePoint(is_infinity=True), params)
     with pytest.raises(NonGenericInput):
         simulate_group_add(CurvePoint(params.alpha, params.beta), params)
-    off = CurvePoint(0, 1)
-    from revgf2.curve import on_curve
-
-    if not on_curve(off, NS):
-        with pytest.raises(PointNotOnCurve):
-            simulate_group_add(off, params)
+    off = CurvePoint(1, 0)  # y^2 + xy = 0, but x^3 + ax^2 + b = a
+    assert not on_curve(off, NS) and off.x != params.alpha
+    with pytest.raises(PointNotOnCurve):
+        simulate_group_add(off, params)
 
 
 @pytest.mark.parametrize("backend", ["naive", "opt"])
@@ -202,3 +200,8 @@ def test_width_bounded_by_division():
 def test_width_rejects_unknown_backend():
     with pytest.raises(ValueError, match="backend must be naive or opt, not 'bogus'"):
         group_op_width(F16, "bogus")
+
+
+def test_step_context_rejects_unknown_backend():
+    with pytest.raises(ValueError, match="backend must be naive or opt, not 'bogus'"):
+        build_division_with_uncompute(F16, "bogus")

@@ -31,6 +31,14 @@ def test_reducible_modulus_rejected():
         FieldSpec(4, 0b10101)  # (z^2+z+1)^2
 
 
+def test_field_degree_and_modulus_degree_checked():
+    with pytest.raises(ValueError, match="field degree must be positive"):
+        FieldSpec(0, 0b1)
+    for modulus in (0, 0b1011):  # no degree; degree 3
+        with pytest.raises(ValueError, match="modulus must have degree exactly m"):
+            FieldSpec(4, modulus)
+
+
 def test_mul_commutative_associative():
     for x in F16.elements():
         for y in F16.elements():
@@ -77,6 +85,9 @@ def test_load_field(tmp_path):
     path = tmp_path / "f.field"
     path.write_text("# GF(2^4)\nm = 4\nmodulus = 10011\n")
     assert load_field(path) == F16
+    path.write_text("m = 4\nmodulus 10011\n")
+    with pytest.raises(ValueError, match="malformed config line: 'modulus 10011'"):
+        load_field(path)
 
 
 def trial_division_irreducible(f: int) -> bool:

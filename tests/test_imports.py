@@ -18,8 +18,6 @@ def test_every_import_is_used():
                 imported.update({(a.asname or a.name).partition(".")[0]: node.lineno for a in node.names})
             elif isinstance(node, ast.Name):
                 used.add(node.id)
-            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                used.update(ast.literal_eval(node.value))
         unused += [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused
 

@@ -59,10 +59,10 @@ def test_extended_euclid_bezout():
     for _ in range(200):
         a = rng.randrange(1, 1 << 10)
         b = rng.randrange(1, 1 << 10)
-        g, k, kp = extended_euclid(a, b)
+        g, k = extended_euclid(a, b)
         assert poly_divmod(a, g)[1] == 0
         assert poly_divmod(b, g)[1] == 0
-        assert poly_mul(k, a) ^ poly_mul(kp, b) == g
+        assert poly_divmod(poly_mul(k, a) ^ g, b)[1] == 0  # k*a = g mod b
 
 
 def test_parse_format_round_trip():
@@ -70,3 +70,5 @@ def test_parse_format_round_trip():
         assert parse_poly(format_poly(p, 8)) == p
     assert parse_poly("10101") == 0b10101
     assert format_poly(0b101, 5) == "00101"
+    with pytest.raises(ValueError, match="more than 2 coefficients"):
+        format_poly(0b101, 2)

@@ -3,6 +3,8 @@ import pytest
 from revgf2 import blocks, verify
 from revgf2.circuit import Circuit, cnot, gate_not
 from revgf2.cli import main
+from revgf2.curve import CurvePoint, enumerate_points, load_curve
+from revgf2.ecgroup import FixedPointParams, generic_points
 from revgf2.field import FieldSpec, field_invert
 from revgf2.poly import format_poly, poly_divmod
 
@@ -22,6 +24,25 @@ def test_faulty_inverse_is_reported(fault, monkeypatch):
     result = verify.check_inversion(F16, "naive", inputs)
     assert result.checked == 15 and result.flagged == 0
     assert result.mismatches == [format_poly(c, 4) for c in inputs]
+
+
+def test_inversion_check_rejects_unknown_backend():
+    with pytest.raises(ValueError, match="backend must be naive or opt, not 'bogus'"):
+        verify.check_inversion(F16, "bogus", [1])
+
+
+def test_wrong_group_add_is_reported(curve_files, monkeypatch, capsys):
+    # the plan hands every point back unchanged, which is never S + (alpha, beta)
+    monkeypatch.setattr(verify, "simulate_group_add", lambda s, params, backend: CurvePoint(s.x, s.y))
+    curve = load_curve(curve_files["ns"])
+    fixed = [p for p in enumerate_points(curve) if not p.is_infinity][0]  # the CLI's default
+    params = FixedPointParams(curve, fixed.x, fixed.y)
+    points = generic_points(params)
+    result = verify.check_group_add(params, "opt")
+    assert result.checked == len(points) > 0
+    assert result.mismatches == [f"({format_poly(s.x, 4)},{format_poly(s.y, 4)})" for s in points]
+    assert main(["verify", "ec-add", "--curve", curve_files["ns"], "--backend", "opt"]) == 1
+    assert f'"mismatches": {len(points)}' in capsys.readouterr().out
 
 
 def test_division_that_corrupts_the_divisor_is_reported(monkeypatch, capsys):
