@@ -5,12 +5,15 @@ checked against the layout once, when it is made; a builder passes its
 whole gate list to the constructor.  Gates are NOT, multi-controlled NOT
 (controls carry a polarity: 1-control fires on |1>, 0-control on |0>), and
 SWAP, so every circuit permutes basis states.
-The simulator keeps one int per wire whose bit j is lane j's value: `apply`
-runs one state as one lane, `sweep` every value of the named registers and
-`run_lanes` a given list of values, one lane each; `pack_lanes` and
-`lane_values` convert between per-lane values and a register's wire ints.
-All of them run one kernel, generated once per circuit on its first run
-and never reset, since the gates never change: each gate becomes one line
+The simulator keeps one int per wire whose bit j is lane j's value:
+`run_one` takes and returns one int per register, in layout order, as one
+lane, `apply` runs one `BasisState` as one lane, `sweep` every value of
+the named registers and `run_lanes` a given list of values, one lane each;
+`pack_lanes` and `lane_values` convert between per-lane values and a
+register's wire ints.  All of them run one kernel, generated once per
+circuit on its first run and never reset, since the gates never change
+(`run_one` through an entry generated beside it, which reads each register
+back from the slots its wires end in): each gate becomes one line
 of Python such as `w17 ^= w3 & ~w9`, compiled in chunks of functions over
 local wire ints.  A SWAP only relabels which list slot holds which wire
 while the code is generated, so it costs nothing to run.  A run of lines
@@ -113,10 +116,10 @@ class Circuit:
         return sum(self.layout.values())
 
     @cached_property
-    def _kernel(self) -> tuple[list, itemgetter]:
-        """The generated kernel: chunk functions over the wire list, and a
+    def _kernel(self) -> tuple[list, itemgetter, list[int]]:
+        """The generated kernel: chunk functions over the wire list, a
         getter that reads the wires, in layout order, from the slots they
-        end in.
+        end in, and those slots.
 
         One streaming pass turns the gates into slot-resolved lines, the
         lines into units and the units into chunks.  A unit is one line, or
@@ -136,7 +139,37 @@ class Circuit:
         slot = list(range(len(wires)))  # slot[i]: the list position holding wire i
         chunks = [_compile_chunk(runs) for runs in _chunk_runs(_units(_slot_lines(self.gates, index, slot)))]
         # below two wires no SWAP can move one, and itemgetter of one slot returns no sequence
-        return chunks, itemgetter(*slot) if len(slot) > 1 else itemgetter(slice(None))
+        return chunks, itemgetter(*slot) if len(slot) > 1 else itemgetter(slice(None)), slot
+
+    @cached_property
+    def _one_lane(self):
+        """The one-lane entry, generated from the kernel's chunks: it takes
+        one int per register, in layout order, spreads their bits over a
+        new wire list, runs the chunks with one lane and returns each
+        register's value, read from the slots its wires end in.  Like the
+        chunks, its source holds only numbers, never a register name."""
+        chunks, _, slot = self._kernel
+        layout = self.layout
+        regs = [(f"r{k}", width) for k, width in enumerate(layout.values())]
+        args = ", ".join(r for r, _ in regs)
+        bits, outs, i = [], [], 0
+        for r, width in regs:
+            bits += [f"{r} >> {b} & 1" for b in range(width)]
+            outs.append(" | ".join(f"w[{slot[i + b]}] << {b}" for b in range(width)) or "0")
+            i += width
+        # r >> width is nonzero both for a value too wide and for a negative one
+        body = [f"if {' or '.join(f'{r} >> {width}' for r, width in regs)}:", f" misfit({args})"] if regs else []
+        body += [f"w = [{', '.join(bits)}]", "for c in chunks:", " c(w, 1)", f"return ({''.join(o + ', ' for o in outs)})"]
+
+        def misfit(*values):
+            for (name, width), value in zip(layout.items(), values):
+                if value < 0 or value.bit_length() > width:
+                    raise ValueError(f"value {value} does not fit register {name!r}")
+
+        namespace: dict = {"__builtins__": {}, "chunks": chunks, "misfit": misfit}
+        source = f"def one({args}):\n " + "\n ".join(body)
+        exec(compile(source, "<circuit one-lane entry>", "exec"), namespace)
+        return namespace["one"]
 
 
 # Gate lines per generated function.  Compiling the m = 16 Euclid iteration
@@ -293,7 +326,7 @@ def _simulate(circuit: Circuit, wires: list[int], mask: int) -> Sequence[int]:
     """The kernel: run the generated chunks in place over the wire ints, in
     layout order with one bit per lane in `mask`, and return the wire ints in
     layout order, read from the slots the SWAPs relabelled them into."""
-    chunks, gather = circuit._kernel
+    chunks, gather, _ = circuit._kernel
     for chunk in chunks:
         chunk(wires, mask)
     return gather(wires)
@@ -309,6 +342,13 @@ def apply(circuit: Circuit, state: BasisState) -> BasisState:
     for name, width in circuit.layout.items():
         bits[name] = sum(b << i for i, b in enumerate(islice(after, width)))
     return BasisState(state.layout, bits)
+
+
+def run_one(circuit: Circuit, *values: int) -> tuple[int, ...]:
+    """Run the circuit on one input given as one int per register, in layout
+    order, and return each register's value in the same order.  A negative
+    value, or one wider than its register, raises ValueError."""
+    return circuit._one_lane(*values)
 
 
 # 2**22 lanes make each wire int 512 KiB.  At this bound the 22-wire round

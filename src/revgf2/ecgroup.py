@@ -27,7 +27,7 @@ import functools
 from dataclasses import dataclass
 
 from .blocks import build_mul_accumulate
-from .circuit import BasisState, Circuit, apply
+from .circuit import Circuit, run_one
 from .curve import CurveKind, CurvePoint, CurveSpec, ec_add, enumerate_points, on_curve
 from .errors import DivisionByZero, InvariantViolation, NonGenericInput, PointNotOnCurve
 from .field import FieldSpec, field_sqr
@@ -88,14 +88,14 @@ def invert_x(regs, ctx: StepContext):
 
 
 def mul_acc(regs, ctx: StepContext, target: int, a: int, b: int):
-    """regs[target] ^= regs[a]*regs[b] through the simulated multiplier; the
-    operands must come back unchanged (checked)."""
-    mul = ctx.multiplier
-    out = apply(mul, BasisState.from_values(mul.layout, x=regs[a], y=regs[b], t=regs[target]))
-    if out.get_reg("x") != regs[a] or out.get_reg("y") != regs[b]:
+    """regs[target] ^= regs[a]*regs[b] through the simulated multiplier, run
+    on its registers (x, y, t) as one lane; the operands must come back
+    unchanged (checked)."""
+    x, y, t = run_one(ctx.multiplier, regs[a], regs[b], regs[target])
+    if x != regs[a] or y != regs[b]:
         raise InvariantViolation("multiplier operands not restored")
     regs = list(regs)
-    regs[target] = out.get_reg("t")
+    regs[target] = t
     return tuple(regs)
 
 

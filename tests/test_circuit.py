@@ -1,11 +1,14 @@
 import dataclasses
 import dis
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from revgf2 import circuit
+from revgf2 import blocks, circuit
 from revgf2.blocks import build_controlled_shift, controlled_rotation_stage
 from revgf2.circuit import (
     CNOT,
@@ -21,6 +24,7 @@ from revgf2.circuit import (
     pack_lanes,
     report,
     run_lanes,
+    run_one,
     swap,
     sweep,
 )
@@ -258,6 +262,10 @@ def test_register_names_never_reach_the_kernel():
         code = chunk.__code__
         assert code.co_names == () and {type(k) for k in code.co_consts} <= {int, type(None)}
         assert all(v in ("w", "mask") or v[0] == "w" and v[1:].isdigit() for v in code.co_varnames)
+    check_one_lane_entry(c, random.Random(3))
+    code = c._one_lane.__code__
+    assert set(code.co_names) == {"chunks", "misfit"} and {type(k) for k in code.co_consts} <= {int, type(None)}
+    assert all(v in ("w", "c") or v[0] == "r" and v[1:].isdigit() for v in code.co_varnames)
 
 
 def guarded_blocks(c):
@@ -336,6 +344,73 @@ def test_one_wire_and_zero_or_one_lane_runs():
     assert list(run_lanes(c, {"a": []}).values("b")) == []
     run = run_lanes(c, {"a": [2]})
     assert {name: next(run.values(name)) for name in c.layout} == reference_run(c, {"a": 2})
+
+
+def check_one_lane_entry(c, rng):
+    """run_one on seeded values, against apply, a one-lane run_lanes and the
+    gate-by-gate reference."""
+    for _ in range(20):
+        values = {name: rng.getrandbits(width) for name, width in c.layout.items()}
+        got = run_one(c, *values.values())
+        assert got == tuple(reference_run(c, values).values())
+        assert got == tuple(apply(c, BasisState.from_values(c.layout, **values)).bits.values())
+        run = run_lanes(c, {name: [value] for name, value in values.items()})
+        assert got == tuple(next(run.values(name)) for name in c.layout)
+
+
+@pytest.mark.parametrize("name", sorted(blocks.BLOCKS))
+def test_one_lane_entry_matches_apply_and_run_lanes(name):
+    build, params = blocks.BLOCKS[name]
+    sizes = {"n": 4, "k": 2, "w": 2, "m": 4}
+    check_one_lane_entry(build(*(sizes[p] for p in params)), random.Random(name))
+
+
+def test_one_lane_entry_reads_the_slots_swaps_moved_wires_to():
+    c = build_euclid_iteration(8)
+    slots = c._kernel[2]
+    assert slots != sorted(slots)  # the pair swap ends each wire in another slot
+    check_one_lane_entry(c, random.Random(29))
+
+
+def test_one_lane_entry_on_one_wire_and_on_no_gates():
+    c = Circuit({"a": 1}, [gate_not(("a", 0))])
+    assert run_one(c, 0) == (1,) and run_one(c, 1) == (0,)
+    assert run_one(Circuit({"a": 3, "b": 2}), 5, 2) == (5, 2)
+    assert run_one(Circuit({})) == ()
+    assert run_one(toy_circuit(), 2, 0) == tuple(reference_run(toy_circuit(), {"a": 2}).values())
+
+
+def test_one_lane_entry_checks_each_value():
+    c = toy_circuit()
+    for values, bad, name in (((-1, 0), -1, "a"), ((4, 0), 4, "a"), ((0, 2), 2, "b"), ((0, -3), -3, "b")):
+        with pytest.raises(ValueError, match=f"value {bad} does not fit register '{name}'"):
+            run_one(c, *values)
+    # the check is no assert, so it holds under python -O too
+    code = (
+        "from revgf2.blocks import build_swap\n"
+        "from revgf2.circuit import run_one\n"
+        "assert False, 'unreachable under -O'\n"
+        "for bad in (-1, 4):\n"
+        "    try:\n"
+        "        run_one(build_swap(), bad)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(3)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_one_lane_entry_is_generated_once_per_circuit(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(circuit, "compile", lambda *args: compiled.append(args[1]) or compile(*args), raising=False)
+    c = toy_circuit()
+    run_one(c, 1, 0)
+    assert compiled == ["<circuit kernel>", "<circuit one-lane entry>"]
+    assert run_one(c, 2, 1) == tuple(reference_run(c, {"a": 2, "b": 1}).values())
+    assert len(compiled) == 2 and c._one_lane.__globals__["chunks"] is c._kernel[0]
 
 
 def test_toffolis_that_share_a_one_control_run_in_one_block():

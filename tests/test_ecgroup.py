@@ -130,14 +130,13 @@ def test_unrestored_x_is_caught(monkeypatch):
 
 
 def test_multiplier_operand_fault_is_caught(monkeypatch):
-    real_apply = ecgroup.apply
+    real_run_one = ecgroup.run_one
 
-    def apply_flipping_x(circuit, state):
-        out = real_apply(circuit, state)
-        out.set_reg("x", out.get_reg("x") ^ 1)
-        return out
+    def run_one_flipping_x(circuit, *values):
+        x, *rest = real_run_one(circuit, *values)
+        return (x ^ 1, *rest)
 
-    monkeypatch.setattr(ecgroup, "apply", apply_flipping_x)
+    monkeypatch.setattr(ecgroup, "run_one", run_one_flipping_x)
     with pytest.raises(InvariantViolation, match="operands"):
         run_arrow(DIVIDE, (0b11, 0b101, 0), build_division_with_uncompute(F16, "opt"))
 
