@@ -5,15 +5,16 @@ checked against the layout once, when it is made; a builder passes its
 whole gate list to the constructor.  Gates are NOT, multi-controlled NOT
 (controls carry a polarity: 1-control fires on |1>, 0-control on |0>), and
 SWAP, so every circuit permutes basis states.
-The simulator keeps one int per wire whose bit j is lane j's value:
-`run_one` takes and returns one int per register, in layout order, as one
-lane, `apply` runs one `BasisState` as one lane, `sweep` every value of
-the named registers and `run_lanes` a given list of values, one lane each;
-`pack_lanes` and `lane_values` convert between per-lane values and a
-register's wire ints.  All of them run one kernel, generated once per
-circuit on its first run and never reset, since the gates never change
-(`run_one` through an entry generated beside it, which reads each register
-back from the slots its wires end in): each gate becomes one line
+The simulator keeps one int per wire whose bit j is lane j's value.  It
+has two run paths over one kernel, generated once per circuit on its
+first run and never reset, since the gates never change: `run_one` takes
+and returns one int per register, in layout order, as one lane, through
+an entry generated beside the kernel; `run_wires` runs a layout-ordered
+list of wire ints in any number of lanes, under `sweep` (every value of
+the named registers), `run_lanes` (given values, one lane each) and the
+naive inversion driver.  `pack_lanes` and `lane_values` convert between
+per-lane values and a register's wire ints; `apply` and `BasisState` are
+the benchmark's one-lane adapter over `run_wires`.  Each gate becomes one line
 of Python such as `w17 ^= w3 & ~w9`, compiled in chunks of functions over
 local wire ints.  A SWAP only relabels which list slot holds which wire
 while the code is generated, so it costs nothing to run.  A run of lines
@@ -288,57 +289,47 @@ def _permutation(pairs) -> str:
     return f"{', '.join(f'w{x}' for x in moved)} = {', '.join(f'w{held[x]}' for x in moved)}"
 
 
-@dataclass
-class BasisState:
-    """One bit per wire of a layout, stored as one int per register."""
-
-    layout: dict[str, int]
-    bits: dict[str, int]
-
-    @staticmethod
-    def zeros(layout: dict[str, int]) -> "BasisState":
-        # copy() takes a dict or a circuit's read-only layout, and on the latter is ~6x faster than dict()
-        return BasisState(layout.copy(), {name: 0 for name in layout})
-
-    @staticmethod
-    def from_values(layout: dict[str, int], **values: int) -> "BasisState":
-        state = BasisState.zeros(layout)
-        for name, value in values.items():
-            state.set_reg(name, value)
-        return state
-
-    def get_reg(self, name: str) -> int:
-        return self.bits[name]
-
-    def set_reg(self, name: str, value: int):
-        if name not in self.layout:
-            raise LayoutMismatch(f"no register {name!r}")
-        if value < 0 or value.bit_length() > self.layout[name]:
-            raise ValueError(f"value {value} does not fit register {name!r}")
-        self.bits[name] = value
-
-
-def _compatible(layout_a: dict[str, int], layout_b: dict[str, int]) -> bool:
-    return all(layout_a.get(name) == width for name, width in layout_b.items())
-
-
-def _simulate(circuit: Circuit, wires: list[int], mask: int) -> Sequence[int]:
-    """The kernel: run the generated chunks in place over the wire ints, in
-    layout order with one bit per lane in `mask`, and return the wire ints in
-    layout order, read from the slots the SWAPs relabelled them into."""
+def run_wires(circuit: Circuit, wires: list[int], mask: int) -> Sequence[int]:
+    """Run the circuit in place on `wires`, one int per wire in layout order
+    with one bit per lane in `mask`, and return the wire ints in layout order.
+    The run leaves `wires` in the slots the SWAPs relabelled: read the result."""
     chunks, gather, _ = circuit._kernel
     for chunk in chunks:
         chunk(wires, mask)
     return gather(wires)
 
 
+@dataclass
+class BasisState:
+    """The benchmark's one-lane state: one int per register of a layout."""
+
+    layout: dict[str, int]
+    bits: dict[str, int]
+
+    @staticmethod
+    def from_values(layout: dict[str, int], **values: int) -> "BasisState":
+        """The state that holds `values`, the layout's other registers at 0."""
+        bits = dict.fromkeys(layout, 0)
+        for name, value in values.items():
+            if name not in layout:
+                raise LayoutMismatch(f"no register {name!r}")
+            if value < 0 or value.bit_length() > layout[name]:
+                raise ValueError(f"value {value} does not fit register {name!r}")
+            bits[name] = value
+        # copy() takes a dict or a circuit's read-only layout, and on the latter is ~6x faster than dict()
+        return BasisState(layout.copy(), bits)
+
+    def get_reg(self, name: str) -> int:
+        return self.bits[name]
+
+
 def apply(circuit: Circuit, state: BasisState) -> BasisState:
-    """Run the circuit on one basis state: the kernel with a single lane."""
-    if not _compatible(state.layout, circuit.layout):
+    """Run the circuit on one basis state as one lane; registers it lacks keep their values."""
+    if any(state.layout.get(name) != width for name, width in circuit.layout.items()):
         raise LayoutMismatch("state layout does not cover the circuit's registers")
     bits = dict(state.bits)
     before = [(bits[name] >> i) & 1 for name, width in circuit.layout.items() for i in range(width)]
-    after = iter(_simulate(circuit, before, 1))
+    after = iter(run_wires(circuit, before, 1))
     for name, width in circuit.layout.items():
         bits[name] = sum(b << i for i, b in enumerate(islice(after, width)))
     return BasisState(state.layout, bits)
@@ -394,13 +385,18 @@ class Sweep:
 
 
 def _run_sweep(circuit: Circuit, lanes: int, before: dict[str, list[int]]) -> Sweep:
-    after = iter(_simulate(circuit, [x for name in circuit.layout for x in before[name]], (1 << lanes) - 1))
+    after = iter(run_wires(circuit, [x for name in circuit.layout for x in before[name]], (1 << lanes) - 1))
     return Sweep(lanes, before, {name: list(islice(after, width)) for name, width in circuit.layout.items()})
 
 
 def sweep(circuit: Circuit, registers: tuple[str, ...]) -> Sweep:
     """Run the circuit on every value of `registers` at once.  Lane j holds the
     j-th combination, the first register in the low bits; the rest start at 0."""
+    unknown = set(registers) - set(circuit.layout)
+    if unknown:
+        raise LayoutMismatch(f"no registers {sorted(unknown)} in the circuit's layout")
+    if len(set(registers)) != len(registers):
+        raise ValueError(f"registers {list(registers)} name one register twice")
     n = sum(circuit.layout[name] for name in registers)
     if n > MAX_LANE_BITS:
         raise WidthTooLarge(f"sweeping {n} bits exceeds the {MAX_LANE_BITS}-bit lane bound")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from operator import itemgetter, or_
 
 from .blocks import controlled_rotation_gates, log2_ceil, normalize_gates, rotation_gates
-from .circuit import Circuit, _simulate, cnot, gate_not, lane_values, pack_lanes, swap
+from .circuit import Circuit, cnot, gate_not, lane_values, pack_lanes, run_wires, swap
 from .errors import InvariantViolation, ZeroElement
 from .field import FieldSpec, require_element
 from .poly import degree
@@ -221,7 +221,7 @@ def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> li
     steps = 0
     while active:
         before = None if active == mask else list(wires)
-        wires = list(_simulate(iteration, wires, mask))
+        wires = list(run_wires(iteration, wires, mask))
         steps += 1
         if steps > m - 1:
             raise InvariantViolation(f"Euclid failed to terminate within m - 1 = {m - 1} iterations")

@@ -3,27 +3,20 @@ from math import gcd
 import pytest
 
 from revgf2.blocks import (
-    build_conditional_xor,
     build_controlled_shift,
     build_cyclic_shift,
     build_decrement,
     build_degree,
     build_increment,
-    build_mul_accumulate,
     build_swap,
     controlled_rotation_gates,
     log2_ceil,
     rotation_gates,
 )
-from revgf2.circuit import BasisState, Circuit, apply, report, swap, sweep
+from revgf2.circuit import Circuit, report, run_lanes, swap, sweep
 from revgf2.errors import BadParameter
-from revgf2.field import FieldSpec, field_mul
 from revgf2.poly import degree
 from revgf2.verify import check_blocks
-
-
-def run(circ, **values):
-    return apply(circ, BasisState.from_values(circ.layout, **values))
 
 
 def test_log2_ceil():
@@ -90,21 +83,18 @@ def test_controlled_shift():
 def test_increment_single_ancilla():
     for w in (1, 2, 3, 4):
         assert build_increment(w).layout["anc"] == 1  # exactly one ancilla
-    c = build_increment(4)  # test_every_block_matches_its_oracle covers w = log2_ceil(m) = 1..3
-    for k in range(1 << 4):
-        out = run(c, k=k)
-        assert out.get_reg("k") | (out.get_reg("anc") << 4) == k + 1
+    run = sweep(build_increment(4), ("k",))  # test_every_block_matches_its_oracle covers w = log2_ceil(m) = 1..3
+    assert [k | anc << 4 for k, anc in zip(run.values("k"), run.values("anc"))] == list(range(1, 17))
 
 
 def test_decrement_inverts_increment():
     for w in (1, 2, 3):
-        inc, dec = build_increment(w), build_decrement(w)
-        for k in range(1, 1 << w):
-            out = run(dec, k=k)
-            assert out.get_reg("k") == k - 1 and out.get_reg("anc") == 0
-        for k in range(1 << w):
-            back = apply(dec, run(inc, k=k))
-            assert back.get_reg("k") == k and back.get_reg("anc") == 0
+        dec = build_decrement(w)
+        down = sweep(dec, ("k",))  # lane k = 0 wraps; the test starts at k = 1
+        assert list(zip(down.values("k"), down.values("anc")))[1:] == [(k - 1, 0) for k in range(1, 1 << w)]
+        up = sweep(build_increment(w), ("k",))
+        back = run_lanes(dec, {name: list(up.values(name)) for name in ("k", "anc")})
+        assert list(zip(back.values("k"), back.values("anc"))) == [(k, 0) for k in range(1 << w)]
 
 
 def test_degree_block_width_and_oracle():
@@ -133,22 +123,3 @@ def test_degree_block_costs():
 def test_degree_block_needs_m_at_least_2():
     with pytest.raises(BadParameter, match="m >= 2"):
         build_degree(1)
-
-
-def test_conditional_xor():
-    c = build_conditional_xor(4)
-    for ctl in (0, 1):
-        for a in range(16):
-            for b in range(16):
-                out = run(c, ctl=ctl, a=a, b=b)
-                assert out.get_reg("b") == (b ^ a if ctl else b)
-
-
-def test_mul_accumulate_oracle():
-    fs = FieldSpec(4, 0b10011)
-    c = build_mul_accumulate(fs)
-    for x in fs.elements():
-        for y in fs.elements():
-            out = run(c, x=x, y=y, t=0b1001)
-            assert out.get_reg("t") == 0b1001 ^ field_mul(x, y, fs)
-            assert out.get_reg("x") == x and out.get_reg("y") == y

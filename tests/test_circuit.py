@@ -14,10 +14,8 @@ from revgf2.circuit import (
     CNOT,
     NOT,
     SWAP,
-    BasisState,
     Circuit,
     Gate,
-    apply,
     cnot,
     gate_not,
     lane_values,
@@ -84,7 +82,7 @@ def test_only_a_circuit_made_empty_grows_before_its_first_run():
     with pytest.raises(LayoutMismatch):
         grown.add(gate_not(("c", 0)))
     assert grown == toy_circuit()
-    assert apply(grown, BasisState.zeros(grown.layout)).get_reg("a") == 2
+    assert run_one(grown, 0, 0) == (2, 0)
     with pytest.raises(TypeError):
         grown.add(gate_not(("a", 0)))  # its kernel is generated
     with pytest.raises(TypeError):
@@ -102,23 +100,10 @@ def test_a_circuit_keeps_its_own_layout():
     assert Circuit(c.layout, c.gates) == c
 
 
-def test_basis_states_are_checked():
-    state = BasisState.zeros({"a": 2})
-    with pytest.raises(LayoutMismatch, match="no register 'b'"):
-        state.set_reg("b", 0)
-    for bad in (-1, 4):
-        with pytest.raises(ValueError, match="does not fit register 'a'"):
-            state.set_reg("a", bad)
-    with pytest.raises(LayoutMismatch, match="does not cover"):
-        apply(toy_circuit(), state)  # no register b
-
-
 def test_apply_polarity():
     c = Circuit({"a": 1, "b": 1}, [cnot([(("a", 0), 0)], ("b", 0))])  # fires on |0>
-    out = apply(c, BasisState.zeros(c.layout))
-    assert out.get_reg("b") == 1
-    out = apply(c, BasisState.from_values(c.layout, a=1))
-    assert out.get_reg("b") == 0
+    assert run_one(c, 0, 0) == (0, 1)
+    assert run_one(c, 1, 0) == (1, 0)
 
 
 def random_gates(rng, wires, count, max_controls=3):
@@ -152,31 +137,38 @@ def reference_run(c, values):
     return {name: sum(bit[name, i] << i for i in range(width)) for name, width in c.layout.items()}
 
 
-def check_against_reference(c, registers, rng):
-    """Every lane of a sweep over `registers`, and apply on each lane's values
-    with the other registers drawn at random, against `reference_run`."""
+def lane_outputs(c, run):
+    """Each lane's output value of every register, lane 0 first."""
+    return [dict(zip(c.layout, lane)) for lane in zip(*map(run.values, c.layout))]
+
+
+def check_against_reference(c, registers, rng, lanes=20):
+    """The three run entries against `reference_run`: every lane of a sweep
+    over `registers`, then run_lanes and run_one on `lanes` inputs or more,
+    which cycle through the swept values with the other registers drawn at
+    random."""
     run = sweep(c, registers)
-    outputs = {name: list(run.values(name)) for name in c.layout}
+    swept = []
     for j in range(run.lanes):
         values, rest = {}, j
         for name in registers:
             values[name], rest = rest % (1 << c.layout[name]), rest >> c.layout[name]
-        assert {name: outputs[name][j] for name in c.layout} == reference_run(c, values)
-        values.update((name, rng.getrandbits(w)) for name, w in c.layout.items() if name not in registers)
-        assert apply(c, BasisState.from_values(c.layout, **values)).bits == reference_run(c, values)
+        swept.append(values)
+    assert lane_outputs(c, run) == [reference_run(c, values) for values in swept]
+    inputs = [
+        {name: rng.getrandbits(width) for name, width in c.layout.items()} | swept[j % run.lanes]
+        for j in range(max(lanes, run.lanes))
+    ]
+    want = [reference_run(c, values) for values in inputs]
+    assert lane_outputs(c, run_lanes(c, {name: [v[name] for v in inputs] for name in c.layout})) == want
+    assert [dict(zip(c.layout, run_one(c, *(v[name] for name in c.layout)))) for v in inputs] == want
 
 
 def test_every_lane_matches_a_one_lane_run():
     rng = random.Random(7)
     for _ in range(20):
         layout = {"x": rng.randint(1, 3), "y": rng.randint(1, 2), "z": rng.randint(1, 3)}
-        c = random_circuit(rng, layout)  # at most 8 wires
-        run = sweep(c, ("x", "z"))  # y starts at 0 in every lane
-        outputs = {name: list(run.values(name)) for name in layout}
-        for j in range(run.lanes):
-            state = BasisState.from_values(layout, x=j % (1 << layout["x"]), z=j >> layout["x"])
-            out = apply(c, state)
-            assert {name: outputs[name][j] for name in layout} == out.bits
+        check_against_reference(random_circuit(rng, layout), ("x", "z"), rng)  # at most 8 wires
 
 
 @pytest.mark.parametrize("lanes", [0, 1, 2, 37])
@@ -207,14 +199,7 @@ def test_given_lanes_match_one_lane_runs():
     rng = random.Random(5)
     for _ in range(10):
         layout = {"x": rng.randint(1, 3), "y": rng.randint(1, 2), "z": rng.randint(1, 3)}
-        c = random_circuit(rng, layout)
-        xs = [rng.getrandbits(layout["x"]) for _ in range(9)]
-        zs = [rng.getrandbits(layout["z"]) for _ in range(9)]
-        run = run_lanes(c, {"x": xs, "z": zs})  # y starts at 0 in every lane
-        outputs = {name: list(run.values(name)) for name in layout}
-        for j, (x, z) in enumerate(zip(xs, zs)):
-            out = apply(c, BasisState.from_values(layout, x=x, z=z))
-            assert {name: outputs[name][j] for name in layout} == out.bits
+        check_against_reference(random_circuit(rng, layout), (), rng, lanes=9)  # nine random inputs
 
 
 def test_given_lanes_are_checked(monkeypatch):
@@ -233,6 +218,17 @@ def test_sweep_refuses_more_bits_than_the_lane_bound():
     c = Circuit({"a": circuit.MAX_LANE_BITS, "b": 1})
     with pytest.raises(WidthTooLarge, match=f"sweeping {circuit.MAX_LANE_BITS + 1} bits"):
         sweep(c, ("a", "b"))
+
+
+def test_sweep_checks_its_register_names():
+    c = toy_circuit()
+    with pytest.raises(LayoutMismatch, match=r"no registers \['nope'\] in the circuit's layout"):
+        sweep(c, ("nope",))
+    with pytest.raises(ValueError, match="name one register twice"):
+        sweep(c, ("a", "a"))
+    # the first register named holds the low bits, whatever the layout order
+    want = [reference_run(c, {"a": j >> 1, "b": j & 1})["b"] for j in range(8)]
+    assert list(sweep(c, ("b", "a")).values("b")) == want
 
 
 def test_kernel_matches_a_gate_by_gate_reference():
@@ -257,12 +253,11 @@ def test_register_names_never_reach_the_kernel():
         gates += [cnot([((u, 0), 1), ((v, 1), 0)], (v, 0)), swap((u, 1), (v, 0)), gate_not((u, 1))]
     c = Circuit(dict.fromkeys(names, 2), gates)
     assert list(c.layout) == names and len(c.gates) == 18
-    check_against_reference(c, (names[0], names[2], names[4]), random.Random(3))
+    check_against_reference(c, (names[0], names[2], names[4]), random.Random(3))  # compiles the kernel and entry
     for chunk in c._kernel[0]:
         code = chunk.__code__
         assert code.co_names == () and {type(k) for k in code.co_consts} <= {int, type(None)}
         assert all(v in ("w", "mask") or v[0] == "w" and v[1:].isdigit() for v in code.co_varnames)
-    check_one_lane_entry(c, random.Random(3))
     code = c._one_lane.__code__
     assert set(code.co_names) == {"chunks", "misfit"} and {type(k) for k in code.co_consts} <= {int, type(None)}
     assert all(v in ("w", "c") or v[0] == "r" and v[1:].isdigit() for v in code.co_varnames)
@@ -326,17 +321,12 @@ def test_a_toffoli_on_the_swap_guard_starts_its_own_run():
 
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (5, 3), (8, 3)])
 def test_one_lane_controlled_shift_matches_the_reference(n, k):
-    c = build_controlled_shift(n, k)
-    for shift in range(1 << k):
-        for data in range(1 << n):
-            values = {"data": data, "shift": shift}
-            assert apply(c, BasisState.from_values(c.layout, **values)).bits == reference_run(c, values)
+    check_against_reference(build_controlled_shift(n, k), ("data", "shift"), random.Random(n))
 
 
 def test_one_wire_and_zero_or_one_lane_runs():
     c = Circuit({"a": 1}, [gate_not(("a", 0))])
-    assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == 1
-    assert apply(c, BasisState.from_values(c.layout, a=1)).get_reg("a") == 0
+    assert run_one(c, 0) == (1,) and run_one(c, 1) == (0,)
     assert list(run_lanes(c, {"a": [1]}).values("a")) == [0]
     assert list(run_lanes(c, {"a": []}).values("a")) == []
     assert list(sweep(c, ("a",)).values("a")) == [1, 0]
@@ -346,30 +336,45 @@ def test_one_wire_and_zero_or_one_lane_runs():
     assert {name: next(run.values(name)) for name in c.layout} == reference_run(c, {"a": 2})
 
 
-def check_one_lane_entry(c, rng):
-    """run_one on seeded values, against apply, a one-lane run_lanes and the
-    gate-by-gate reference."""
-    for _ in range(20):
-        values = {name: rng.getrandbits(width) for name, width in c.layout.items()}
-        got = run_one(c, *values.values())
-        assert got == tuple(reference_run(c, values).values())
-        assert got == tuple(apply(c, BasisState.from_values(c.layout, **values)).bits.values())
-        run = run_lanes(c, {name: [value] for name, value in values.items()})
-        assert got == tuple(next(run.values(name)) for name in c.layout)
+def block_circuit(name):
+    """The blocks.BLOCKS builder `name`, built at the m = 4 sizes."""
+    build, params = blocks.BLOCKS[name]
+    sizes = {"n": 4, "k": 2, "w": 2, "m": 4}
+    return build(*(sizes[p] for p in params))
 
 
 @pytest.mark.parametrize("name", sorted(blocks.BLOCKS))
 def test_one_lane_entry_matches_apply_and_run_lanes(name):
-    build, params = blocks.BLOCKS[name]
-    sizes = {"n": 4, "k": 2, "w": 2, "m": 4}
-    check_one_lane_entry(build(*(sizes[p] for p in params)), random.Random(name))
+    check_against_reference(block_circuit(name), (), random.Random(name))
 
 
 def test_one_lane_entry_reads_the_slots_swaps_moved_wires_to():
     c = build_euclid_iteration(8)
     slots = c._kernel[2]
     assert slots != sorted(slots)  # the pair swap ends each wire in another slot
-    check_one_lane_entry(c, random.Random(29))
+    check_against_reference(c, (), random.Random(29))
+
+
+def test_the_benchmark_adapter_runs_the_one_lane_kernel():
+    """apply on a BasisState, the one-lane adapter the benchmark's division
+    workload runs, against run_one."""
+    rng = random.Random(31)
+    for c in [*map(block_circuit, blocks.BLOCKS), build_naive_long_division(8), build_euclid_iteration(8)]:
+        for _ in range(10):
+            values = {name: rng.getrandbits(width) for name, width in c.layout.items()}
+            out = circuit.apply(c, circuit.BasisState.from_values(c.layout, **values))
+            assert out.bits == dict(zip(c.layout, run_one(c, *values.values())))
+    c = toy_circuit()
+    out = circuit.apply(c, circuit.BasisState.from_values({**c.layout, "z": 3}, a=1, z=5))
+    assert out.bits == {**reference_run(c, {"a": 1}), "z": 5}  # a register the circuit lacks keeps its value
+    with pytest.raises(LayoutMismatch, match="no register 'b'"):
+        circuit.BasisState.from_values({"a": 2}, b=0)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=f"value {bad} does not fit register 'a'"):
+            circuit.BasisState.from_values({"a": 2}, a=bad)
+    for layout in ({"a": 2}, {"a": 2, "b": 2}):  # b missing, or b of another width
+        with pytest.raises(LayoutMismatch, match="does not cover"):
+            circuit.apply(c, circuit.BasisState.from_values(layout))
 
 
 def test_one_lane_entry_on_one_wire_and_on_no_gates():
@@ -460,8 +465,7 @@ def test_each_prefix_compiles_its_own_kernel():
         swap(("a", 0), ("a", 1)),  # emits no code, but relabels the output
     ]
     for n, out in zip(range(1, 5), (0b01, 0b11, 0b10, 0b01)):
-        c = Circuit({"a": 2}, gates[:n])
-        assert apply(c, BasisState.zeros(c.layout)).get_reg("a") == out
+        assert run_one(Circuit({"a": 2}, gates[:n]), 0) == (out,)
 
 
 def test_kernel_generation_memory_is_bounded():
@@ -472,7 +476,7 @@ def test_kernel_generation_memory_is_bounded():
     c = Circuit(iteration.layout, iteration.gates)  # a copy with no kernel yet
     tracemalloc.start()
     try:
-        apply(c, BasisState.zeros(c.layout))
+        sweep(c, ())  # one lane, all zero
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -88,3 +88,35 @@ def test_benchmark_workloads_run_one_checked_input():
             finally:
                 tracer.uninstall()
             assert tracer.rounds > 0 and tracer.rounds_ending_done == 4  # one per E pass
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = []
+    for path in sorted(ROOT.glob("src/revgf2/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("revgf2")):
+                private += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not private
+
+
+ADAPTER_TEST = "test_the_benchmark_adapter_runs_the_one_lane_kernel"
+
+
+def test_only_the_benchmark_and_its_test_use_the_one_lane_adapter():
+    """`circuit.apply` and `BasisState` are kept for perfbench/ alone: outside
+    circuit.py, only perfbench/, this file and the one test that checks the
+    adapter against run_one name them, so deleting it touches no other test."""
+    named, skipped = [], 0
+    for path in sorted([*ROOT.glob("src/revgf2/*.py"), *ROOT.glob("tests/*.py")]):
+        if path.name in ("circuit.py", "test_imports.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        if path.name == "test_circuit.py":
+            kept = [node for node in tree.body if getattr(node, "name", None) != ADAPTER_TEST]
+            skipped, tree.body = len(tree.body) - len(kept), kept
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in ("apply", "BasisState"):
+                named.append(f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', '?')} {name}")
+    assert not named
+    assert skipped == 1, f"tests/test_circuit.py has no {ADAPTER_TEST}"

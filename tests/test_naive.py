@@ -6,7 +6,7 @@ import pytest
 
 from revgf2 import naive
 from revgf2.blocks import log2_ceil
-from revgf2.circuit import BasisState, Circuit, apply, cnot, gate_not, report, sweep
+from revgf2.circuit import Circuit, cnot, gate_not, report, run_one, sweep
 from revgf2.errors import InvariantViolation, ZeroElement
 from revgf2.field import FieldSpec, default_field, field_invert, field_mul
 from revgf2.naive import (
@@ -22,14 +22,14 @@ from revgf2.poly import degree, poly_divmod
 def test_iteration_swaps_pairs():
     m = 3
     circ = build_euclid_iteration(m)
-    state = BasisState.from_values(circ.layout, ra=0b101, rb=0b1011, ka=1, kb=0)
-    out = apply(circ, state)
+    assert list(circ.layout) == ["ra", "rb", "ka", "kb", "q", "s", "flg"]
+    ra, rb, ka, kb, q_reg, s, flg = run_one(circ, 0b101, 0b1011, 1, 0, 0, 0, 0)
     q, r = poly_divmod(0b1011, 0b101)
-    assert out.get_reg("ra") == r
-    assert out.get_reg("rb") == 0b101
-    assert out.get_reg("ka") == q  # b + q*a with b=0, a=1
-    assert out.get_reg("kb") == 1
-    assert out.get_reg("q") == 0  # uncomputed
+    assert ra == r
+    assert rb == 0b101
+    assert ka == q  # b + q*a with b=0, a=1
+    assert kb == 1
+    assert q_reg == s == flg == 0  # uncomputed
 
 
 def test_zero_rejected():
@@ -42,9 +42,9 @@ def test_inversion_stops_after_m_minus_1_iterations(monkeypatch):
     # give up after the proven m - 1 iterations, having run m kernel passes
     m = 4
     calls = []
-    simulate = naive._simulate
+    run_wires = naive.run_wires
     monkeypatch.setattr(naive, "build_euclid_iteration", lambda m: Circuit(euclid_iteration_layout(m)))
-    monkeypatch.setattr(naive, "_simulate", lambda circ, wires, mask: calls.append(1) or simulate(circ, wires, mask))
+    monkeypatch.setattr(naive, "run_wires", lambda circ, wires, mask: calls.append(1) or run_wires(circ, wires, mask))
     with pytest.raises(InvariantViolation, match="m - 1 = 3"):
         run_naive_inversion(0b101, FieldSpec(m, 0b10011))
     assert len(calls) == m
