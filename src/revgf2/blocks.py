@@ -84,7 +84,7 @@ def build_controlled_shift(n: int, k: int) -> Circuit:
     register and a k-wire shift register."""
     if n < 2 or k < 1:
         raise BadParameter("controlled shift needs n >= 2 and k >= 1")
-    return Circuit({"data": n, "shift": k}, controlled_rotation_gates("data", n, "shift", k, "left"))
+    return Circuit({"data": n, "shift": k}, controlled_rotation_gates("data", n, "shift", k, "left"), ("shift",))
 
 
 def _increment_gates(wires) -> list[Gate]:
@@ -141,7 +141,7 @@ def build_degree(m: int) -> Circuit:
     gates = normalize_gates("a", m, "deg") + controlled_rotation_gates("a", m, "deg", L, "right")
     gates += [gate_not(w) for w in deg]
     gates += [g for i in range(L) if (m >> i) & 1 for g in _increment_gates(deg[i:])]
-    return Circuit({"a": m, "deg": L}, gates)
+    return Circuit({"a": m, "deg": L}, gates, ("a",))
 
 
 def build_conditional_xor(m: int) -> Circuit:
@@ -149,7 +149,7 @@ def build_conditional_xor(m: int) -> Circuit:
     if m < 1:
         raise BadParameter("conditional xor needs m >= 1")
     ctl = ("ctl", 0)
-    return Circuit({"ctl": 1, "a": m, "b": m}, [cnot([(ctl, 1), (("a", i), 1)], ("b", i)) for i in range(m)])
+    return Circuit({"ctl": 1, "a": m, "b": m}, [cnot([(ctl, 1), (("a", i), 1)], ("b", i)) for i in range(m)], ("ctl", "a"))
 
 
 def _times_z_gates(reg: str, m: int, modulus: int):
@@ -179,7 +179,7 @@ def build_mul_accumulate(field: FieldSpec) -> Circuit:
         if i < m - 1:
             gates += mulz
     gates += mulz[::-1] * (m - 1)
-    return Circuit({"x": m, "y": m, "t": m}, gates)
+    return Circuit({"x": m, "y": m, "t": m}, gates, ("x", "y"))
 
 
 # Every block by name: its builder and the integer sizes it takes, in order.

@@ -1,10 +1,12 @@
 """Reversible-gate IR, bit-sliced basis-state simulator, and resource accounting.
 
 A Circuit is a value: an ordered gate tuple over a named-register layout,
-checked against the layout once, when it is made; a builder passes its
-whole gate list to the constructor.  Gates are NOT, multi-controlled NOT
-(controls carry a polarity: 1-control fires on |1>, 0-control on |0>), and
-SWAP, so every circuit permutes basis states.
+checked against the layout once, when it is made.  A builder passes its
+whole gate list, and the registers the circuit restores: operands handed
+back unchanged and scratch that starts and ends at 0, on every input in
+its domain; `verify` checks that, no run does.  Gates are NOT,
+multi-controlled NOT (controls carry a polarity: 1-control fires on |1>,
+0-control on |0>), and SWAP, so every circuit permutes basis states.
 The simulator keeps one int per wire whose bit j is lane j's value.  It
 has two run paths over one kernel, generated once per circuit on its
 first run and never reset, since the gates never change: `run_one` takes
@@ -13,30 +15,22 @@ an entry generated beside the kernel; `run_wires` runs a layout-ordered
 list of wire ints in any number of lanes, under `sweep` (every value of
 the named registers), `run_lanes` (given values, one lane each) and the
 naive inversion driver.  `pack_lanes` and `lane_values` convert between
-per-lane values and a register's wire ints; `apply` and `BasisState` are
-the benchmark's one-lane adapter over `run_wires`.  Each gate becomes one line
-of Python such as `w17 ^= w3 & ~w9`, compiled in chunks of functions over
-local wire ints.  A SWAP only relabels which list slot holds which wire
-while the code is generated, so it costs nothing to run.  A run of lines
-that does nothing in a lane where one wire g is 0 (single lines that share
-the 1-control g, or the three-line controlled swaps on g) runs as one
-block under `if w{g}:`.  No line in the block writes g, and the block is
-skipped only when g is 0 in every lane, so this is exact for any lane count.
-A run of controlled swaps takes in no single line, and also gets a branch
-for g = 1 in every lane, `if w{g} == mask:`, where its swaps are only
-swaps: one assignment permutes the locals, as a SWAP would relabel them.
-A chunk clears the list slots it writes, so that a many-lane run's old
-wire ints die early; a one-lane run, whose ints are all 0 or 1, skips the
-clear.
+per-lane values and a register's wire ints, and `Sweep.changed` marks the
+lanes in which registers came back changed; `apply` and `BasisState` are
+the benchmark's one-lane adapter over `run_wires`.  Each gate becomes one
+line of Python such as `w17 ^= w3 & ~w9`, compiled in chunks of functions
+over local wire ints.  A SWAP only relabels which list slot holds which
+wire while the code is generated, so it costs nothing to run, and a run
+of gates that one wire guards runs, or is skipped, as a block (`_kernel`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice, repeat
-from operator import itemgetter
+from operator import itemgetter, lshift, or_
 from types import MappingProxyType
 
 from .errors import LayoutMismatch, WidthTooLarge
@@ -90,10 +84,11 @@ class Circuit:
     checked against the layout once, when it is made.  Its kernel is
     generated on the first run and never reset, since the gates never change.
     The layout is a read-only view of the circuit's own copy of the mapping
-    it is given."""
+    it is given.  `restores` names the registers it hands back unchanged."""
 
     layout: Mapping[str, int]
     gates: tuple[Gate, ...] = ()
+    restores: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "layout", MappingProxyType(dict(self.layout)))
@@ -102,6 +97,8 @@ class Circuit:
         for reg, idx in (w for g in self.gates for w in g.wires()):
             if not 0 <= idx < self.layout.get(reg, 0):
                 raise LayoutMismatch(f"wire {reg}[{idx}] not in layout")
+        if not self.layout.keys() >= set(self.restores):
+            raise LayoutMismatch(f"restored registers {sorted(set(self.restores) - self.layout.keys())} not in layout")
 
     def add(self, gate: Gate) -> None:
         """Append one gate to a circuit made empty, `Circuit(layout)`, before
@@ -367,8 +364,12 @@ def lane_values(wires: list[int], lanes: int):
     """Iterate over the value a register's wire ints hold in each lane, lane 0 first."""
     if lanes <= 1:  # no lane, or one whose value is the wires' own bits
         return iter([sum(w << i for i, w in enumerate(wires))] * lanes)
-    cols = [reversed(format(w, f"0{lanes}b")) for w in reversed(wires)]
-    return map(int, map("".join, zip(*(cols or ["0" * lanes]))), repeat(2))
+    zero, values = int.from_bytes(b"0" * lanes, "big"), repeat(0, lanes)
+    for p in range(0, len(wires), 8):
+        # wire p + b as one "0" or "1" byte per lane, lane 0 last; less "0", it is bit b of each lane's byte
+        byte = sum(int.from_bytes(format(w, f"0{lanes}b").encode(), "big") - zero << b for b, w in enumerate(wires[p:p + 8]))
+        values = map(or_, values, map(lshift, byte.to_bytes(lanes, "little"), repeat(p)))
+    return values
 
 
 @dataclass
@@ -382,6 +383,10 @@ class Sweep:
     def values(self, name: str):
         """Iterate over register `name`'s output value in each lane, lane 0 first."""
         return lane_values(self.after[name], self.lanes)
+
+    def changed(self, registers) -> int:
+        """The lanes in which any of `registers` came back changed, as a lane mask."""
+        return reduce(or_, (b ^ a for r in registers for b, a in zip(self.before[r], self.after[r])), 0)
 
 
 def _run_sweep(circuit: Circuit, lanes: int, before: dict[str, list[int]]) -> Sweep:

@@ -62,17 +62,13 @@ def _pattern_controls(reg: str, width: int, value: int):
     return [((reg, i), (value >> i) & 1) for i in range(width)]
 
 
-# The division's scratch registers, named alike in both layouts, back at 0 after every pass.
-SCRATCH = ("q", "s", "flg")
-
-
 def _division_gates(m: int, div: str, dvd: str):
     """Gate sequence for |div>|dvd>|0> <-> |div>|dvd+q*div>|q>.
 
     div has m wires, dvd and the quotient q have m+1 (the dividend may have
     degree m), s has ceil(log m) wires, flg one.  div must be nonzero.
     """
-    quo, s, flg = SCRATCH
+    quo, s, flg = "q", "s", "flg"  # the scratch, named alike in both layouts
     L = log2_ceil(m)
     gates = []
 
@@ -105,9 +101,10 @@ def _division_gates(m: int, div: str, dvd: str):
 
 
 def naive_division_layout(m: int) -> dict[str, int]:
-    """The division's registers.  `anc` is idle: no gate touches it.  It is
-    kept only because the benchmark's oracle check for the division reads
-    it, and goes when that benchmark is re-baselined."""
+    """The division's registers.  `anc` is idle: no gate touches it, so the
+    division declares it restored.  It is kept only because the benchmark's
+    oracle check for the division reads it, and goes when that benchmark is
+    re-baselined."""
     L = log2_ceil(m)
     return {"a": m, "b": m + 1, "q": m + 1, "s": L, "anc": 1, "flg": 1}
 
@@ -117,9 +114,10 @@ def build_naive_long_division(m: int) -> Circuit:
 
     Registers: a (divisor, m wires), b (dividend, m+1 wires so the field
     modulus fits on the first Euclid iteration), q (m+1 wires), plus the
-    leading-zero count s and the round flag; all scratch returns to 0.
+    leading-zero count s and the round flag; a and all scratch but q are
+    restored.
     """
-    return Circuit(naive_division_layout(m), _division_gates(m, "a", "b"))
+    return Circuit(naive_division_layout(m), _division_gates(m, "a", "b"), ("a", "s", "anc", "flg"))
 
 
 def euclid_iteration_layout(m: int) -> dict[str, int]:
@@ -146,7 +144,7 @@ def build_euclid_iteration(m: int) -> Circuit:
     gates = _division_gates(m, "ra", "rb")
     gates += reversed(_division_gates(m, "ka", "kb"))
     gates += [swap((a, i), (b, i)) for i in range(m) for a, b in (("ra", "rb"), ("ka", "kb"))]
-    return Circuit(euclid_iteration_layout(m), gates)
+    return Circuit(euclid_iteration_layout(m), gates, ("q", "s", "flg"))
 
 
 # Lanes per kernel run of `run_naive_inversions`.  At m = 16 each of the
@@ -186,8 +184,9 @@ def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> li
     Some input needs all m - 1 under every irreducible modulus of degree
     2..10.  The wires stay packed across passes.  After a pass, a lane that
     already had A = 1 before it gets its previous wires back, since the
-    iteration would divide on by A = 1; the scratch check reads only the
-    lanes that were active.  `trace` gets lane 0's pairs.
+    iteration would divide on by A = 1.  Every pass starts the registers
+    the iteration restores at 0, so they must end it at 0 in every lane
+    that was active.  `trace` gets lane 0's pairs.
     """
     m = field.m
     for c in inputs:
@@ -204,7 +203,7 @@ def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> li
         wires += pack_lanes(start.get(name, []), width)
         at += width
     ra = regs["ra"]
-    scratch_wires = itemgetter(*(i for name in SCRATCH for i in range(regs[name].start, regs[name].stop)))
+    scratch_wires = itemgetter(*(i for name in iteration.restores for i in range(regs[name].start, regs[name].stop)))
 
     def unfinished(wires: list[int]) -> int:
         """The lanes whose A is not 1."""
@@ -227,12 +226,11 @@ def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> li
             raise InvariantViolation(f"Euclid failed to terminate within m - 1 = {m - 1} iterations")
         if trace is not None:
             trace.append(pairs(wires))
-        if functools.reduce(or_, scratch_wires(wires)) & active:
-            for name in SCRATCH:
-                dirty = functools.reduce(or_, wires[regs[name]], 0) & active
-                if dirty:
-                    lane = dirty.bit_length() - 1
-                    raise InvariantViolation(f"scratch {name} not restored (input {inputs[lane]:b})")
+        dirty = functools.reduce(or_, scratch_wires(wires)) & active
+        if dirty:
+            lane = dirty.bit_length() - 1
+            name = next(r for r in iteration.restores if functools.reduce(or_, wires[regs[r]]) >> lane & 1)
+            raise InvariantViolation(f"scratch {name} not restored (input {inputs[lane]:b})")
         if before is not None:
             wires = [w & active | b & ~active for w, b in zip(wires, before)]
         active = unfinished(wires)

@@ -5,13 +5,12 @@ MSB-first bit strings."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
-from operator import or_, xor
 
 from . import blocks
-from .circuit import MAX_LANE_BITS, lane_values, run_lanes, sweep
+from .circuit import MAX_LANE_BITS, Circuit, Sweep, lane_values, run_lanes, sweep
 from .curve import CurvePoint, ec_add
 from .ecgroup import FixedPointParams, generic_points, simulate_group_add
+from .errors import BadParameter
 from .field import FieldSpec, default_field, field_mul
 from .naive import build_naive_long_division, run_naive_inversions
 from .optimized import run_synchronized
@@ -28,13 +27,31 @@ class CheckResult:
     skipped: list[str] = dc_field(default_factory=list)  # blocks over the lane bound
 
 
+def _compare(result: CheckResult, circuit: Circuit, run: Sweep, registers, expect, prefix: str = "") -> CheckResult:
+    """Add each lane of `run`, a run of `circuit`, to `result`: it fails if a
+    register the circuit restores changed, or if the others, in layout order,
+    differ from `expect` of its `registers`, which is None outside the domain
+    (not checked).  A failure names `prefix` and the lane's `registers`."""
+    outputs = [r for r in circuit.layout if r not in circuit.restores]
+    inputs = zip(*(lane_values(run.before[r], run.lanes) for r in registers))
+    got = zip(lane_values([run.changed(circuit.restores)], run.lanes), zip(*map(run.values, outputs)))
+    for values, (changed, out) in zip(inputs, got):
+        want = expect(*values)
+        if want is None:
+            continue
+        result.checked += 1
+        if changed or out != want:
+            named = (f"{r}={format_poly(v, circuit.layout[r])}" for r, v in zip(registers, values))
+            result.mismatches.append(prefix + " ".join(named))
+    return result
+
+
 def check_blocks(m: int) -> CheckResult:
     """Every block in `blocks.BLOCKS`, sized from m, against its oracle.  Its
-    row in `table` holds the sizes, the registers one sweep runs through, and
-    each lane's expected registers in layout order from its swept values, or
-    None for a lane outside the block's domain (the degree block's a = 0).
-    `checked` counts (block, input) pairs; a mismatch names the block and the
-    input.  A block whose swept registers exceed MAX_LANE_BITS is `skipped`."""
+    `table` row holds the sizes, the registers one sweep runs through, and an
+    oracle for the registers the block does not restore (None outside the
+    domain: the degree block's a = 0).  `checked` counts (block, input) pairs.
+    A block whose swept registers exceed MAX_LANE_BITS is `skipped`."""
     L, n, field = blocks.log2_ceil(m), m + 1, default_field(m)
     rot = lambda v, w, d: (v << d % w | v >> w - d % w) & ((1 << w) - 1)  # left by d, right for d < 0
     count = lambda k, anc, d: divmod(((k | anc << L) + d) % (2 << L), 1 << L)[::-1]  # k | anc << L, plus d, wrapped
@@ -42,54 +59,34 @@ def check_blocks(m: int) -> CheckResult:
         "swap": ((), ("q",), lambda q: (q >> 1 | (q & 1) << 1,)),
         "shiftl": ((n,), ("r",), lambda r: (rot(r, n, 1),)),
         "shiftr": ((n,), ("r",), lambda r: (rot(r, n, -1),)),
-        "cshift": ((m, L), ("data", "shift"), lambda data, shift: (rot(data, m, shift), shift)),
+        "cshift": ((m, L), ("data", "shift"), lambda data, shift: (rot(data, m, shift),)),
         "inc": ((L,), ("k", "anc"), lambda k, anc: count(k, anc, 1)),
         "dec": ((L,), ("k", "anc"), lambda k, anc: count(k, anc, -1)),
-        "deg": ((m,), ("a",), lambda a: (a, degree(a)) if a else None),
-        "cxor": ((m,), ("ctl", "a", "b"), lambda ctl, a, b: (ctl, a, b ^ a * ctl)),
-        "mulacc": ((m,), ("x", "y", "t"), lambda x, y, t: (x, y, t ^ field_mul(x, y, field))),
+        "deg": ((m,), ("a",), lambda a: (degree(a),) if a else None),
+        "cxor": ((m,), ("ctl", "a", "b"), lambda ctl, a, b: (b ^ a * ctl,)),
+        "mulacc": ((m,), ("x", "y", "t"), lambda x, y, t: (t ^ field_mul(x, y, field),)),
     }
-    checked, mismatches, skipped = 0, [], []
+    result = CheckResult(0, [])
     for name, (build, _) in blocks.BLOCKS.items():
         sizes, swept, expect = table[name]
         built = build(*sizes)
         if sum(built.layout[r] for r in swept) > MAX_LANE_BITS:
-            skipped.append(name)
-            continue
-        run = sweep(built, swept)
-        inputs = zip(*(lane_values(run.before[r], run.lanes) for r in swept))
-        for values, got in zip(inputs, zip(*map(run.values, built.layout))):
-            want = expect(*values)
-            checked += want is not None
-            if want is not None and got != want:
-                named = (f"{r}={format_poly(v, built.layout[r])}" for r, v in zip(swept, values))
-                mismatches.append(f"{name}: {' '.join(named)}")
-    return CheckResult(checked, mismatches, skipped=skipped)
+            result.skipped.append(name)
+        else:
+            _compare(result, built, sweep(built, swept), swept, expect, f"{name}: ")
+    return result
 
 
 def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckResult:
-    """The naive long division against poly_divmod, with the divisor a read
-    back unchanged and the scratch back at 0: on every pair a != 0 in one
-    sweep, or on the given (a, b) pairs in one run, one lane each."""
+    """The naive long division against poly_divmod's (q, r), reversed to the
+    layout order of b and q, with a and the scratch restored: on every pair
+    a != 0 in one sweep, or on given pairs, each a != 0, one lane each."""
+    if any(a == 0 for a, _ in pairs or ()):
+        raise BadParameter(f"the pair (a, b) = {min(pairs)} divides by a = 0")  # the least pair has a = 0
     division = build_naive_long_division(m)
-    if pairs is None:  # lane j holds a = j mod 2^m, b = j >> m
-        run = sweep(division, ("a", "b"))
-        given = ((j % (1 << m), j >> m) for j in range(run.lanes))
-    else:
-        run = run_lanes(division, {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]})
-        given = pairs
-    after = run.after
-    # lane j's bit is set where its a came back changed or its scratch is not 0
-    dirt = reduce(or_, map(xor, run.before["a"], after["a"]), reduce(or_, after["s"] + after["anc"] + after["flg"]))
-    outs = zip(run.values("q"), run.values("b"), lane_values([dirt], run.lanes))
-    checked, mismatches = 0, []
-    for (a, b), (q, r, dirty) in zip(given, outs):
-        if pairs is None and a == 0:
-            continue
-        checked += 1
-        if (q, r) != poly_divmod(b, a) or dirty:
-            mismatches.append(f"a={format_poly(a, m)} b={format_poly(b, m + 1)}")
-    return CheckResult(checked, mismatches)
+    run = (sweep(division, ("a", "b")) if pairs is None
+           else run_lanes(division, {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}))
+    return _compare(CheckResult(0, []), division, run, ("a", "b"), lambda a, b: poly_divmod(b, a)[::-1] if a else None)
 
 
 def check_inversion(field: FieldSpec, backend: str, inputs) -> CheckResult:

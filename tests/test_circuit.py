@@ -58,6 +58,8 @@ def test_layout_checked_on_construction():
     for reg, idx in (("b", 0), ("a", 5), ("a", -1)):
         with pytest.raises(LayoutMismatch):
             Circuit({"a": 2}, [gate_not(("a", 0)), cnot([(("a", 1), 1)], (reg, idx))])
+    with pytest.raises(LayoutMismatch, match=r"restored registers \['nope'\] not in layout"):
+        Circuit({"a": 2}, [gate_not(("a", 0))], ("nope",))
 
 
 def test_cached_circuits_are_values():
@@ -172,7 +174,7 @@ def test_every_lane_matches_a_one_lane_run():
 
 
 @pytest.mark.parametrize("lanes", [0, 1, 2, 37])
-@pytest.mark.parametrize("width", [0, 1, 5])
+@pytest.mark.parametrize("width", [0, 1, 5, 9, 17])  # 9 and 17 wires span two and three bytes per lane
 def test_lane_packing_round_trip(lanes, width):
     rng = random.Random(lanes * 8 + width)
     values = [rng.getrandbits(width) if width else 0 for _ in range(lanes)]

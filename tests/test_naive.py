@@ -43,7 +43,8 @@ def test_inversion_stops_after_m_minus_1_iterations(monkeypatch):
     m = 4
     calls = []
     run_wires = naive.run_wires
-    monkeypatch.setattr(naive, "build_euclid_iteration", lambda m: Circuit(euclid_iteration_layout(m)))
+    idle = lambda m: Circuit(euclid_iteration_layout(m), (), build_euclid_iteration(m).restores)
+    monkeypatch.setattr(naive, "build_euclid_iteration", idle)
     monkeypatch.setattr(naive, "run_wires", lambda circ, wires, mask: calls.append(1) or run_wires(circ, wires, mask))
     with pytest.raises(InvariantViolation, match="m - 1 = 3"):
         run_naive_inversion(0b101, FieldSpec(m, 0b10011))
@@ -142,7 +143,7 @@ def test_dirty_scratch_is_named(monkeypatch, inputs):
     # pass, on every active lane; the lane holding 1 is never active
     field = FieldSpec(4, 0b10011)
     clean = build_euclid_iteration(4)
-    faulty = Circuit(clean.layout, [*clean.gates, gate_not(("q", 0))])
+    faulty = Circuit(clean.layout, [*clean.gates, gate_not(("q", 0))], clean.restores)
     monkeypatch.setattr(naive, "build_euclid_iteration", lambda m: faulty)
     with pytest.raises(InvariantViolation, match="scratch q not restored"):
         run_naive_inversions(inputs, field)

@@ -5,6 +5,7 @@ from revgf2.circuit import Circuit, cnot, gate_not
 from revgf2.cli import main
 from revgf2.curve import CurvePoint, enumerate_points, load_curve
 from revgf2.ecgroup import FixedPointParams, generic_points
+from revgf2.errors import BadParameter
 from revgf2.field import FieldSpec, field_invert
 from revgf2.poly import format_poly, poly_divmod
 
@@ -51,7 +52,7 @@ def test_division_that_corrupts_the_divisor_is_reported(monkeypatch, capsys):
     def corrupting(m):
         """The division, then a CNOT from the remainder's bit 0 onto a[m - 1]."""
         division = build(m)
-        return Circuit(division.layout, [*division.gates, cnot([(("b", 0), 1)], ("a", m - 1))])
+        return Circuit(division.layout, [*division.gates, cnot([(("b", 0), 1)], ("a", m - 1))], division.restores)
 
     monkeypatch.setattr(verify, "build_naive_long_division", corrupting)
     result = verify.check_division(4)
@@ -72,7 +73,7 @@ def test_degree_block_that_leaves_a_rotated_is_reported(monkeypatch):
         full = build_degree(m)
         start = len(blocks.normalize_gates("a", m, "deg"))
         end = start + len(blocks.controlled_rotation_gates("a", m, "deg", blocks.log2_ceil(m), "right"))
-        return Circuit(full.layout, full.gates[:start] + full.gates[end:])
+        return Circuit(full.layout, full.gates[:start] + full.gates[end:], full.restores)
 
     monkeypatch.setitem(blocks.BLOCKS, "deg", (without_rotate_back, ("m",)))
     m = 4
@@ -80,12 +81,36 @@ def test_degree_block_that_leaves_a_rotated_is_reported(monkeypatch):
     assert verify.check_blocks(m).mismatches == [f"deg: a={format_poly(a, m)}" for a in range(1, 1 << (m - 1))]
 
 
+@pytest.mark.parametrize("flipped", [("ctl", 0), ("a", 3)], ids=["ctl", "a"])
+def test_conditional_xor_that_changes_an_operand_is_reported(flipped, monkeypatch):
+    build = blocks.build_conditional_xor
+
+    def changing(m):
+        """The conditional xor, then a CNOT from b's new bit 0 onto an operand wire."""
+        cxor = build(m)
+        return Circuit(cxor.layout, [*cxor.gates, cnot([(("b", 0), 1)], flipped)], cxor.restores)
+
+    monkeypatch.setitem(blocks.BLOCKS, "cxor", (changing, ("m",)))
+    # b is right in every lane; only the declaration that cxor restores ctl and a sees the change
+    changed = [(ctl, a, b) for b in range(16) for a in range(16) for ctl in range(2) if (b ^ a * ctl) & 1]
+    assert verify.check_blocks(4).mismatches == [
+        f"cxor: ctl={ctl} a={format_poly(a, 4)} b={format_poly(b, 4)}" for ctl, a, b in changed
+    ]
+
+
+def test_division_pair_with_a_zero_divisor_is_rejected_before_any_run(monkeypatch):
+    monkeypatch.setattr(verify, "build_naive_long_division", lambda m: pytest.fail("the division was built"))
+    with pytest.raises(BadParameter, match=r"\(a, b\) = \(0, 5\) divides by a = 0"):
+        verify.check_division(4, [(0b11, 1), (0, 5)])
+
+
 # blocks that compute the wrong thing but still permute their basis states,
 # with the number of check_blocks(4) inputs each gets wrong
 WRONG_BLOCKS = {
     "shiftl": (lambda n: Circuit({"r": n}), 30),  # no gates: only r = 0 and r = 2^5 - 1 rotate to themselves
     "inc": (lambda w: Circuit({"k": w, "anc": 1}, [gate_not(("k", 0))]), 4),  # wrong wherever k0 = 1 carries
-    "mulacc": (lambda m: Circuit({"x": m, "y": m, "t": m}), 15 * 15 * 16),  # wrong wherever x * y != 0
+    # no gates, operands restored as the multiplier declares: wrong wherever x * y != 0
+    "mulacc": (lambda m: Circuit({"x": m, "y": m, "t": m}, (), ("x", "y")), 15 * 15 * 16),
 }
 
 
