@@ -152,33 +152,35 @@ def build_conditional_xor(m: int) -> Circuit:
     return Circuit({"ctl": 1, "a": m, "b": m}, [cnot([(ctl, 1), (("a", i), 1)], ("b", i)) for i in range(m)], ("ctl", "a"))
 
 
-def _times_z_gates(reg: str, m: int, modulus: int):
-    """In-place y <- y*z mod f on an m-wire register: cyclic left rotation,
-    then XOR the (classical) modulus tail conditioned on the wrapped-around
-    leading bit."""
-    gates = rotation_gates(reg, m, 1, "left")
-    for j in range(1, m):
-        if (modulus >> j) & 1:
-            gates.append(cnot([((reg, 0), 1)], (reg, j)))
-    return gates
-
-
 def build_mul_accumulate(field: FieldSpec) -> Circuit:
     """|x>|y>|t> <-> |x>|y>|t xor (x*y mod f)>.
 
     Shift-and-add: at step i the y register holds y*z^i mod f and a bank of
-    Toffolis accumulates x_i * (y*z^i mod f) into t; the z-multiplications
-    are undone afterwards so y comes back intact.  Costs 3m data wires and
-    no ancillas; the modulus is classical.
+    m Toffolis accumulates x_i * (y*z^i mod f) into t; the z-multiplications
+    are undone afterwards, in reverse, so y comes back intact.  Each is a
+    cyclic left rotation, then the modulus tail XORed in under the
+    wrapped-around leading coefficient.  The rotation is a relabelling,
+    not gates: coefficient j of y*z^i sits on wire y[(j - i) mod m], so
+    only the tail's CNOTs are emitted, and after the m - 1 undos y is back
+    on its own wires.  Within a bank, the Toffolis that read wires the next
+    z-multiplication touches go first and those that read wires the
+    previous one touched go last, so the CNOTs overlap the banks.  Costs
+    m^2 Toffolis and 2(m-1)(wt(f)-2) CNOTs on 3m data wires, no ancillas;
+    the modulus is classical.
     """
     m = field.m
-    mulz = _times_z_gates("y", m, field.modulus)
+    y = lambda j, i: ("y", (j - i) % m)  # the wire holding coefficient j of y*z^i
+    tail = [j for j in range(1, m) if (field.modulus >> j) & 1]
+    # mulz[i - 1] takes y*z^(i-1) to y*z^i
+    mulz = [[cnot([(y(0, i), 1)], y(j, i)) for j in tail] for i in range(1, m)]
+    # touched[i]: the wires of the z-multiplication into bank i; none before bank 0 or after bank m - 1
+    touched = [set()] + [{w for g in step for w in g.wires()} for step in mulz] + [set()]
     gates = []
     for i in range(m):
-        gates += [cnot([(("x", i), 1), (("y", j), 1)], ("t", j)) for j in range(m)]
-        if i < m - 1:
-            gates += mulz
-    gates += mulz[::-1] * (m - 1)
+        order = sorted(range(m), key=lambda j: (y(j, i) in touched[i]) - (y(j, i) in touched[i + 1]))
+        gates += [cnot([(("x", i), 1), (y(j, i), 1)], ("t", j)) for j in order]
+        gates += mulz[i] if i < m - 1 else []
+    gates += [g for step in reversed(mulz) for g in reversed(step)]
     return Circuit({"x": m, "y": m, "t": m}, gates, ("x", "y"))
 
 

@@ -171,7 +171,7 @@ class Circuit:
 
 
 # Gate lines per generated function.  Compiling the m = 16 Euclid iteration
-# (1 424 gates, 1 360 lines once SWAPs are relabellings, with its guarded
+# (1 392 gates, 1 360 lines once SWAPs are relabellings, with its guarded
 # blocks) as one function peaks at about 4.2 MB under tracemalloc on
 # Python 3.11, streamed into 128-line chunks at about 0.75 MB.  Longer
 # chunks run fewer calls and loads, but the benchmark's peak RSS prices them:

@@ -12,8 +12,11 @@ The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
   3. m+1 quotient rounds with fixed wiring: round t copies B's bit m-t
      into the quotient register and conditionally subtracts the aligned
      divisor; rounds beyond the quotient length are disabled by a flag
-     wire that flips once, when the round counter passes S,
-  4. rotate the quotient register so the stored word becomes q itself,
+     wire that flips once, when the round counter passes S.  The rounds
+     write the quotient word already rotated left by 2: a relabelling of
+     the wires they write, since the register starts at 0, so no gates,
+  4. rotate the quotient register left by S, a controlled rotation on S's
+     bits, so the stored word becomes q itself,
   5. the normalize gates reversed, which un-rotate A and clear S.
 
 The inversion driver packs its inputs into lanes, one lane per input, and
@@ -31,7 +34,7 @@ import functools
 from dataclasses import dataclass
 from operator import itemgetter, or_
 
-from .blocks import controlled_rotation_gates, log2_ceil, normalize_gates, rotation_gates
+from .blocks import controlled_rotation_gates, log2_ceil, normalize_gates
 from .circuit import Circuit, cnot, gate_not, lane_values, pack_lanes, run_wires, swap
 from .errors import InvariantViolation, ZeroElement
 from .field import FieldSpec, require_element
@@ -78,21 +81,24 @@ def _division_gates(m: int, div: str, dvd: str):
     gates.extend(normalize)
 
     # 3. quotient rounds.  Round t examines dvd bit m-t; the flag starts 1
-    # and flips to 0 when t passes the quotient length (t = s+2).
+    # and flips to 0 when t passes the quotient length (t = s+2).  Round t's
+    # quotient bit belongs on wire m-t, rotated left by 2 over the m+1
+    # quotient wires; q starts at 0, so writing it on wire m-t+2 mod m+1
+    # does that rotation by relabelling, with no gates.
     gates.append(gate_not((flg, 0)))
     for t in range(m + 1):
+        qt = (quo, (m - t + 2) % (m + 1))
         if t >= 2:
             gates.append(cnot(_pattern_controls(s, L, t - 2), (flg, 0)))
-        gates.append(cnot([((flg, 0), 1), ((dvd, m - t), 1)], (quo, m - t)))
+        gates.append(cnot([((flg, 0), 1), ((dvd, m - t), 1)], qt))
         for j in range(m + 1):
             src = j + t - 1
             if 0 <= src <= m - 1:
-                gates.append(cnot([((quo, m - t), 1), ((div, src), 1)], (dvd, j)))
+                gates.append(cnot([(qt, 1), ((div, src), 1)], (dvd, j)))
     gates.append(cnot(_pattern_controls(s, L, m - 1), (flg, 0)))
 
-    # 4. the stored quotient word is q << deg(div); rotate right by the
-    # degree, i.e. left by 2+s over the m+1 quotient wires.
-    gates.extend(rotation_gates(quo, m + 1, 2, "left"))
+    # 4. the stored quotient word is q << deg(div), rotated left by 2;
+    # rotate it left by s more, i.e. right by the degree.
     gates.extend(controlled_rotation_gates(quo, m + 1, s, L, "left"))
 
     # 5. un-normalize div and uncompute s.

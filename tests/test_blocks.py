@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from revgf2.blocks import (
     build_decrement,
     build_degree,
     build_increment,
+    build_mul_accumulate,
     build_swap,
     controlled_rotation_gates,
     log2_ceil,
@@ -15,6 +17,7 @@ from revgf2.blocks import (
 )
 from revgf2.circuit import Circuit, report, run_lanes, swap, sweep
 from revgf2.errors import BadParameter
+from revgf2.field import FieldSpec, default_field, field_mul
 from revgf2.poly import degree
 from revgf2.verify import check_blocks
 
@@ -123,3 +126,23 @@ def test_degree_block_costs():
 def test_degree_block_needs_m_at_least_2():
     with pytest.raises(BadParameter, match="m >= 2"):
         build_degree(1)
+
+
+SECT163 = FieldSpec(163, 1 << 163 | 1 << 7 | 1 << 6 | 1 << 3 | 1)  # z^163 + z^7 + z^6 + z^3 + 1
+
+
+@pytest.mark.parametrize("field", [*map(default_field, range(2, 17)), SECT163], ids=lambda f: f"m{f.m}")
+def test_multiplier_costs_its_toffolis_and_the_modulus_tails(field):
+    # m^2 Toffolis, and wt(f) - 2 CNOTs per z-multiplication and per undo; the rotations emit no SWAP
+    m, tail = field.m, bin(field.modulus).count("1") - 2
+    rep = report(build_mul_accumulate(field))
+    assert rep.gate_counts == {"CNOT": m * m + 2 * (m - 1) * tail}
+    assert rep.control_arity == {2: m * m, 1: 2 * (m - 1) * tail}
+
+
+def test_multiplier_at_m_163_matches_field_mul():
+    rng = random.Random(163)
+    x, y, t = ([rng.getrandbits(163) for _ in range(64)] for _ in range(3))
+    run = run_lanes(build_mul_accumulate(SECT163), {"x": x, "y": y, "t": t})
+    assert list(run.values("x")) == x and list(run.values("y")) == y
+    assert list(run.values("t")) == [c ^ field_mul(a, b, SECT163) for a, b, c in zip(x, y, t)]

@@ -31,20 +31,20 @@ GOLDEN = {
     "naive-division-m8": (
         lambda: build_naive_long_division(8),
         {
-            "width": 31, "depth": 151, "gates_total": 250, "gates_not": 1,
-            "gates_cnot": 241, "gates_swap": 8, "cnot_arity_1": 118,
+            "width": 31, "depth": 148, "gates_total": 242, "gates_not": 1,
+            "gates_cnot": 241, "gates_swap": 0, "cnot_arity_1": 118,
             "cnot_arity_2": 113, "cnot_arity_3": 8, "cnot_arity_4": 2,
         },
-        "c2b91fa1674d4f93dd2c011c4aeff03d1e217c80c259144c378d5c24a174bf2a",
+        "cd372a1ca7ac8d9acc174bb6e8d15e6a5321e33d7bb9aea353063a7d05b25f43",
     ),
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16),
         {
-            "width": 88, "depth": 825, "gates_total": 1424, "gates_not": 2,
-            "gates_cnot": 1358, "gates_swap": 64, "cnot_arity_1": 652,
+            "width": 88, "depth": 819, "gates_total": 1392, "gates_not": 2,
+            "gates_cnot": 1358, "gates_swap": 32, "cnot_arity_1": 652,
             "cnot_arity_2": 666, "cnot_arity_4": 36, "cnot_arity_8": 4,
         },
-        "8099451d7388d22a25049c494eb46e6adbf09be538ce3263b1aabf02a2fb34c9",
+        "35abab8ad5f2930da413224ef807aabc2ce2206bb715f28c3514117da3bee808",
     ),
     "degree-m8": (
         lambda: build_degree(8),
@@ -85,11 +85,11 @@ GOLDEN = {
     "mul-accumulate-m8": (
         lambda: build_mul_accumulate(default_field(8)),
         {
-            "width": 24, "depth": 189, "gates_total": 204, "gates_not": 0,
-            "gates_cnot": 106, "gates_swap": 98, "cnot_arity_1": 42,
+            "width": 24, "depth": 78, "gates_total": 106, "gates_not": 0,
+            "gates_cnot": 106, "gates_swap": 0, "cnot_arity_1": 42,
             "cnot_arity_2": 64,
         },
-        "e086e9ee03e617e378900a8e73cda62fe39b13c6eea99d7caa3c33c5c238b635",
+        "6c7ed2a464fd3e0b0cc204975788e5f73fa9d3bb7a36da556104ad7070209048",
     ),
 }
 

@@ -93,6 +93,12 @@ def test_normalize_counts_leading_zeros(n):
         assert (x_back, s_back) == (x, 0)
 
 
+@pytest.mark.parametrize("m", range(2, 17))
+def test_division_rotates_its_quotient_by_2_without_swaps(m):
+    # only the controlled rotation by s moves q; its swaps are CNOT/Toffoli triples
+    assert "SWAP" not in report(naive.build_naive_long_division(m)).gate_counts
+
+
 @pytest.mark.parametrize("m", [8, 16, 32])
 def test_largest_control_is_the_top_normalize_pattern(m):
     # the widest gate is stage L-1's 2^(L-1) zero-controls; a counter that

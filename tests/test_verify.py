@@ -104,6 +104,15 @@ def test_division_pair_with_a_zero_divisor_is_rejected_before_any_run(monkeypatc
         verify.check_division(4, [(0b11, 1), (0, 5)])
 
 
+@pytest.mark.parametrize("pair, message", [
+    ((1, 64), r"\(a, b\) = \(1, 64\) does not fit: b has 5 bits"),
+    ((16, 3), r"\(a, b\) = \(16, 3\) does not fit: a has 4 bits"),
+])
+def test_division_pair_wider_than_its_register_is_rejected(pair, message):
+    with pytest.raises(BadParameter, match=message):
+        verify.check_division(4, [pair])
+
+
 # blocks that compute the wrong thing but still permute their basis states,
 # with the number of check_blocks(4) inputs each gets wrong
 WRONG_BLOCKS = {
