@@ -12,25 +12,27 @@ has two run paths over one kernel, generated once per circuit on its
 first run and never reset, since the gates never change: `run_one` takes
 and returns one int per register, in layout order, as one lane, through
 an entry generated beside the kernel; `run_wires` runs a layout-ordered
-list of wire ints in any number of lanes, under `sweep` (every value of
-the named registers), `run_lanes` (given values, one lane each) and the
-naive inversion driver.  `pack_lanes` and `lane_values` convert between
-per-lane values and a register's wire ints, and `Sweep.changed` marks the
-lanes in which registers came back changed; `apply` and `BasisState` are
-the benchmark's one-lane adapter over `run_wires`.  Each gate becomes one
-line of Python such as `w17 ^= w3 & ~w9`, compiled in chunks of functions
-over local wire ints.  A SWAP only relabels which list slot holds which
-wire while the code is generated, so it costs nothing to run, and a run
-of gates that one wire guards runs, or is skipped, as a block (`_kernel`).
+list of wire ints in place, in any number of lanes, under `sweep` (every
+value of the named registers), `run_lanes` (given values, one lane each)
+and the naive inversion driver.  `pack_lanes` and `lane_values` convert
+between per-lane values and a register's wire ints, and `Sweep.changed`
+marks the lanes in which registers came back changed; `apply` and
+`BasisState` are the benchmark's one-lane adapter over `run_wires`.  Each
+gate becomes one line of Python such as `w17 ^= w3 & ~w9`, compiled in
+chunks of functions over local wire ints.  A SWAP only relabels which
+list slot holds which wire while the code is generated; one last
+assignment puts each wire the SWAPs moved back in its own slot, so every
+run leaves the wires in layout order.  A run of gates that one wire
+guards runs, or is skipped, as a block (`_kernel`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import islice, repeat
-from operator import itemgetter, lshift, or_
+from operator import lshift, or_
 from types import MappingProxyType
 
 from .errors import LayoutMismatch, WidthTooLarge
@@ -114,14 +116,16 @@ class Circuit:
         return sum(self.layout.values())
 
     @cached_property
-    def _kernel(self) -> tuple[list, itemgetter, list[int]]:
-        """The generated kernel: chunk functions over the wire list, a
-        getter that reads the wires, in layout order, from the slots they
-        end in, and those slots.
+    def _kernel(self) -> list:
+        """The generated kernel: chunk functions over the wire list, which
+        leave every wire in its own slot, in layout order.
 
         One streaming pass turns the gates into slot-resolved lines, the
-        lines into units and the units into chunks.  A unit is one line, or
-        the three lines `a ^= b; b ^= s & a; a ^= b` of a controlled swap.
+        lines into units and the units into chunks.  A SWAP only exchanges
+        the slots two wires are read from and written to; when the SWAPs
+        leave a wire outside its own slot, one last chunk puts each such
+        wire back in a single assignment.  A unit is one line, or the
+        three lines `a ^= b; b ^= s & a; a ^= b` of a controlled swap.
         It is the identity in every lane where its guard is 0: any 1-control
         of a single line, but only s of a controlled swap, whose first line
         writes a.  Consecutive units of one kind in a chunk that share a
@@ -136,24 +140,26 @@ class Circuit:
         index = {w: i for i, w in enumerate(wires)}
         slot = list(range(len(wires)))  # slot[i]: the list position holding wire i
         chunks = [_compile_chunk(runs) for runs in _chunk_runs(_units(_slot_lines(self.gates, index, slot)))]
-        # below two wires no SWAP can move one, and itemgetter of one slot returns no sequence
-        return chunks, itemgetter(*slot) if len(slot) > 1 else itemgetter(slice(None)), slot
+        moved = [i for i, at in enumerate(slot) if at != i]
+        if moved:
+            chunks.append(_compile(", ".join(f"w[{i}]" for i in moved) + " = " + ", ".join(f"w[{slot[i]}]" for i in moved)))
+        return chunks
 
     @cached_property
     def _one_lane(self):
         """The one-lane entry, generated from the kernel's chunks: it takes
         one int per register, in layout order, spreads their bits over a
         new wire list, runs the chunks with one lane and returns each
-        register's value, read from the slots its wires end in.  Like the
+        register's value, read from its wires in layout order.  Like the
         chunks, its source holds only numbers, never a register name."""
-        chunks, _, slot = self._kernel
+        chunks = self._kernel
         layout = self.layout
         regs = [(f"r{k}", width) for k, width in enumerate(layout.values())]
         args = ", ".join(r for r, _ in regs)
         bits, outs, i = [], [], 0
         for r, width in regs:
             bits += [f"{r} >> {b} & 1" for b in range(width)]
-            outs.append(" | ".join(f"w[{slot[i + b]}] << {b}" for b in range(width)) or "0")
+            outs.append(" | ".join(f"w[{i + b}] << {b}" for b in range(width)) or "0")
             i += width
         # r >> width is nonzero both for a value too wide and for a negative one
         body = [f"if {' or '.join(f'{r} >> {width}' for r, width in regs)}:", f" misfit({args})"] if regs else []
@@ -270,6 +276,11 @@ def _compile_chunk(runs):
             stores[t] = None
     body = [f"w{s} = w[{s}]" for s in loads] + ["if mask > 1:"] + [f" w[{s}] = 0" for s in stores]
     body += code + [f"w[{s}] = w{s}" for s in stores]
+    return _compile(*body)
+
+
+def _compile(*body: str):
+    """The chunk function `chunk(w, mask)` with these body lines, without builtins."""
     namespace: dict = {"__builtins__": {}}
     exec(compile("def chunk(w, mask):\n " + "\n ".join(body), "<circuit kernel>", "exec"), namespace)
     return namespace["chunk"]
@@ -286,14 +297,11 @@ def _permutation(pairs) -> str:
     return f"{', '.join(f'w{x}' for x in moved)} = {', '.join(f'w{held[x]}' for x in moved)}"
 
 
-def run_wires(circuit: Circuit, wires: list[int], mask: int) -> Sequence[int]:
+def run_wires(circuit: Circuit, wires: list[int], mask: int) -> None:
     """Run the circuit in place on `wires`, one int per wire in layout order
-    with one bit per lane in `mask`, and return the wire ints in layout order.
-    The run leaves `wires` in the slots the SWAPs relabelled: read the result."""
-    chunks, gather, _ = circuit._kernel
-    for chunk in chunks:
+    with one bit per lane in `mask`; the run leaves them in layout order."""
+    for chunk in circuit._kernel:
         chunk(wires, mask)
-    return gather(wires)
 
 
 @dataclass
@@ -325,8 +333,9 @@ def apply(circuit: Circuit, state: BasisState) -> BasisState:
     if any(state.layout.get(name) != width for name, width in circuit.layout.items()):
         raise LayoutMismatch("state layout does not cover the circuit's registers")
     bits = dict(state.bits)
-    before = [(bits[name] >> i) & 1 for name, width in circuit.layout.items() for i in range(width)]
-    after = iter(run_wires(circuit, before, 1))
+    wires = [(bits[name] >> i) & 1 for name, width in circuit.layout.items() for i in range(width)]
+    run_wires(circuit, wires, 1)
+    after = iter(wires)
     for name, width in circuit.layout.items():
         bits[name] = sum(b << i for i, b in enumerate(islice(after, width)))
     return BasisState(state.layout, bits)
@@ -390,7 +399,9 @@ class Sweep:
 
 
 def _run_sweep(circuit: Circuit, lanes: int, before: dict[str, list[int]]) -> Sweep:
-    after = iter(run_wires(circuit, [x for name in circuit.layout for x in before[name]], (1 << lanes) - 1))
+    wires = [x for name in circuit.layout for x in before[name]]
+    run_wires(circuit, wires, (1 << lanes) - 1)
+    after = iter(wires)
     return Sweep(lanes, before, {name: list(islice(after, width)) for name, width in circuit.layout.items()})
 
 

@@ -20,10 +20,11 @@ The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
   5. the normalize gates reversed, which un-rotate A and clear S.
 
 The inversion driver packs its inputs into lanes, one lane per input, and
-runs the iteration's kernel pass after pass on one resident wire list until
-every lane has A = 1; a lane that is done keeps its wires while the others
-go on.  How many passes an input needs depends on the input, which is
-exactly the synchronization defect the optimized implementation repairs.
+runs the iteration's kernel pass after pass, in place, on one resident wire
+list that every pass leaves in layout order, until every lane has A = 1; a
+lane that is done keeps its wires while the others go on.  How many passes
+an input needs depends on the input, which is exactly the synchronization
+defect the optimized implementation repairs.
 `run_naive_inversion` is the driver on one lane, `run_naive_inversions` on
 many.
 """
@@ -106,37 +107,18 @@ def _division_gates(m: int, div: str, dvd: str):
     return gates
 
 
-def naive_division_layout(m: int) -> dict[str, int]:
-    """The division's registers.  `anc` is idle: no gate touches it, so the
-    division declares it restored.  It is kept only because the benchmark's
-    oracle check for the division reads it, and goes when that benchmark is
-    re-baselined."""
-    L = log2_ceil(m)
-    return {"a": m, "b": m + 1, "q": m + 1, "s": L, "anc": 1, "flg": 1}
-
-
 def build_naive_long_division(m: int) -> Circuit:
     """The reversible long division |A>|B>|0> <-> |A>|B+qA>|q>.
 
     Registers: a (divisor, m wires), b (dividend, m+1 wires so the field
     modulus fits on the first Euclid iteration), q (m+1 wires), plus the
     leading-zero count s and the round flag; a and all scratch but q are
-    restored.
+    restored.  `anc` is idle: no gate touches it, so the division declares
+    it restored.  It is kept only because the benchmark's oracle check for
+    the division reads it, and goes when that benchmark is re-baselined.
     """
-    return Circuit(naive_division_layout(m), _division_gates(m, "a", "b"), ("a", "s", "anc", "flg"))
-
-
-def euclid_iteration_layout(m: int) -> dict[str, int]:
-    L = log2_ceil(m)
-    return {
-        "ra": m,  # remainder A (second coordinate of the leading pair)
-        "rb": m + 1,  # remainder B
-        "ka": m,  # coefficient a (first coordinate of the leading pair)
-        "kb": m + 1,  # coefficient b
-        "q": m + 1,
-        "s": L,
-        "flg": 1,
-    }
+    layout = {"a": m, "b": m + 1, "q": m + 1, "s": log2_ceil(m), "anc": 1, "flg": 1}
+    return Circuit(layout, _division_gates(m, "a", "b"), ("a", "s", "anc", "flg"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,7 +132,9 @@ def build_euclid_iteration(m: int) -> Circuit:
     gates = _division_gates(m, "ra", "rb")
     gates += reversed(_division_gates(m, "ka", "kb"))
     gates += [swap((a, i), (b, i)) for i in range(m) for a, b in (("ra", "rb"), ("ka", "kb"))]
-    return Circuit(euclid_iteration_layout(m), gates, ("q", "s", "flg"))
+    # remainders A, B and coefficients a, b; (a, A) is the leading pair
+    layout = {"ra": m, "rb": m + 1, "ka": m, "kb": m + 1, "q": m + 1, "s": log2_ceil(m), "flg": 1}
+    return Circuit(layout, gates, ("q", "s", "flg"))
 
 
 # Lanes per kernel run of `run_naive_inversions`.  At m = 16 each of the
@@ -226,7 +210,7 @@ def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> li
     steps = 0
     while active:
         before = None if active == mask else list(wires)
-        wires = list(run_wires(iteration, wires, mask))
+        run_wires(iteration, wires, mask)
         steps += 1
         if steps > m - 1:
             raise InvariantViolation(f"Euclid failed to terminate within m - 1 = {m - 1} iterations")

@@ -12,7 +12,7 @@ from .curve import CurvePoint, ec_add
 from .ecgroup import FixedPointParams, generic_points, simulate_group_add
 from .errors import BadParameter
 from .field import FieldSpec, default_field, field_mul
-from .naive import build_naive_long_division, naive_division_layout, run_naive_inversions
+from .naive import build_naive_long_division, run_naive_inversions
 from .optimized import run_synchronized
 from .poly import degree, format_poly, poly_divmod
 
@@ -82,14 +82,15 @@ def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckR
     layout order of b and q, with a and the scratch restored: on every pair
     a != 0 in one sweep, or on given pairs, each a != 0 and each value
     within its register, one lane each."""
-    layout = naive_division_layout(m)
     for pair in pairs or ():
         if pair[0] == 0:
             raise BadParameter(f"the pair (a, b) = {pair} divides by a = 0")
-        for name, value in zip(("a", "b"), pair):
-            if not 0 <= value < 1 << layout[name]:
-                raise BadParameter(f"the pair (a, b) = {pair} does not fit: {name} has {layout[name]} bits")
     division = build_naive_long_division(m)
+    for pair in pairs or ():
+        for name, value in zip(("a", "b"), pair):
+            width = division.layout[name]
+            if not 0 <= value < 1 << width:
+                raise BadParameter(f"the pair (a, b) = {pair} does not fit: {name} has {width} bits")
     run = (sweep(division, ("a", "b")) if pairs is None
            else run_lanes(division, {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}))
     return _compare(CheckResult(0, []), division, run, ("a", "b"), lambda a, b: poly_divmod(b, a)[::-1] if a else None)

@@ -111,7 +111,9 @@ def test_degree_block_width_and_oracle():
 
 
 def toffoli_equiv(circ):
-    """2k - 3 Toffolis per NOT with k >= 2 controls (Barenco et al. 1995)."""
+    """2k - 3 Toffolis per NOT with k >= 2 controls: the ladder over k - 2
+    clean ancillas (Nielsen and Chuang, section 4.3).  Barenco et al. 1995's
+    form with borrowed ancillas costs 4(k - 2) instead."""
     return sum((2 * k - 3) * n for k, n in report(circ).control_arity.items() if k >= 2)
 
 

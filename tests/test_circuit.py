@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from revgf2 import blocks, circuit
-from revgf2.blocks import build_controlled_shift, controlled_rotation_stage
+from revgf2.blocks import build_controlled_shift, build_cyclic_shift, controlled_rotation_stage
 from revgf2.circuit import (
     CNOT,
     NOT,
@@ -256,7 +256,7 @@ def test_register_names_never_reach_the_kernel():
     c = Circuit(dict.fromkeys(names, 2), gates)
     assert list(c.layout) == names and len(c.gates) == 18
     check_against_reference(c, (names[0], names[2], names[4]), random.Random(3))  # compiles the kernel and entry
-    for chunk in c._kernel[0]:
+    for chunk in c._kernel:
         code = chunk.__code__
         assert code.co_names == () and {type(k) for k in code.co_consts} <= {int, type(None)}
         assert all(v in ("w", "mask") or v[0] == "w" and v[1:].isdigit() for v in code.co_varnames)
@@ -268,11 +268,12 @@ def test_register_names_never_reach_the_kernel():
 def guarded_blocks(c):
     """(permutation branches, guarded blocks) in the circuit's kernel: how
     many `if w{s} == mask:` branches it runs, and how many `if w{g}:` blocks
-    or `elif w{s}:` fallbacks, past each chunk's `if mask > 1:` clear."""
-    chunks = c._kernel[0]
-    ops = [i for chunk in chunks for i in dis.get_instructions(chunk)]
+    or `elif w{s}:` fallbacks, past each chunk's `if mask > 1:` clear.  The
+    restore chunk that ends a kernel with SWAPs has no clear and no test."""
+    ops = [i for chunk in c._kernel for i in dis.get_instructions(chunk)]
     permutations = sum(i.opname == "COMPARE_OP" and "==" in i.argrepr for i in ops)
-    tests = sum(i.opname.startswith("POP_JUMP") for i in ops) - len(chunks)
+    clears = sum(i.opname == "COMPARE_OP" and ">" in i.argrepr for i in ops)
+    tests = sum(i.opname.startswith("POP_JUMP") for i in ops) - clears
     return permutations, tests - permutations
 
 
@@ -350,11 +351,17 @@ def test_one_lane_entry_matches_apply_and_run_lanes(name):
     check_against_reference(block_circuit(name), (), random.Random(name))
 
 
-def test_one_lane_entry_reads_the_slots_swaps_moved_wires_to():
-    c = build_euclid_iteration(8)
-    slots = c._kernel[2]
-    assert slots != sorted(slots)  # the pair swap ends each wire in another slot
-    check_against_reference(c, (), random.Random(29))
+def test_run_wires_leaves_the_callers_list_in_layout_order():
+    # the iteration's pair swap and the cyclic shift's SWAPs end wires in
+    # other slots; the run must put each back in its own
+    rng = random.Random(29)
+    lanes = 37
+    for c in (build_euclid_iteration(8), build_cyclic_shift(5)):
+        pack = lambda values: [w for name, width in c.layout.items() for w in pack_lanes([v[name] for v in values], width)]
+        inputs = [{name: rng.getrandbits(width) for name, width in c.layout.items()} for _ in range(lanes)]
+        wires = pack(inputs)
+        assert circuit.run_wires(c, wires, (1 << lanes) - 1) is None
+        assert wires == pack([reference_run(c, v) for v in inputs])
 
 
 def test_the_benchmark_adapter_runs_the_one_lane_kernel():
@@ -413,11 +420,11 @@ def test_one_lane_entry_checks_each_value():
 def test_one_lane_entry_is_generated_once_per_circuit(monkeypatch):
     compiled = []
     monkeypatch.setattr(circuit, "compile", lambda *args: compiled.append(args[1]) or compile(*args), raising=False)
-    c = toy_circuit()
+    c = toy_circuit()  # its last gate is a SWAP, so a restore chunk follows its one chunk of lines
     run_one(c, 1, 0)
-    assert compiled == ["<circuit kernel>", "<circuit one-lane entry>"]
+    assert compiled == ["<circuit kernel>", "<circuit kernel>", "<circuit one-lane entry>"]
     assert run_one(c, 2, 1) == tuple(reference_run(c, {"a": 2, "b": 1}).values())
-    assert len(compiled) == 2 and c._one_lane.__globals__["chunks"] is c._kernel[0]
+    assert len(compiled) == 3 and c._one_lane.__globals__["chunks"] is c._kernel
 
 
 def test_toffolis_that_share_a_one_control_run_in_one_block():
@@ -435,7 +442,7 @@ def test_toffolis_that_share_a_one_control_run_in_one_block():
     # guard; the two lines left over make the second block
     lines = circuit._CHUNK_GATES + 2
     c = Circuit(layout, [cnot([(g, 1), (("x", i % 4), 1)], ("y", i * 3 % 4)) for i in range(lines)])
-    assert len(c._kernel[0]) == 2 and guarded_blocks(c) == (0, 2)
+    assert len(c._kernel) == 2 and guarded_blocks(c) == (0, 2)
     check_every_guard_value(c, ("x",), "g", rng)
 
 

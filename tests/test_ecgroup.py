@@ -181,12 +181,12 @@ def test_output_side_non_generic_rejected(backend):
 
 
 def test_width_bounded_by_division():
-    from revgf2.naive import euclid_iteration_layout
+    from revgf2.naive import build_euclid_iteration
     from revgf2.optimized import halting_counter_width, qubit_budget
 
     # the whole group operation costs one inverter plus the product scratch
     widths = group_op_width(F16, "naive")
-    assert widths["total"] == sum(euclid_iteration_layout(4).values()) + 4
+    assert widths["total"] == build_euclid_iteration(4).width + 4
     widths = group_op_width(F16, "opt")
     assert widths["total"] == qubit_budget(4, halting_counter_width(4)) + 4
     for backend in ("naive", "opt"):

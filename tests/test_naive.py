@@ -11,7 +11,6 @@ from revgf2.errors import InvariantViolation, ZeroElement
 from revgf2.field import FieldSpec, default_field, field_invert, field_mul
 from revgf2.naive import (
     build_euclid_iteration,
-    euclid_iteration_layout,
     normalize_gates,
     run_naive_inversion,
     run_naive_inversions,
@@ -43,7 +42,7 @@ def test_inversion_stops_after_m_minus_1_iterations(monkeypatch):
     m = 4
     calls = []
     run_wires = naive.run_wires
-    idle = lambda m: Circuit(euclid_iteration_layout(m), (), build_euclid_iteration(m).restores)
+    idle = lambda m: Circuit(build_euclid_iteration(m).layout, (), build_euclid_iteration(m).restores)
     monkeypatch.setattr(naive, "build_euclid_iteration", idle)
     monkeypatch.setattr(naive, "run_wires", lambda circ, wires, mask: calls.append(1) or run_wires(circ, wires, mask))
     with pytest.raises(InvariantViolation, match="m - 1 = 3"):

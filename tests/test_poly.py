@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from revgf2.errors import DivisionByZero, ZeroPolynomial
+from revgf2.errors import BothZero, DivisionByZero, ZeroPolynomial
 from revgf2.poly import (
     degree,
     extended_euclid,
@@ -63,6 +63,11 @@ def test_extended_euclid_bezout():
         assert poly_divmod(a, g)[1] == 0
         assert poly_divmod(b, g)[1] == 0
         assert poly_divmod(poly_mul(k, a) ^ g, b)[1] == 0  # k*a = g mod b
+
+
+def test_extended_euclid_of_two_zeros_is_undefined():
+    with pytest.raises(BothZero, match=r"gcd\(0, 0\) is undefined"):
+        extended_euclid(0, 0)
 
 
 def test_parse_format_round_trip():
