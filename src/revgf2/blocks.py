@@ -35,23 +35,27 @@ def _rotation_pairs(reg: str, n: int, amount: int, direction: str):
     cyclically by `amount` positions.
 
     "left" rotates toward higher indices (multiply by z); "right" is the
-    inverse rotation.  The rotation by d = amount mod n walks each of its
-    gcd(n, d) cycles c, c+d, c+2d, ... (mod n) with one swap per step,
-    descending for "left" and ascending for "right": n - gcd(n, d) swaps
-    in all, none for d = 0, and the adjacent-wire chain for d = 1.
+    inverse rotation, the same pairs in reverse order.  The rotation by
+    d = amount mod n steps each of its gcd(n, d) cycles c, c+d, c+2d, ...
+    (mod n) by two reflections: reverse the cycle, then reverse it again
+    without its first wire.  That is n - gcd(n, d) swaps in all, none for
+    d = 0, in two layers of disjoint swaps.  The cycles go one after the
+    other: when the swaps share a control, that makes the m = 163 Euclid
+    iteration 29 807 deep, against 30 113 with every cycle's first
+    reflection before any second one.
     """
     if direction not in ("left", "right"):
         raise BadParameter(f"direction must be left or right, not {direction!r}")
     d = amount % n
     g = math.gcd(n, d)  # gcd(n, 0) = n: n one-wire cycles, no steps
-    walks = ([((reg, (c + t * d) % n), (reg, (c + t * d + d) % n)) for t in range(n // g - 1)]
-             for c in range(g))
-    return [pair for walk in walks for pair in (reversed(walk) if direction == "left" else walk)]
+    cycles = ([(reg, (c + t * d) % n) for t in range(n // g)] for c in range(g))
+    pairs = [(part[i], part[-1 - i]) for cycle in cycles for part in (cycle, cycle[1:]) for i in range(len(part) // 2)]
+    return pairs if direction == "left" else pairs[::-1]
 
 
 def rotation_gates(reg: str, n: int, amount: int, direction: str) -> list[Gate]:
     """Cyclic rotation of an n-wire register by `amount` positions:
-    n - gcd(n, amount mod n) SWAPs along the rotation's cycles."""
+    n - gcd(n, amount mod n) SWAPs, at most two deep."""
     return [swap(w1, w2) for w1, w2 in _rotation_pairs(reg, n, amount, direction)]
 
 
@@ -62,15 +66,21 @@ def build_cyclic_shift(n: int, direction: str = "left") -> Circuit:
     return Circuit({"r": n}, rotation_gates("r", n, 1, direction))
 
 
+def _controlled_swaps(pairs, control) -> list[Gate]:
+    """A swap of each wire pair, in order, when the `control` wire is 1."""
+    gates = []
+    for w1, w2 in pairs:
+        # CSWAP as CNOT / Toffoli / CNOT: only the middle gate carries the control
+        gates += [cnot([(w2, 1)], w1), cnot([(control, 1), (w1, 1)], w2), cnot([(w2, 1)], w1)]
+    return gates
+
+
 def controlled_rotation_stage(data: str, n: int, shift: str, j: int, direction: str) -> list[Gate]:
     """Stage j of a rotation by a register's value: rotate the n-wire register
-    `data` by 2^j when bit j of `shift` is 1.  Its n - gcd(n, 2^j mod n) SWAPs
-    are each a controlled swap on that one wire (no ancillas)."""
-    gates = []
-    for w1, w2 in _rotation_pairs(data, n, 1 << j, direction):
-        # CSWAP as CNOT / Toffoli / CNOT: only the middle gate carries the control
-        gates += [cnot([(w2, 1)], w1), cnot([((shift, j), 1), (w1, 1)], w2), cnot([(w2, 1)], w1)]
-    return gates
+    `data` by 2^j when bit j of `shift` is 1.  Its n - gcd(n, 2^j mod n) SWAPs,
+    two reflections per cycle, are each a controlled swap on that one wire
+    (no ancillas)."""
+    return _controlled_swaps(_rotation_pairs(data, n, 1 << j, direction), (shift, j))
 
 
 def controlled_rotation_gates(data: str, n: int, shift: str, k: int, direction: str) -> list[Gate]:
@@ -113,15 +123,18 @@ def normalize_gates(div: str, n: int, s: str) -> list[Gate]:
     """Binary-search normalization of a nonzero n-wire register `div` with
     the ceil(log n)-wire register `s` at 0 (Warren, Hacker's Delight,
     section 5-3): for j = L-1 down to 0, NOT s_j under 0-controls on the
-    top 2^j wires of div, then rotate div left by 2^j on s_j.  Each stage
+    top 2^j wires of div, then shift div left by 2^j on s_j.  Each stage
     leaves fewer than 2^j leading zeros, so s ends as n-1-deg(div) and
-    div's top wire at 1; a rotation over zero top wires is a shift.  The
-    gates reversed undo both."""
+    div's top wire at 1.  A stage only fires when div's top 2^j wires are
+    0, so it shifts rather than rotates: the descending controlled-swap
+    chain (i - 2^j, i) for i = n-1 down to 2^j, n - 2^j swaps where a
+    rotation needs n - gcd(n, 2^j).  The gates reversed undo both."""
     L = log2_ceil(n)
     gates = []
     for j in reversed(range(L)):
         gates.append(cnot([((div, n - 1 - u), 0) for u in range(1 << j)], (s, j)))
-        gates.extend(controlled_rotation_stage(div, n, s, j, "left"))
+        chain = [((div, i - (1 << j)), (div, i)) for i in range(n - 1, (1 << j) - 1, -1)]
+        gates.extend(_controlled_swaps(chain, (s, j)))
     return gates
 
 
@@ -129,7 +142,9 @@ def build_degree(m: int) -> Circuit:
     """Compute deg(A) of a nonzero A into a ceil(log m)-wire register.
 
     The normalization leaves A's leading-zero count s = m-1-deg(A) in the
-    register, with A rotated left by s; rotating A right by s restores it.
+    register, with A shifted left by s over its s zero top wires, which
+    is also A rotated left by s; a controlled rotation right by s, two
+    reflections per stage, restores it.
     A NOT on every register wire gives 2^L-1-s, and adding m mod 2^L, one
     increment over deg[i..L-1] per set bit i, leaves deg(A).  No ancilla:
     ceil(log m) qubits beyond |A>.

@@ -6,18 +6,22 @@ The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
   1-2. normalize with `blocks.normalize_gates`, a binary search for A's
      leading zeros (Warren, Hacker's Delight, section 5-3).  For j = L-1
      down to 0, bit j of a register S is set if the top 2^j wires of A
-     are all zero, and A then rotates left by 2^j if that bit is set.  S
-     ends as A's leading-zero count, and A's leading coefficient sits at
-     the top wire,
+     are all zero, and A then shifts left by 2^j, over those zero wires,
+     if that bit is set.  S ends as A's leading-zero count, and A's
+     leading coefficient, 1, sits at the top wire,
   3. m+1 quotient rounds with fixed wiring: round t copies B's bit m-t
      into the quotient register and conditionally subtracts the aligned
      divisor; rounds beyond the quotient length are disabled by a flag
-     wire that flips once, when the round counter passes S.  The rounds
-     write the quotient word already rotated left by 2: a relabelling of
-     the wires they write, since the register starts at 0, so no gates,
+     wire that flips once, when the round counter passes S.  The flag is
+     1 in rounds 0 and 1, so their copies are CNOTs on B's bit alone, and
+     the top wire of A is 1, so each round subtracts it with a CNOT on
+     the quotient bit alone: m + 3 Toffolis fewer.  The rounds write the
+     quotient word already rotated left by 2: a relabelling of the wires
+     they write, since the register starts at 0, so no gates,
   4. rotate the quotient register left by S, a controlled rotation on S's
-     bits, so the stored word becomes q itself,
-  5. the normalize gates reversed, which un-rotate A and clear S.
+     bits, two layers of controlled swaps per bit, so the stored word
+     becomes q itself,
+  5. the normalize gates reversed, which shift A back and clear S.
 
 The inversion driver packs its inputs into lanes, one lane per input, and
 runs the iteration's kernel pass after pass, in place, on one resident wire
@@ -76,7 +80,7 @@ def _division_gates(m: int, div: str, dvd: str):
     L = log2_ceil(m)
     gates = []
 
-    # 1-2. s <- number of leading zeros of div (= m-1-deg); rotate div left
+    # 1-2. s <- number of leading zeros of div (= m-1-deg); shift div left
     # by s (top coefficient to wire m-1).
     normalize = normalize_gates(div, m, s)
     gates.extend(normalize)
@@ -89,13 +93,17 @@ def _division_gates(m: int, div: str, dvd: str):
     gates.append(gate_not((flg, 0)))
     for t in range(m + 1):
         qt = (quo, (m - t + 2) % (m + 1))
+        flag = []  # the flag is 1 in rounds 0 and 1, whatever s holds: no control
         if t >= 2:
             gates.append(cnot(_pattern_controls(s, L, t - 2), (flg, 0)))
-        gates.append(cnot([((flg, 0), 1), ((dvd, m - t), 1)], qt))
+            flag = [((flg, 0), 1)]
+        gates.append(cnot(flag + [((dvd, m - t), 1)], qt))
         for j in range(m + 1):
             src = j + t - 1
             if 0 <= src <= m - 1:
-                gates.append(cnot([(qt, 1), ((div, src), 1)], (dvd, j)))
+                # div's wire m-1 holds its leading coefficient, 1 once normalized: no control
+                coefficient = [((div, src), 1)] if src < m - 1 else []
+                gates.append(cnot([(qt, 1)] + coefficient, (dvd, j)))
     gates.append(cnot(_pattern_controls(s, L, m - 1), (flg, 0)))
 
     # 4. the stored quotient word is q << deg(div), rotated left by 2;

@@ -15,7 +15,7 @@ from revgf2.blocks import (
     log2_ceil,
     rotation_gates,
 )
-from revgf2.circuit import Circuit, report, run_lanes, swap, sweep
+from revgf2.circuit import Circuit, report, run_lanes, sweep
 from revgf2.errors import BadParameter
 from revgf2.field import FieldSpec, default_field, field_mul
 from revgf2.poly import degree
@@ -59,15 +59,15 @@ def test_cyclic_shift_swap_count_and_action():
             assert list(sweep(c, ("r",)).values("r")) == [rotate(v, n, 1, direction) for v in range(1 << n)]
 
 
-def test_unit_rotation_is_the_adjacent_chain():
+def test_rotation_is_two_layers_of_disjoint_swaps():
     for n in range(2, 13):
-        chain = {
-            "left": [(i, i + 1) for i in range(n - 2, -1, -1)],
-            "right": [(i, i + 1) for i in range(n - 1)],
-        }
-        for direction, pairs in chain.items():
-            want = [swap(("r", i), ("r", j)) for i, j in pairs]
-            assert rotation_gates("r", n, 1, direction) == want
+        for d in range(n):
+            for direction in ("left", "right"):
+                c = Circuit({"r": n}, rotation_gates("r", n, d, direction))
+                rep = report(c)
+                assert rep.total_gates == rep.gate_counts.get("SWAP", 0) == n - gcd(n, d)
+                assert rep.depth <= 2
+                assert list(sweep(c, ("r",)).values("r")) == [rotate(v, n, d, direction) for v in range(1 << n)]
 
 
 def test_controlled_shift():

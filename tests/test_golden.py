@@ -31,29 +31,29 @@ GOLDEN = {
     "naive-division-m8": (
         lambda: build_naive_long_division(8),
         {
-            "width": 31, "depth": 148, "gates_total": 242, "gates_not": 1,
-            "gates_cnot": 241, "gates_swap": 0, "cnot_arity_1": 118,
-            "cnot_arity_2": 113, "cnot_arity_3": 8, "cnot_arity_4": 2,
+            "width": 31, "depth": 113, "gates_total": 242, "gates_not": 1,
+            "gates_cnot": 241, "gates_swap": 0, "cnot_arity_1": 129,
+            "cnot_arity_2": 102, "cnot_arity_3": 8, "cnot_arity_4": 2,
         },
-        "cd372a1ca7ac8d9acc174bb6e8d15e6a5321e33d7bb9aea353063a7d05b25f43",
+        "a5db78e8d447c517673b56aad5e4be96812c240a707c6037dd14d324935604ec",
     ),
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16),
         {
-            "width": 88, "depth": 819, "gates_total": 1392, "gates_not": 2,
-            "gates_cnot": 1358, "gates_swap": 32, "cnot_arity_1": 652,
-            "cnot_arity_2": 666, "cnot_arity_4": 36, "cnot_arity_8": 4,
+            "width": 88, "depth": 583, "gates_total": 1392, "gates_not": 2,
+            "gates_cnot": 1358, "gates_swap": 32, "cnot_arity_1": 690,
+            "cnot_arity_2": 628, "cnot_arity_4": 36, "cnot_arity_8": 4,
         },
-        "35abab8ad5f2930da413224ef807aabc2ce2206bb715f28c3514117da3bee808",
+        "5ea3cd74f4e0556a66db0c366b97a8d845e70411d30134baecc2e4e669f5d575",
     ),
     "degree-m8": (
         lambda: build_degree(8),
         {
-            "width": 11, "depth": 76, "gates_total": 108, "gates_not": 3,
+            "width": 11, "depth": 55, "gates_total": 108, "gates_not": 3,
             "gates_cnot": 105, "gates_swap": 0, "cnot_arity_1": 69,
             "cnot_arity_2": 35, "cnot_arity_4": 1,
         },
-        "509d5974c742430c50a23a86b6dd10dc8133a77e4230e5a95f408309349ea27e",
+        "d9e069bd8e09fe823073e90a06e2f45ec9cbb40a90695528338012c5fa44d1ff",
     ),
     "increment-w3": (
         lambda: build_increment(3),
@@ -76,11 +76,11 @@ GOLDEN = {
     "controlled-shift-n5-k3": (
         lambda: build_controlled_shift(5, 3),
         {
-            "width": 8, "depth": 36, "gates_total": 36, "gates_not": 0,
+            "width": 8, "depth": 24, "gates_total": 36, "gates_not": 0,
             "gates_cnot": 36, "gates_swap": 0, "cnot_arity_1": 24,
             "cnot_arity_2": 12,
         },
-        "c60150e30ed486729db7c79434254ce16b0865e454216cd82ebd81c359564f24",
+        "a6ade3b118b03444918a3479fe1d25abe5dd36d43bdb72b23f205ebfcc73e101",
     ),
     "mul-accumulate-m8": (
         lambda: build_mul_accumulate(default_field(8)),

@@ -98,6 +98,45 @@ def test_division_rotates_its_quotient_by_2_without_swaps(m):
     assert "SWAP" not in report(naive.build_naive_long_division(m)).gate_counts
 
 
+@pytest.mark.parametrize("n", [10, 163])
+def test_normalize_shifts_stage_j_in_n_minus_2_to_the_j_controlled_swaps(n):
+    # a rotation by 2^j needs n - gcd(n, 2^j) swaps: 247 more per pass at n = 163
+    L = log2_ceil(n)
+    gates = normalize_gates("x", n, "s")
+    swaps = [g for g in gates if any(w[0] == "s" for w, _ in g.controls)]  # each swap's Toffoli
+    assert len(swaps) == sum(n - (1 << j) for j in range(L))
+    assert len(gates) == L + 3 * len(swaps)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_division_spends_no_toffoli_on_a_control_known_to_be_1(m):
+    # after normalization a's top wire is 1 in every round, and the flag is 1 in rounds 0 and 1
+    gates = naive.build_naive_long_division(m).gates
+    subtractions = [g for g in gates if g.targets[0][0] == "b"]
+    copies = [g for g in gates if g.targets[0][0] == "q" and any(w[0] == "b" for w, _ in g.controls)]
+    assert all((("a", m - 1), 1) not in g.controls for g in subtractions)
+    assert sum(len(g.controls) == 1 for g in subtractions) == m + 1
+    assert [len(g.controls) for g in copies[:3]] == [1, 1, 2]
+    assert len(copies) == m + 1 and all((("flg", 0), 1) in g.controls for g in copies[2:])
+
+
+def test_m8_division_trades_m_plus_3_toffolis_for_cnots():
+    arity = report(naive.build_naive_long_division(8)).control_arity
+    assert (arity[1], arity[2]) == (118 + 11, 113 - 11)
+
+
+def test_m163_iteration_cost():
+    # 2k - 3 Toffolis per k-controlled NOT with k >= 2, as perfbench counts them
+    rep = report(build_euclid_iteration(163))
+    assert rep.to_json() == {
+        "width": 827, "depth": 29807, "gates_total": 48370, "gates_not": 2,
+        "gates_cnot": 48042, "gates_swap": 326, "cnot_arity_1": 13868,
+        "cnot_arity_2": 33824, "cnot_arity_4": 4, "cnot_arity_8": 330,
+        "cnot_arity_16": 4, "cnot_arity_32": 4, "cnot_arity_64": 4, "cnot_arity_128": 4,
+    }
+    assert sum((2 * k - 3) * n for k, n in rep.control_arity.items() if k >= 2) == 40006
+
+
 @pytest.mark.parametrize("m", [8, 16, 32])
 def test_largest_control_is_the_top_normalize_pattern(m):
     # the widest gate is stage L-1's 2^(L-1) zero-controls; a counter that
