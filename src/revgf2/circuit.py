@@ -429,7 +429,8 @@ def sweep(circuit: Circuit, registers: tuple[str, ...]) -> Sweep:
 
 def run_lanes(circuit: Circuit, values: dict[str, list[int]]) -> Sweep:
     """Run the circuit on given inputs, one lane each: lane j holds
-    values[name][j] in each named register; the rest start at 0."""
+    values[name][j] in each named register; the rest start at 0.  A negative
+    value, or one wider than its register, raises ValueError."""
     unknown = set(values) - set(circuit.layout)
     if unknown:
         raise LayoutMismatch(f"no registers {sorted(unknown)} in the circuit's layout")
@@ -439,6 +440,10 @@ def run_lanes(circuit: Circuit, values: dict[str, list[int]]) -> Sweep:
     n = lanes.pop() if lanes else 0
     if n > 1 << MAX_LANE_BITS:
         raise WidthTooLarge(f"{n} lanes exceed the 2^{MAX_LANE_BITS}-lane bound")
+    for name, column in values.items():
+        for value in (min(column, default=0), max(column, default=0)):
+            if value < 0 or value.bit_length() > circuit.layout[name]:
+                raise ValueError(f"value {value} does not fit register {name!r}")
     before = {name: pack_lanes(values.get(name, []), width) for name, width in circuit.layout.items()}
     return _run_sweep(circuit, n, before)
 

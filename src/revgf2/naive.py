@@ -30,39 +30,19 @@ lane that is done keeps its wires while the others go on.  How many passes
 an input needs depends on the input, which is exactly the synchronization
 defect the optimized implementation repairs.
 `run_naive_inversion` is the driver on one lane, `run_naive_inversions` on
-many.
+many; both return only the inverses.  A caller that wants the pairs at each
+iteration boundary steps `build_euclid_iteration` itself, with `run_lanes`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import itemgetter, or_
 
 from .blocks import controlled_rotation_gates, log2_ceil, normalize_gates
 from .circuit import Circuit, cnot, gate_not, lane_values, pack_lanes, run_wires, swap
 from .errors import InvariantViolation, ZeroElement
 from .field import FieldSpec, require_element
-from .poly import degree
-
-
-@dataclass(frozen=True)
-class EuclideanPairs:
-    """The working set (a, A), (b, B) of the extended Euclidean algorithm."""
-
-    a: int
-    A: int
-    b: int
-    B: int
-
-    def check_invariants(self, m: int):
-        """Degree ordering and the shared-register degree bound."""
-        if degree(self.A) >= degree(self.B):
-            raise InvariantViolation("deg(A) < deg(B) violated")
-        if self.b != 0 and degree(self.a) <= degree(self.b):
-            raise InvariantViolation("deg(a) > deg(b) violated")
-        if self.a != 0 and self.B != 0 and degree(self.a) + degree(self.B) != m:
-            raise InvariantViolation("deg(aB) = m violated")
 
 
 def _pattern_controls(reg: str, width: int, value: int):
@@ -152,13 +132,9 @@ def build_euclid_iteration(m: int) -> Circuit:
 MAX_INVERSION_LANES = 1 << 16
 
 
-def run_naive_inversion(c_elem: int, field: FieldSpec, trace: list | None = None) -> int:
-    """Invert a nonzero field element: the lane driver on one lane.
-
-    If `trace` is given, the EuclideanPairs state before the first and
-    after every iteration is appended.
-    """
-    return _invert_lanes([c_elem], field, trace)[0]
+def run_naive_inversion(c_elem: int, field: FieldSpec) -> int:
+    """Invert a nonzero field element: the lane driver on one lane."""
+    return _invert_lanes([c_elem], field)[0]
 
 
 def run_naive_inversions(inputs, field: FieldSpec) -> list[int]:
@@ -167,11 +143,11 @@ def run_naive_inversions(inputs, field: FieldSpec) -> list[int]:
     inputs = list(inputs)
     inverses: list[int] = []
     for start in range(0, len(inputs), MAX_INVERSION_LANES):
-        inverses += _invert_lanes(inputs[start:start + MAX_INVERSION_LANES], field, None)
+        inverses += _invert_lanes(inputs[start:start + MAX_INVERSION_LANES], field)
     return inverses
 
 
-def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> list[int]:
+def _invert_lanes(inputs: list[int], field: FieldSpec) -> list[int]:
     """Step the iteration circuit on every lane until each has A = 1.
 
     The number of iterations depends on the input, so this driver is not
@@ -184,7 +160,7 @@ def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> li
     already had A = 1 before it gets its previous wires back, since the
     iteration would divide on by A = 1.  Every pass starts the registers
     the iteration restores at 0, so they must end it at 0 in every lane
-    that was active.  `trace` gets lane 0's pairs.
+    that was active.
     """
     m = field.m
     for c in inputs:
@@ -208,12 +184,6 @@ def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> li
         a = wires[ra]
         return mask & ~(a[0] & ~functools.reduce(or_, a[1:], 0))
 
-    def pairs(wires: list[int]) -> EuclideanPairs:
-        ka, A, kb, B = (next(lane_values(wires[regs[name]], lanes)) for name in ("ka", "ra", "kb", "rb"))
-        return EuclideanPairs(ka, A, kb, B)
-
-    if trace is not None:
-        trace.append(pairs(wires))
     active = unfinished(wires)
     steps = 0
     while active:
@@ -222,8 +192,6 @@ def _invert_lanes(inputs: list[int], field: FieldSpec, trace: list | None) -> li
         steps += 1
         if steps > m - 1:
             raise InvariantViolation(f"Euclid failed to terminate within m - 1 = {m - 1} iterations")
-        if trace is not None:
-            trace.append(pairs(wires))
         dirty = functools.reduce(or_, scratch_wires(wires)) & active
         if dirty:
             lane = dirty.bit_length() - 1

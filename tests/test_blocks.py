@@ -22,6 +22,11 @@ from revgf2.poly import degree
 from revgf2.verify import check_blocks
 
 
+def test_rotation_direction_is_checked():
+    with pytest.raises(BadParameter, match="direction must be left or right, not 'up'"):
+        rotation_gates("r", 3, 1, "up")
+
+
 def test_log2_ceil():
     assert [log2_ceil(m) for m in (2, 3, 4, 5, 8, 9, 16)] == [1, 2, 2, 3, 3, 4, 4]
     with pytest.raises(BadParameter):

@@ -210,6 +210,9 @@ def test_given_lanes_are_checked(monkeypatch):
         run_lanes(c, {"nope": [0]})
     with pytest.raises(ValueError):
         run_lanes(c, {"a": [0, 1], "b": [0]})
+    for bad in (9, -1):  # a has 2 wires
+        with pytest.raises(ValueError, match=f"value {bad} does not fit register 'a'"):
+            run_lanes(c, {"a": [1, bad, 2]})
     monkeypatch.setattr(circuit, "MAX_LANE_BITS", 2)
     assert list(run_lanes(c, {"a": [0] * 4}).values("a")) == [2] * 4
     with pytest.raises(WidthTooLarge, match="5 lanes exceed the 2\\^2-lane bound"):

@@ -214,6 +214,39 @@ def test_trace_inversion_deterministic(capsys):
     assert first == second
 
 
+# each gives a value its builder refuses, or no field at all
+BAD_PARAMETER_CASES = [
+    (["synth", "shiftl", "--n", "1"], "cyclic shift needs n >= 2"),
+    (["synth", "cshift", "--n", "1", "--k", "1"], "controlled shift needs n >= 2 and k >= 1"),
+    (["synth", "inc", "--w", "0"], "increment needs w >= 1"),
+    (["synth", "dec", "--w", "0"], "decrement needs w >= 1"),
+    (["synth", "cxor", "--m", "0"], "conditional xor needs m >= 1"),
+    (["verify", "naive-invert"], "provide --field <file> or --m <degree>"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_PARAMETER_CASES, ids=[" ".join(a) for a, _ in BAD_PARAMETER_CASES])
+def test_bad_parameter_is_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "naive-invert"], ["verify", "opt-invert"], ["trace", "--element", "1011"]],
+    ids=" ".join,
+)
+def test_field_file_matches_m(argv, tmp_path, capsys):
+    # the file holds default_modulus(4), so it names the field --m 4 does
+    field = tmp_path / "f4.field"
+    field.write_text("m = 4\nmodulus = 10011\n")
+    assert main([*argv, "--field", str(field)]) == 0
+    from_file = capsys.readouterr()
+    assert main([*argv, "--m", "4"]) == 0
+    assert from_file.out == capsys.readouterr().out and from_file.err == ""
+
+
 def test_bad_config_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.field"
     bad.write_text("m = 4\nmodulus = 10101\n")  # reducible

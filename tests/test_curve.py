@@ -27,6 +27,8 @@ def test_curve_constant_validation():
         CurveSpec(F16, CurveKind.NON_SUPERSINGULAR, a=0, b=0)
     with pytest.raises(ValueError):
         CurveSpec(F16, CurveKind.SUPERSINGULAR, a=0, b=1, c=0)
+    with pytest.raises(ValueError, match="curve constant a outside the field"):
+        CurveSpec(F16, CurveKind.NON_SUPERSINGULAR, a=0b10000, b=1)
 
 
 def test_negate_is_involution_and_on_curve():
@@ -82,10 +84,11 @@ def test_doubling_rejected():
 
 
 def test_off_curve_rejected():
-    bad = CurvePoint(0, 1)
-    if not on_curve(bad, NS):
-        with pytest.raises(PointNotOnCurve):
-            ec_add(bad, INFINITY, NS)
+    bad = CurvePoint(0, 0)  # y^2 + xy = 0, but x^3 + ax^2 + b = 1
+    assert not on_curve(bad, NS)
+    assert not on_curve(CurvePoint(0b10000, 0), NS)  # x outside GF(2^4)
+    with pytest.raises(PointNotOnCurve):
+        ec_add(bad, INFINITY, NS)
 
 
 def test_load_curve(tmp_path):

@@ -52,14 +52,15 @@ def test_inversion_stops_after_m_minus_1_iterations(monkeypatch):
 
 def test_invariant_check_survives_python_O():
     # -O strips the assert in the script, so reaching the check proves asserts
-    # are off; the invariant check must still raise its typed error.
+    # are off; the machine's round check must still raise its typed error on a
+    # round that starts at o1b, a state no run reaches.
     code = (
         "import sys\n"
         "from revgf2.errors import InvariantViolation\n"
-        "from revgf2.naive import EuclideanPairs\n"
+        "from revgf2.optimized import O1B, SyncState, run_round\n"
         "assert False, 'unreachable under -O'\n"
         "try:\n"
-        "    EuclideanPairs(1, 0b111, 0, 0b11).check_invariants(2)\n"
+        "    run_round(SyncState(m=4, A=0b11, B=0b10011, degA=1, degB=4, c=O1B))\n"
         "except InvariantViolation:\n"
         "    sys.exit(0)\n"
         "sys.exit(3)\n"

@@ -77,3 +77,6 @@ def test_parse_format_round_trip():
     assert format_poly(0b101, 5) == "00101"
     with pytest.raises(ValueError, match="more than 2 coefficients"):
         format_poly(0b101, 2)
+    for text in ("", "012"):
+        with pytest.raises(ValueError, match="not an MSB-first bit string"):
+            parse_poly(text)
