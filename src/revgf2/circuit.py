@@ -450,12 +450,15 @@ def run_lanes(circuit: Circuit, values: dict[str, list[int]]) -> Sweep:
 
 @dataclass
 class ResourceReport:
-    """Width, per-kind and per-control-arity gate counts, greedy depth."""
+    """Width, per-kind and per-control-arity gate counts, greedy depth, and
+    Toffoli-depth: the same layering, where only a CNOT with two or more
+    controls adds a layer."""
 
     width: int
     gate_counts: dict[str, int]
     control_arity: dict[int, int]
     depth: int
+    toffoli_depth: int
 
     @property
     def total_gates(self) -> int:
@@ -465,6 +468,7 @@ class ResourceReport:
         flat = {
             "width": self.width,
             "depth": self.depth,
+            "toffoli_depth": self.toffoli_depth,
             "gates_total": self.total_gates,
         }
         for kind in (NOT, CNOT, SWAP):
@@ -475,21 +479,27 @@ class ResourceReport:
 
 
 def report(circuit: Circuit) -> ResourceReport:
-    """Resource accounting: width, gate histograms, greedy wire-disjoint depth."""
+    """Resource accounting: width, gate histograms, greedy wire-disjoint depth
+    and Toffoli-depth."""
     counts: dict[str, int] = {}
     arity: dict[int, int] = {}
-    wire_layer: dict[Wire, int] = {}
-    depth = 0
+    # per wire, the layer of the last gate on it; it only grows, so the deepest ends on some wire
+    layers: dict[Wire, int] = {}
+    toffoli_layers: dict[Wire, int] = {}
     for g in circuit.gates:
         counts[g.kind] = counts.get(g.kind, 0) + 1
+        n = len(g.controls)
         if g.kind == CNOT:
-            n = len(g.controls)
             arity[n] = arity.get(n, 0) + 1
-        layer = 1 + max((wire_layer.get(w, 0) for w in g.wires()), default=0)
-        for w in g.wires():
-            wire_layer[w] = layer
-        depth = max(depth, layer)
-    return ResourceReport(circuit.width, counts, arity, depth)
+        wires = [w for w, _ in g.controls]
+        wires += g.targets
+        layer = 1 + max(map(layers.get, wires, repeat(0)))
+        toffoli_layer = (n >= 2) + max(map(toffoli_layers.get, wires, repeat(0)))
+        for w in wires:
+            layers[w] = layer
+            toffoli_layers[w] = toffoli_layer
+    depth = max(layers.values(), default=0)
+    return ResourceReport(circuit.width, counts, arity, depth, max(toffoli_layers.values(), default=0))
 
 
 # --- text netlist format ---------------------------------------------------

@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from . import blocks, optimized, verify
+from . import blocks, naive, optimized, verify
 from .circuit import MAX_LANE_BITS, emit_netlist, report
 from .curve import CurvePoint, ec_add, enumerate_points, load_curve
 from .ecgroup import FixedPointParams, simulate_group_add
@@ -92,6 +92,10 @@ def cmd_estimate(args) -> int:
     }
     for register, width in layout.items():
         payload[f"term {register}"] = width
+    # the naive Euclid iteration's cost beside the budget; the exit code checks only the budget
+    iteration = report(naive.build_euclid_iteration(m)).to_json()
+    for key in ("width", "gates_total", "depth", "toffoli_depth"):
+        payload[f"naive_iteration_{key}"] = iteration[key]
     _emit(payload)
     return 0 if payload["formula"] == payload["layout_width"] else 1
 
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--backend", choices=("naive", "opt"), default="naive")
     t.set_defaults(func=verify_ec_add)
 
-    p = sub.add_parser("estimate", help="qubit budget for the optimized inverter")
+    p = sub.add_parser("estimate", help="optimized inverter's qubit budget; naive Euclid iteration's cost")
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_estimate)
 

@@ -15,9 +15,15 @@ The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
      wire that flips once, when the round counter passes S.  The flag is
      1 in rounds 0 and 1, so their copies are CNOTs on B's bit alone, and
      the top wire of A is 1, so each round subtracts it with a CNOT on
-     the quotient bit alone: m + 3 Toffolis fewer.  The rounds write the
-     quotient word already rotated left by 2: a relabelling of the wires
-     they write, since the register starts at 0, so no gates,
+     the quotient bit alone: m + 3 Toffolis fewer.  Each round subtracts
+     from B's top wire down, so its second subtraction writes bit m-t-1,
+     the bit round t+1 copies: the rounds pipeline, each about two layers
+     behind the last rather than after all of it.  A round's subtractions
+     commute, since each writes its own wire of B and none writes a wire
+     another reads, so the order changes the depth, not the map.  The
+     rounds write the quotient word already rotated left by 2: a
+     relabelling of the wires they write, since the register starts at
+     0, so no gates,
   4. rotate the quotient register left by S, a controlled rotation on S's
      bits, two layers of controlled swaps per bit, so the stored word
      becomes q itself,
@@ -69,7 +75,8 @@ def _division_gates(m: int, div: str, dvd: str):
     # and flips to 0 when t passes the quotient length (t = s+2).  Round t's
     # quotient bit belongs on wire m-t, rotated left by 2 over the m+1
     # quotient wires; q starts at 0, so writing it on wire m-t+2 mod m+1
-    # does that rotation by relabelling, with no gates.
+    # does that rotation by relabelling, with no gates.  Subtracting from
+    # the top wire down frees dvd bit m-t-1, round t+1's, second.
     gates.append(gate_not((flg, 0)))
     for t in range(m + 1):
         qt = (quo, (m - t + 2) % (m + 1))
@@ -78,7 +85,7 @@ def _division_gates(m: int, div: str, dvd: str):
             gates.append(cnot(_pattern_controls(s, L, t - 2), (flg, 0)))
             flag = [((flg, 0), 1)]
         gates.append(cnot(flag + [((dvd, m - t), 1)], qt))
-        for j in range(m + 1):
+        for j in reversed(range(m + 1)):
             src = j + t - 1
             if 0 <= src <= m - 1:
                 # div's wire m-1 holds its leading coefficient, 1 once normalized: no control

@@ -46,6 +46,9 @@ def test_estimate(capsys):
     assert payload["halting_counter_width"] == 5
     assert payload["formula"] == payload["layout_width"] == 72
     assert payload["formula_h0"] == 67
+    # the naive Euclid iteration's report(), which the budget check ignores
+    naive_cost = [payload[f"naive_iteration_{key}"] for key in ("width", "gates_total", "depth", "toffoli_depth")]
+    assert naive_cost == [88, 1392, 335, 266]
     assert main(["estimate", "--m", "4"]) == 0
     payload, _ = last_json(capsys)
     assert payload["formula_h0"] == 29

@@ -31,34 +31,34 @@ GOLDEN = {
     "naive-division-m8": (
         lambda: build_naive_long_division(8),
         {
-            "width": 31, "depth": 113, "gates_total": 242, "gates_not": 1,
+            "width": 31, "depth": 80, "toffoli_depth": 60, "gates_total": 242, "gates_not": 1,
             "gates_cnot": 241, "gates_swap": 0, "cnot_arity_1": 129,
             "cnot_arity_2": 102, "cnot_arity_3": 8, "cnot_arity_4": 2,
         },
-        "a5db78e8d447c517673b56aad5e4be96812c240a707c6037dd14d324935604ec",
+        "37a41c188f3480d2a82951e9bf7c3b2f3f3ee241254a550b265df783503ae4f2",
     ),
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16),
         {
-            "width": 88, "depth": 583, "gates_total": 1392, "gates_not": 2,
+            "width": 88, "depth": 335, "toffoli_depth": 266, "gates_total": 1392, "gates_not": 2,
             "gates_cnot": 1358, "gates_swap": 32, "cnot_arity_1": 690,
             "cnot_arity_2": 628, "cnot_arity_4": 36, "cnot_arity_8": 4,
         },
-        "5ea3cd74f4e0556a66db0c366b97a8d845e70411d30134baecc2e4e669f5d575",
+        "1c0db3e0b3e20a9c1c932e53a9e379f492f442f3b3b6666927ce3d5e2f304c8c",
     ),
     "degree-m8": (
         lambda: build_degree(8),
         {
-            "width": 11, "depth": 55, "gates_total": 108, "gates_not": 3,
+            "width": 11, "depth": 51, "toffoli_depth": 33, "gates_total": 108, "gates_not": 3,
             "gates_cnot": 105, "gates_swap": 0, "cnot_arity_1": 69,
             "cnot_arity_2": 35, "cnot_arity_4": 1,
         },
-        "d9e069bd8e09fe823073e90a06e2f45ec9cbb40a90695528338012c5fa44d1ff",
+        "f8b031cbdf1301d8d1dc494725fd432af22e2f939e931e77a0963aa4f45eb2e1",
     ),
     "increment-w3": (
         lambda: build_increment(3),
         {
-            "width": 4, "depth": 4, "gates_total": 4, "gates_not": 1,
+            "width": 4, "depth": 4, "toffoli_depth": 2, "gates_total": 4, "gates_not": 1,
             "gates_cnot": 3, "gates_swap": 0, "cnot_arity_1": 1,
             "cnot_arity_2": 1, "cnot_arity_3": 1,
         },
@@ -67,7 +67,7 @@ GOLDEN = {
     "decrement-w3": (
         lambda: build_decrement(3),
         {
-            "width": 4, "depth": 4, "gates_total": 4, "gates_not": 1,
+            "width": 4, "depth": 4, "toffoli_depth": 2, "gates_total": 4, "gates_not": 1,
             "gates_cnot": 3, "gates_swap": 0, "cnot_arity_1": 1,
             "cnot_arity_2": 1, "cnot_arity_3": 1,
         },
@@ -76,7 +76,7 @@ GOLDEN = {
     "controlled-shift-n5-k3": (
         lambda: build_controlled_shift(5, 3),
         {
-            "width": 8, "depth": 24, "gates_total": 36, "gates_not": 0,
+            "width": 8, "depth": 24, "toffoli_depth": 12, "gates_total": 36, "gates_not": 0,
             "gates_cnot": 36, "gates_swap": 0, "cnot_arity_1": 24,
             "cnot_arity_2": 12,
         },
@@ -85,7 +85,7 @@ GOLDEN = {
     "mul-accumulate-m8": (
         lambda: build_mul_accumulate(default_field(8)),
         {
-            "width": 24, "depth": 78, "gates_total": 106, "gates_not": 0,
+            "width": 24, "depth": 78, "toffoli_depth": 57, "gates_total": 106, "gates_not": 0,
             "gates_cnot": 106, "gates_swap": 0, "cnot_arity_1": 42,
             "cnot_arity_2": 64,
         },
@@ -127,7 +127,9 @@ CLI_REPORTS = {
     "verify ec-add --curve ss --backend opt": "3e6fc42e5e8db13f0e97a7843fad4a32eaff19e6c02a3cdf8a2f7d9186f58630",
     "estimate --m 16": (
         '{"cycles": 30, "formula": 72, "formula_h0": 67, "halting_counter_width": 5, '
-        '"layout_width": 72, "m": 16, "term c": 2, "term degA": 4, "term degB": 4, '
+        '"layout_width": 72, "m": 16, "naive_iteration_depth": 335, "naive_iteration_gates_total": 1392, '
+        '"naive_iteration_toffoli_depth": 266, "naive_iteration_width": 88, '
+        '"term c": 2, "term degA": 4, "term degB": 4, '
         '"term deg_anc": 4, "term dega": 4, "term degb": 4, "term f": 1, "term h": 5, '
         '"term q": 12, "term rAa": 16, "term rBb": 16}\n'
     ),

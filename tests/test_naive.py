@@ -109,6 +109,33 @@ def test_normalize_shifts_stage_j_in_n_minus_2_to_the_j_controlled_swaps(n):
     assert len(gates) == L + 3 * len(swaps)
 
 
+@pytest.mark.parametrize("n", [3, 4, 8, 10, 163])
+def test_normalize_stage_0_is_two_reflections(n):
+    # stage 0 rotates by one: its controlled swaps fall into two runs of
+    # disjoint pairs, the reflection of all n wires, then of wires 1..n-1
+    stage_0 = [g for g in normalize_gates("x", n, "s") if g.controls[:1] == ((("s", 0), 1),)]
+    runs = [[]]
+    for g in stage_0:
+        pair = {g.controls[1][0][1], g.targets[0][1]}
+        if any(pair & other for other in runs[-1]):
+            runs.append([])
+        runs[-1].append(pair)
+    assert len(stage_0) == n - 1
+    assert runs == [[{i, n - 1 - i} for i in range(n // 2)], [{i, n - i} for i in range(1, (n + 1) // 2)]]
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_division_rounds_subtract_top_down(m):
+    # round t's second subtraction writes b[m-t-1], the bit round t+1 copies
+    # into its quotient bit, so each round starts about two layers behind the last
+    rounds = {}
+    for g in naive.build_naive_long_division(m).gates:
+        if g.targets[0][0] == "b":
+            rounds.setdefault(g.controls[0][0], []).append(g.targets[0][1])
+    assert len(rounds) == m + 1
+    assert [written[:2] for written in list(rounds.values())[:m]] == [[m - t, m - t - 1] for t in range(m)]
+
+
 @pytest.mark.parametrize("m", range(2, 17))
 def test_division_spends_no_toffoli_on_a_control_known_to_be_1(m):
     # after normalization a's top wire is 1 in every round, and the flag is 1 in rounds 0 and 1
@@ -130,7 +157,7 @@ def test_m163_iteration_cost():
     # 2k - 3 Toffolis per k-controlled NOT with k >= 2, as perfbench counts them
     rep = report(build_euclid_iteration(163))
     assert rep.to_json() == {
-        "width": 827, "depth": 29807, "gates_total": 48370, "gates_not": 2,
+        "width": 827, "depth": 3411, "toffoli_depth": 2868, "gates_total": 48370, "gates_not": 2,
         "gates_cnot": 48042, "gates_swap": 326, "cnot_arity_1": 13868,
         "cnot_arity_2": 33824, "cnot_arity_4": 4, "cnot_arity_8": 330,
         "cnot_arity_16": 4, "cnot_arity_32": 4, "cnot_arity_64": 4, "cnot_arity_128": 4,
