@@ -10,9 +10,10 @@ m needs ceil(log2(m+1)) = k+1 bits.
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .circuit import Circuit, Gate, cnot, gate_not, swap
+from .circuit import Circuit, Gate, cnot, gate_not, pipeline, swap
 from .errors import BadParameter
 from .field import FieldSpec, default_field
 
@@ -180,6 +181,7 @@ def build_conditional_xor(m: int) -> Circuit:
     return Circuit({"ctl": 1, "a": m, "b": m}, [cnot([(ctl, 1), (("a", i), 1)], ("b", i)) for i in range(m)], ("ctl", "a"))
 
 
+@functools.lru_cache(maxsize=None)
 def build_mul_accumulate(field: FieldSpec) -> Circuit:
     """|x>|y>|t> <-> |x>|y>|t xor (x*y mod f)>.
 
@@ -190,26 +192,26 @@ def build_mul_accumulate(field: FieldSpec) -> Circuit:
     wrapped-around leading coefficient.  The rotation is a relabelling,
     not gates: coefficient j of y*z^i sits on wire y[(j - i) mod m], so
     only the tail's CNOTs are emitted, and after the m - 1 undos y is back
-    on its own wires.  Within a bank, the Toffolis that read wires the next
-    z-multiplication touches go first and those that read wires the
-    previous one touched go last, so the CNOTs overlap the banks.  Costs
-    m^2 Toffolis and 2(m-1)(wt(f)-2) CNOTs on 3m data wires, no ancillas;
-    the modulus is classical.
+    on its own wires.  Costs m^2 Toffolis and 2(m-1)(wt(f)-2) CNOTs on 3m
+    data wires, no ancillas; the modulus is classical.
+    A z-multiplication writes only wt(f) - 2 of y's wires, so most of a
+    bank's Toffolis can run beside the banks before it: `pipeline` orders
+    the gates in layers, moving each only past gates it commutes with.
+    That makes the m = 8 multiplier 29 deep, Toffoli-depth 22, against 78
+    and 57 bank by bank, and the m = 163 pentanomial's 334 and 325, against
+    25 927 and 25 765.  Built once per field.
     """
     m = field.m
     y = lambda j, i: ("y", (j - i) % m)  # the wire holding coefficient j of y*z^i
     tail = [j for j in range(1, m) if (field.modulus >> j) & 1]
     # mulz[i - 1] takes y*z^(i-1) to y*z^i
     mulz = [[cnot([(y(0, i), 1)], y(j, i)) for j in tail] for i in range(1, m)]
-    # touched[i]: the wires of the z-multiplication into bank i; none before bank 0 or after bank m - 1
-    touched = [set()] + [{w for g in step for w in g.wires()} for step in mulz] + [set()]
     gates = []
     for i in range(m):
-        order = sorted(range(m), key=lambda j: (y(j, i) in touched[i]) - (y(j, i) in touched[i + 1]))
-        gates += [cnot([(("x", i), 1), (y(j, i), 1)], ("t", j)) for j in order]
+        gates += [cnot([(("x", i), 1), (y(j, i), 1)], ("t", j)) for j in range(m)]
         gates += mulz[i] if i < m - 1 else []
     gates += [g for step in reversed(mulz) for g in reversed(step)]
-    return Circuit({"x": m, "y": m, "t": m}, gates, ("x", "y"))
+    return Circuit({"x": m, "y": m, "t": m}, pipeline(gates), ("x", "y"))
 
 
 # Every block by name: its builder and the integer sizes it takes, in order.

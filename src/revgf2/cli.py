@@ -92,10 +92,14 @@ def cmd_estimate(args) -> int:
     }
     for register, width in layout.items():
         payload[f"term {register}"] = width
-    # the naive Euclid iteration's cost beside the budget; the exit code checks only the budget
-    iteration = report(naive.build_euclid_iteration(m)).to_json()
-    for key in ("width", "gates_total", "depth", "toffoli_depth"):
-        payload[f"naive_iteration_{key}"] = iteration[key]
+    # the naive Euclid iteration's and the multiplier's costs beside the budget; the exit code checks only the budget
+    for name, circuit in (
+        ("naive_iteration", naive.build_euclid_iteration(m)),
+        ("multiplier", blocks.build_mul_accumulate(default_field(m))),
+    ):
+        cost = report(circuit).to_json()
+        for key in ("width", "gates_total", "depth", "toffoli_depth"):
+            payload[f"{name}_{key}"] = cost[key]
     _emit(payload)
     return 0 if payload["formula"] == payload["layout_width"] else 1
 
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--backend", choices=("naive", "opt"), default="naive")
     t.set_defaults(func=verify_ec_add)
 
-    p = sub.add_parser("estimate", help="optimized inverter's qubit budget; naive Euclid iteration's cost")
+    p = sub.add_parser("estimate", help="optimized inverter's qubit budget; naive Euclid iteration's and multiplier's costs")
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_estimate)
 

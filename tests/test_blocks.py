@@ -17,9 +17,9 @@ from revgf2.blocks import (
 )
 from revgf2.circuit import Circuit, report, run_lanes, sweep
 from revgf2.errors import BadParameter
-from revgf2.field import FieldSpec, default_field, field_mul
+from revgf2.field import FieldSpec, default_field, field_mul, is_irreducible
 from revgf2.poly import degree
-from revgf2.verify import check_blocks
+from revgf2.verify import CheckResult, _compare, check_blocks
 
 
 def test_rotation_direction_is_checked():
@@ -147,9 +147,39 @@ def test_multiplier_costs_its_toffolis_and_the_modulus_tails(field):
     assert rep.control_arity == {2: m * m, 1: 2 * (m - 1) * tail}
 
 
-def test_multiplier_at_m_163_matches_field_mul():
-    rng = random.Random(163)
-    x, y, t = ([rng.getrandbits(163) for _ in range(64)] for _ in range(3))
-    run = run_lanes(build_mul_accumulate(SECT163), {"x": x, "y": y, "t": t})
+def check_multiplier_on_seeded_lanes(field, lanes):
+    rng = random.Random(field.m)
+    x, y, t = ([rng.getrandbits(field.m) for _ in range(lanes)] for _ in range(3))
+    run = run_lanes(build_mul_accumulate(field), {"x": x, "y": y, "t": t})
     assert list(run.values("x")) == x and list(run.values("y")) == y
-    assert list(run.values("t")) == [c ^ field_mul(a, b, SECT163) for a, b, c in zip(x, y, t)]
+    assert list(run.values("t")) == [c ^ field_mul(a, b, field) for a, b, c in zip(x, y, t)]
+
+
+def test_multiplier_at_m_163_matches_field_mul():
+    check_multiplier_on_seeded_lanes(SECT163, 64)
+
+
+def test_multiplier_matches_field_mul_with_a_tail_far_from_the_top():
+    check_multiplier_on_seeded_lanes(FieldSpec(233, 1 << 233 | 1 << 74 | 1), 16)  # z^233 + z^74 + 1
+
+
+MODULI = [FieldSpec(m, f) for m in range(2, 6) for f in range(1 << m, 2 << m) if is_irreducible(f)]
+
+
+@pytest.mark.parametrize("field", MODULI + [default_field(6), default_field(7)], ids=lambda f: f"m{f.m}-{f.modulus:b}")
+def test_pipelined_multiplier_matches_field_mul_on_every_input(field):
+    c = build_mul_accumulate(field)
+    swept = ("x", "y", "t")
+    result = _compare(CheckResult(0, []), c, sweep(c, swept), swept, lambda x, y, t: (t ^ field_mul(x, y, field),))
+    assert result.checked == 1 << 3 * field.m and result.mismatches == []
+
+
+@pytest.mark.parametrize("field", [default_field(8), default_field(16), SECT163], ids=lambda f: f"m{f.m}")
+def test_pipelined_multiplier_depth(field):
+    # bank by bank, each z-multiplication between its banks: 78 / 57, 271 / 226 and 25 927 / 25 765
+    rep = report(build_mul_accumulate(field))
+    assert (rep.depth, rep.toffoli_depth) == {8: (29, 22), 16: (52, 39), 163: (334, 325)}[field.m]
+
+
+def test_multiplier_is_built_once_per_field():
+    assert build_mul_accumulate(default_field(8)) is build_mul_accumulate(FieldSpec(8, default_field(8).modulus))

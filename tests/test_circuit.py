@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from revgf2.circuit import (
     gate_not,
     lane_values,
     pack_lanes,
+    pipeline,
     report,
     run_lanes,
     run_one,
@@ -195,6 +197,33 @@ def test_lane_packing_rejects_values_that_do_not_fit():
     for bad in ([0, 8], [-1], [8] * 3, [-1] * 2):
         with pytest.raises(ValueError):
             pack_lanes(bad, 3)
+
+
+def test_pipeline_moves_gates_only_past_gates_they_commute_with():
+    rng = random.Random(32)
+    for _ in range(300):
+        layout = {"x": rng.randint(1, 3), "y": rng.randint(1, 2), "z": rng.randint(1, 3)}
+        wires = [(name, i) for name, width in layout.items() for i in range(width)]
+        # few wires and one- or two-controlled gates, so many gates share a target or a control
+        c = Circuit(layout, list(random_gates(rng, wires, rng.randint(1, 40), max_controls=2)))
+        gates = pipeline(c.gates)
+        assert Counter(gates) == Counter(c.gates)
+        assert pipeline(list(c.gates)) == gates
+        piped = Circuit(layout, gates)
+        assert lane_outputs(piped, sweep(piped, tuple(layout))) == lane_outputs(c, sweep(c, tuple(layout)))
+
+
+def test_pipeline_moves_an_xor_ahead_of_one_into_the_same_target():
+    xt, yt, zy = cnot([(("x", 0), 1)], ("t", 0)), cnot([(("y", 0), 1)], ("t", 0)), cnot([(("z", 0), 0)], ("y", 0))
+    layout = {"x": 1, "y": 1, "z": 1, "t": 1}
+    # y's XOR into t goes first, so the write to y runs beside x's XOR into t
+    assert pipeline([xt, yt, zy]) == [yt, xt, zy]
+    assert report(Circuit(layout, [xt, yt, zy])).depth == 3
+    assert report(Circuit(layout, [yt, xt, zy])).depth == 2
+    # a read and a write of one wire never trade places, nor does a SWAP with anything on its wires
+    for gates in ([zy, yt], [yt, zy], [xt, swap(("x", 0), ("t", 0)), yt]):
+        assert pipeline(gates) == gates
+    assert pipeline([]) == []
 
 
 def test_given_lanes_match_one_lane_runs():

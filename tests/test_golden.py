@@ -85,11 +85,11 @@ GOLDEN = {
     "mul-accumulate-m8": (
         lambda: build_mul_accumulate(default_field(8)),
         {
-            "width": 24, "depth": 78, "toffoli_depth": 57, "gates_total": 106, "gates_not": 0,
+            "width": 24, "depth": 29, "toffoli_depth": 22, "gates_total": 106, "gates_not": 0,
             "gates_cnot": 106, "gates_swap": 0, "cnot_arity_1": 42,
             "cnot_arity_2": 64,
         },
-        "6c7ed2a464fd3e0b0cc204975788e5f73fa9d3bb7a36da556104ad7070209048",
+        "07c4ffdc06b2fdfc10b56c7db22b9500e5156e3d1fd5d6a4e6deb02f7bfe6cf6",
     ),
 }
 
@@ -127,7 +127,9 @@ CLI_REPORTS = {
     "verify ec-add --curve ss --backend opt": "3e6fc42e5e8db13f0e97a7843fad4a32eaff19e6c02a3cdf8a2f7d9186f58630",
     "estimate --m 16": (
         '{"cycles": 30, "formula": 72, "formula_h0": 67, "halting_counter_width": 5, '
-        '"layout_width": 72, "m": 16, "naive_iteration_depth": 335, "naive_iteration_gates_total": 1392, '
+        '"layout_width": 72, "m": 16, "multiplier_depth": 52, "multiplier_gates_total": 346, '
+        '"multiplier_toffoli_depth": 39, "multiplier_width": 48, '
+        '"naive_iteration_depth": 335, "naive_iteration_gates_total": 1392, '
         '"naive_iteration_toffoli_depth": 266, "naive_iteration_width": 88, '
         '"term c": 2, "term degA": 4, "term degB": 4, '
         '"term deg_anc": 4, "term dega": 4, "term degb": 4, "term f": 1, "term h": 5, '
