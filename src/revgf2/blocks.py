@@ -19,7 +19,8 @@ from .field import FieldSpec, default_field
 
 
 def log2_ceil(m: int) -> int:
-    """ceil(log2 m); the degree-register width for GF(2^m)."""
+    """ceil(log2 m), but 1 at m = 1, the narrowest register; the
+    degree-register width for GF(2^m)."""
     if m < 1:
         raise BadParameter("log2_ceil needs a positive argument")
     return max(1, (m - 1).bit_length())

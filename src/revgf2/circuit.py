@@ -257,10 +257,9 @@ def _slot_lines(gates, index: dict[Wire, int], slot: list[int]):
 
 
 def _units(lines):
-    """(guards, lines, pair) per unit: a controlled swap `a ^= b; b ^= s & a;
-    a ^= b` whose only guard is s and whose pair is (a, b), or one line
-    guarded by each 1-control, whose pair is None.  Holds at most three
-    lines, to see a controlled swap whole."""
+    """(guards, lines, swaps) per unit: a controlled swap `a ^= b; b ^= s &
+    a; a ^= b` (swaps True) guarded by s only, or one line guarded by each
+    1-control.  Holds at most three lines, to see a controlled swap whole."""
     window = []
     for line in lines:
         window.append(line)
@@ -268,36 +267,31 @@ def _units(lines):
             continue
         (a, ab, az), (b, bb, bz), third = window
         if ab == [b] and not az and len(bb) == 2 and a in bb and not bz and third == window[0]:
-            yield frozenset(bb) - {a}, window, (a, b)
+            yield frozenset(bb) - {a}, window, True
             window = []
         else:
-            yield frozenset(ab), window[:1], None
+            yield frozenset(ab), window[:1], False
             del window[0]
     for line in window:
-        yield frozenset(line[1]), [line], None
+        yield frozenset(line[1]), [line], False
 
 
 def _chunk_runs(units):
     """Pack units into chunks of at most _CHUNK_GATES lines; a chunk is a
-    list of [guards, lines, pairs] runs, where a unit joins the run before
+    list of [guards, lines, swaps] runs, where a unit joins the run before
     it if both are controlled swaps or both single lines, they share a
-    guard, and the run's guards narrow to the shared ones.  `pairs` lists
-    the swapped pairs of a run of controlled swaps, and is None in a run of
-    single lines."""
+    guard, and the run's guards narrow to the shared ones."""
     runs: list[list] = []
     size = 0
-    for guards, lines, pair in units:
+    for guards, lines, swaps in units:
         if size + len(lines) > _CHUNK_GATES:
             yield runs
             runs, size = [], 0
-        if runs and runs[-1][0] & guards and (runs[-1][2] is None) == (pair is None):
-            run = runs[-1]
-            run[0] &= guards
-            run[1] += lines
-            if pair:
-                run[2].append(pair)
+        if runs and runs[-1][0] & guards and runs[-1][2] == swaps:
+            runs[-1][0] &= guards
+            runs[-1][1] += lines
         else:
-            runs.append([guards, list(lines), pair and [pair]])
+            runs.append([guards, list(lines), swaps])
         size += len(lines)
     if runs:
         yield runs
@@ -308,17 +302,19 @@ def _compile_chunk(runs):
     slots when there is more than one lane, so each target's old int dies
     when its first line replaces it, run its gate lines, store the targets
     back.  A run of more than one line runs under `if w{g}:` on its lowest
-    guard g; a run of controlled swaps on g runs as one permutation under
-    `if w{g} == mask:`, and as its lines under `elif w{g}:`.  The source
+    guard g; a run of controlled swaps on g runs as one permutation of the
+    pairs its lines swap under `if w{g} == mask:`, and as its lines under
+    `elif w{g}:`.  The source
     holds only slot numbers, `w`, `mask` and the operators, never a register
     name, and runs without builtins."""
     loads: dict[int, None] = {}  # slots the chunk reads, in first-use order
     stores: dict[int, None] = {}  # slots it writes
     code: list[str] = []
-    for guards, lines, pairs in runs:
+    for guards, lines, swaps in runs:
         indent = ""
-        if pairs:
+        if swaps:  # each controlled swap is the lines a ^= b; b ^= s & a; a ^= b
             g = min(guards)
+            pairs = [(a[0], b[0]) for a, b in zip(lines[0::3], lines[1::3])]
             code += [f"if w{g} == mask:", f" {_permutation(pairs)}", f"elif w{g}:"]
             indent = " "
         elif len(lines) > 1:

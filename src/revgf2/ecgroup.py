@@ -17,7 +17,8 @@ registers x, y and t (the product scratch), each step its own inverse:
   square_into_x   x ^= y^2 (+ y) + c, a GF(2)-linear map
   fold_x_into_y   y ^= x + c
 
-An arrow is undone by running its steps in reverse order.  The division
+An arrow is undone by running its steps in reverse order, and the chain
+`plan_group_add` returns by running its arrows so, last first.  The division
 arrow DIVIDE takes |x>|y> to |x>|y/x>; the multiplication is DIVIDE reversed.
 """
 
@@ -135,27 +136,13 @@ def run_arrow(arrow, regs, ctx: StepContext):
     return regs
 
 
-@dataclass(frozen=True)
-class GroupStepPlan:
-    """The ordered arrows realizing (x, y) -> (x', y'); each arrow is a
-    tuple of (step, *arguments)."""
-
-    params: FixedPointParams
-    chain: tuple[tuple[tuple, ...], ...]
-
-    def inverse(self) -> "GroupStepPlan":
-        """Every step is self-inverse, so the inverse runs every arrow
-        reversed, in reverse order."""
-        return GroupStepPlan(self.params, tuple(arrow[::-1] for arrow in reversed(self.chain)))
-
-
-def plan_group_add(params: FixedPointParams) -> GroupStepPlan:
-    """Emit the curve kind's chain (x2 = alpha, y2 = beta, L the slope);
-    each comment gives the registers after its arrow."""
+def plan_group_add(params: FixedPointParams) -> tuple[tuple[tuple, ...], ...]:
+    """The curve kind's chain of arrows (x2 = alpha, y2 = beta, L the
+    slope); each comment gives the registers after its arrow."""
     curve = params.curve
     alpha, beta = params.alpha, params.beta
     if curve.kind is CurveKind.NON_SUPERSINGULAR:
-        chain = (
+        return (
             ((xor_constants, alpha, beta),),  # x + alpha, y + beta
             DIVIDE,  # y = L
             ((square_into_x, True, alpha ^ curve.a),),  # x = x' + alpha
@@ -163,29 +150,27 @@ def plan_group_add(params: FixedPointParams) -> GroupStepPlan:
             ((xor_constants, alpha, 0),),  # x = x'
             ((fold_x_into_y, beta),),  # y = y'
         )
-    else:
-        chain = (
-            ((xor_constants, alpha, beta),),
-            DIVIDE,  # y = L
-            ((square_into_x, False, alpha),),  # x = x' + alpha
-            MULTIPLY,  # y = L*(x' + alpha) = y' + beta + c
-            ((xor_constants, alpha, beta ^ curve.c),),  # x', y'
-        )
-    return GroupStepPlan(params, chain)
+    return (
+        ((xor_constants, alpha, beta),),
+        DIVIDE,  # y = L
+        ((square_into_x, False, alpha),),  # x = x' + alpha
+        MULTIPLY,  # y = L*(x' + alpha) = y' + beta + c
+        ((xor_constants, alpha, beta ^ curve.c),),  # x', y'
+    )
 
 
-def execute_plan(plan: GroupStepPlan, x: int, y: int, backend: str = "naive") -> tuple[int, int]:
-    """Run the plan on raw register values, t starting at 0; pass
-    plan.inverse() to run it backwards."""
-    ctx = build_division_with_uncompute(plan.params.curve.field, backend)
+def execute_plan(chain, field: FieldSpec, x: int, y: int, backend: str = "naive") -> tuple[int, int]:
+    """Run a chain of arrows over `field` on raw register values, t starting
+    at 0; its arrows each reversed, in reverse order, run it backwards."""
+    ctx = build_division_with_uncompute(field, backend)
     regs = (x, y, 0)
-    for arrow in plan.chain:
+    for arrow in chain:
         regs = run_arrow(arrow, regs, ctx)
     return regs[X], regs[Y]
 
 
 def simulate_group_add(s: CurvePoint, params: FixedPointParams, backend: str = "naive") -> CurvePoint:
-    """Execute the plan on one basis-state point; returns S + (alpha, beta).
+    """Run the chain on one basis-state point; returns S + (alpha, beta).
 
     Only the generic case is implemented, so the identity, the fixed point
     itself, and its negative are rejected up front (all three share
@@ -200,9 +185,8 @@ def simulate_group_add(s: CurvePoint, params: FixedPointParams, backend: str = "
     if s.x == params.alpha:
         raise NonGenericInput("input shares the fixed point's x coordinate (doubling, "
                               "cancellation, or a repeated point)")
-    plan = plan_group_add(params)
     try:
-        x3, y3 = execute_plan(plan, s.x, s.y, backend)
+        x3, y3 = execute_plan(plan_group_add(params), params.curve.field, s.x, s.y, backend)
     except DivisionByZero as exc:
         raise NonGenericInput("the sum shares the fixed point's x coordinate, so the slope cannot "
                               "be uncomputed (output side of the generic-case check)") from exc

@@ -81,7 +81,8 @@ def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckR
     """The naive long division against poly_divmod's (q, r), reversed to the
     layout order of b and q, with a and the scratch restored: on every pair
     a != 0 in one sweep, or on given pairs, each a != 0 and each value
-    within its register, one lane each."""
+    within its register, one lane each, in runs of at most 2^MAX_LANE_BITS
+    lanes."""
     for pair in pairs or ():
         if pair[0] == 0:
             raise BadParameter(f"the pair (a, b) = {pair} divides by a = 0")
@@ -91,9 +92,15 @@ def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckR
             width = division.layout[name]
             if not 0 <= value < 1 << width:
                 raise BadParameter(f"the pair (a, b) = {pair} does not fit: {name} has {width} bits")
-    run = (sweep(division, ("a", "b")) if pairs is None
-           else run_lanes(division, {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}))
-    return _compare(CheckResult(0, []), division, run, ("a", "b"), lambda a, b: poly_divmod(b, a)[::-1] if a else None)
+    result = CheckResult(0, [])
+    expect = lambda a, b: poly_divmod(b, a)[::-1] if a else None
+    if pairs is None:
+        return _compare(result, division, sweep(division, ("a", "b")), ("a", "b"), expect)
+    lanes = 1 << MAX_LANE_BITS
+    for part in (pairs[i:i + lanes] for i in range(0, len(pairs), lanes)):
+        run = run_lanes(division, {"a": [a for a, _ in part], "b": [b for _, b in part]})
+        _compare(result, division, run, ("a", "b"), expect)
+    return result
 
 
 def check_inversion(field: FieldSpec, backend: str, inputs) -> CheckResult:

@@ -4,6 +4,8 @@ CURVES = {
     "ns": "m = 4\nmodulus = 10011\nkind = non-supersingular\na = 10\nb = 1\n",
     "ss": "m = 4\nmodulus = 10011\nkind = supersingular\na = 1\nb = 10\nc = 1\n",
     "ns-m2": "m = 2\nmodulus = 111\nkind = non-supersingular\na = 10\nb = 1\n",  # no generic point
+    # y^2 + y = x^3 + x + 1 over GF(2): only the point at infinity
+    "ss-m1": "m = 1\nmodulus = 11\nkind = supersingular\na = 1\nb = 1\nc = 1\n",
 }
 
 

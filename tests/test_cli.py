@@ -268,6 +268,12 @@ def test_verify_nothing_to_check_is_usage_error(curve_files, capsys):
     assert "found no inputs to check" in captured.err and captured.out == ""
 
 
+def test_verify_ec_add_on_a_curve_without_affine_points_is_usage_error(curve_files, capsys):
+    assert main(["verify", "ec-add", "--curve", curve_files["ss-m1"]]) == 2
+    captured = capsys.readouterr()
+    assert "curve has no affine points" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, m",
     [

@@ -44,16 +44,15 @@ def test_fixed_point_must_lie_on_curve():
 
 
 def test_plan_arrow_counts():
-    assert len(plan_group_add(params_for(NS)).chain) == 6
-    assert len(plan_group_add(params_for(SS)).chain) == 5
+    assert len(plan_group_add(params_for(NS))) == 6
+    assert len(plan_group_add(params_for(SS))) == 5
 
 
 def test_zero_constants_degenerate_to_identity():
     # alpha = beta = 0 makes the first arrow a pair of empty XOR masks
     curve = CurveSpec(F16, CurveKind.SUPERSINGULAR, a=0, b=0, c=1)
     if CurvePoint(0, 0) in enumerate_points(curve):
-        plan = plan_group_add(FixedPointParams(curve, 0, 0))
-        assert plan.chain[0] == ((xor_constants, 0, 0),)
+        assert plan_group_add(FixedPointParams(curve, 0, 0))[0] == ((xor_constants, 0, 0),)
 
 
 STEPS = [
@@ -87,8 +86,10 @@ def test_every_step_is_an_involution(step, backend):
 def test_multiply_arrow_is_divide_reversed():
     assert MULTIPLY == DIVIDE[::-1]
     for curve in (NS, SS):
-        plan = plan_group_add(params_for(curve))
-        assert plan.inverse().inverse() == plan
+        chain = plan_group_add(params_for(curve))
+        backwards = tuple(arrow[::-1] for arrow in reversed(chain))
+        # run backwards, the chain still divides before it multiplies
+        assert [arrow for arrow in backwards if arrow in (DIVIDE, MULTIPLY)] == [DIVIDE, MULTIPLY]
 
 
 @pytest.mark.parametrize("backend", ["naive", "opt"])
@@ -144,10 +145,11 @@ def test_multiplier_operand_fault_is_caught(monkeypatch):
 def test_plan_inverse_restores_input():
     for curve in (NS, SS):
         params = params_for(curve)
-        plan = plan_group_add(params)
+        chain = plan_group_add(params)
+        backwards = tuple(arrow[::-1] for arrow in reversed(chain))
         for s in generic_points(params):
-            x, y = execute_plan(plan, s.x, s.y)
-            back = execute_plan(plan.inverse(), x, y)
+            x, y = execute_plan(chain, F16, s.x, s.y)
+            back = execute_plan(backwards, F16, x, y)
             assert back == (s.x, s.y)
 
 

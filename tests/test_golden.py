@@ -1,6 +1,7 @@
 """Golden netlists: resource reports and SHA-256 digests of the emitted
-netlists (gate order included), of two CLI traces and of the CLI's verify
-reports, and the CLI's estimate report as a literal line.
+netlists (gate order included), of the simulator's generated kernel source,
+of two CLI traces and of the CLI's verify reports, and the CLI's estimate
+report as a literal line.
 
 A change that alters any of these circuits must update the pinned values
 here on purpose, so gate-order changes stay visible in review.
@@ -17,7 +18,8 @@ from revgf2.blocks import (
     build_increment,
     build_mul_accumulate,
 )
-from revgf2.circuit import emit_netlist, report
+from revgf2 import circuit as circuit_module
+from revgf2.circuit import Circuit, emit_netlist, report
 from revgf2.cli import main
 from revgf2.field import default_field
 from revgf2.naive import build_euclid_iteration, build_naive_long_division
@@ -100,6 +102,41 @@ def test_golden_netlist(name):
     circuit = build()
     assert report(circuit).to_json() == want_report
     assert sha256(emit_netlist(circuit)) == want_digest
+
+
+# name -> (build, chunk count, SHA-256 of the chunk bodies' lines, chunks apart by one newline)
+KERNELS = {
+    "naive-division-m8": (
+        lambda: build_naive_long_division(8), 2,
+        "b96cfd7314eb1da927fd9351734c5ac63177aaebbfcaff456b0a359906243d85",
+    ),
+    "euclid-iteration-m16": (
+        lambda: build_euclid_iteration(16), 12,
+        "d6207604a87cfc8c10319892f230d8225841959446a799943ab38115f1014be8",
+    ),
+    "mul-accumulate-m8": (
+        lambda: build_mul_accumulate(default_field(8)), 1,
+        "321f3e07d40815b8c095fec78ad4a01b2aa0a6f8b323b423f96e8d4f71a3435f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_golden_kernel_source(name, monkeypatch):
+    build, want_chunks, want_digest = KERNELS[name]
+    built = build()
+    bodies = []
+    compile_chunk = circuit_module._compile
+
+    def recording(*body):
+        bodies.append(body)
+        return compile_chunk(*body)
+
+    monkeypatch.setattr(circuit_module, "_compile", recording)
+    # a fresh circuit, so its kernel is generated here even if `built`'s already was
+    Circuit(built.layout, built.gates, built.restores)._kernel
+    assert len(bodies) == want_chunks
+    assert sha256("\n".join("\n".join(body) for body in bodies)) == want_digest
 
 
 def test_golden_trace(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from revgf2 import blocks, verify
+from revgf2 import blocks, circuit, verify
 from revgf2.circuit import Circuit, cnot, gate_not
 from revgf2.cli import main
 from revgf2.curve import CurvePoint, enumerate_points, load_curve
@@ -111,6 +111,29 @@ def test_division_pair_with_a_zero_divisor_is_rejected_before_any_run(monkeypatc
 def test_division_pair_wider_than_its_register_is_rejected(pair, message):
     with pytest.raises(BadParameter, match=message):
         verify.check_division(4, [pair])
+
+
+def test_division_pairs_past_the_lane_bound_run_in_windows(monkeypatch, capsys):
+    def off_where_b_is_odd(b, a):
+        """poly_divmod with the quotient's bit 0 flipped wherever b is odd."""
+        q, r = poly_divmod(b, a)
+        return q ^ b & 1, r
+
+    monkeypatch.setattr(verify, "poly_divmod", off_where_b_is_odd)
+    pairs = [(a, 3 * a) for a in range(1, 10)]
+    whole = verify.check_division(4, pairs)  # one window
+    assert whole.checked == 9
+    assert whole.mismatches == [f"a={format_poly(a, 4)} b={format_poly(b, 5)}" for a, b in pairs if b & 1]
+    runs = []
+    run_lanes = verify.run_lanes
+    monkeypatch.setattr(verify, "run_lanes", lambda c, values: runs.append(len(values["a"])) or run_lanes(c, values))
+    for module in (verify, circuit):
+        monkeypatch.setattr(module, "MAX_LANE_BITS", 2)
+    assert verify.check_division(4, pairs) == whole
+    assert runs == [4, 4, 1]
+    monkeypatch.setattr(verify, "poly_divmod", poly_divmod)
+    assert main(["verify", "naive-div", "--m", "4", "--sample", "9"]) == 0
+    assert '"checked": 9' in capsys.readouterr().out and runs[3:] == [4, 4, 1]
 
 
 # blocks that compute the wrong thing but still permute their basis states,
