@@ -234,8 +234,8 @@ class Circuit:
 
 
 # Gate lines per generated function.  Compiling the m = 16 Euclid iteration
-# (1 392 gates, 1 360 lines once SWAPs are relabellings, with its guarded
-# blocks) as one function peaks at about 4.2 MB under tracemalloc on
+# (1 375 gates, 1 343 lines once SWAPs are relabellings, with its guarded
+# blocks) as one function peaks at about 4.7 MB under tracemalloc on
 # Python 3.11, streamed into 128-line chunks at about 0.75 MB.  Longer
 # chunks run fewer calls and loads, but the benchmark's peak RSS prices them:
 # at 2048 lines `invert-naive-m16` ran 13-26 % more inversions per second

@@ -16,14 +16,14 @@ The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
      1 in rounds 0 and 1, so their copies are CNOTs on B's bit alone, and
      the top wire of A is 1, so each round subtracts it with a CNOT on
      the quotient bit alone: m + 3 Toffolis fewer.  Each round subtracts
-     from B's top wire down, so its second subtraction writes bit m-t-1,
-     the bit round t+1 copies: the rounds pipeline, each about two layers
-     behind the last rather than after all of it.  A round's subtractions
-     commute, since each writes its own wire of B and none writes a wire
-     another reads, so the order changes the depth, not the map.  The
-     rounds write the quotient word already rotated left by 2: a
-     relabelling of the wires they write, since the register starts at
-     0, so no gates,
+     from B's bit m-t-1, the bit round t+1 copies, down, and clears bit
+     m-t, the bit it copied, last: the rounds pipeline, each about one
+     layer behind the last rather than after all of it.  A round's
+     subtractions commute, since each writes its own wire of B and none
+     writes a wire another reads, so the order changes the depth, not
+     the map.  The rounds write the quotient word already rotated left
+     by 2: a relabelling of the wires they write, since the register
+     starts at 0, so no gates,
   4. rotate the quotient register left by S, a controlled rotation on S's
      bits, two layers of controlled swaps per bit, so the stored word
      becomes q itself,
@@ -56,11 +56,13 @@ def _pattern_controls(reg: str, width: int, value: int):
     return [((reg, i), (value >> i) & 1) for i in range(width)]
 
 
-def _division_gates(m: int, div: str, dvd: str):
+def _division_gates(m: int, div: str, dvd: str, first: int = 0):
     """Gate sequence for |div>|dvd>|0> <-> |div>|dvd+q*div>|q>.
 
-    div has m wires, dvd and the quotient q have m+1 (the dividend may have
-    degree m), s has ceil(log m) wires, flg one.  div must be nonzero.
+    div has m wires, the quotient q m+1, s ceil(log m), flg one; div must
+    be nonzero.  The rounds start at `first`, 0 or 1.  From round 0, dvd
+    has m+1 wires (the dividend may have degree m); from round 1 it has
+    m, and the quotient's bit of z^(m-deg(div)), round 0's, must be 0.
     """
     quo, s, flg = "q", "s", "flg"  # the scratch, named alike in both layouts
     L = log2_ceil(m)
@@ -75,22 +77,21 @@ def _division_gates(m: int, div: str, dvd: str):
     # and flips to 0 when t passes the quotient length (t = s+2).  Round t's
     # quotient bit belongs on wire m-t, rotated left by 2 over the m+1
     # quotient wires; q starts at 0, so writing it on wire m-t+2 mod m+1
-    # does that rotation by relabelling, with no gates.  Subtracting from
-    # the top wire down frees dvd bit m-t-1, round t+1's, second.
+    # does that rotation by relabelling, with no gates.  The subtractions
+    # go from dvd bit m-t-1, round t+1's, down, and the one that clears
+    # bit m-t, the copied bit, goes last.
     gates.append(gate_not((flg, 0)))
-    for t in range(m + 1):
+    for t in range(first, m + 1):
         qt = (quo, (m - t + 2) % (m + 1))
         flag = []  # the flag is 1 in rounds 0 and 1, whatever s holds: no control
         if t >= 2:
             gates.append(cnot(_pattern_controls(s, L, t - 2), (flg, 0)))
             flag = [((flg, 0), 1)]
         gates.append(cnot(flag + [((dvd, m - t), 1)], qt))
-        for j in reversed(range(m + 1)):
-            src = j + t - 1
-            if 0 <= src <= m - 1:
-                # div's wire m-1 holds its leading coefficient, 1 once normalized: no control
-                coefficient = [((div, src), 1)] if src < m - 1 else []
-                gates.append(cnot([(qt, 1)] + coefficient, (dvd, j)))
+        # div wire j+t-1 is subtracted from dvd wire j; div's wire m-1 holds
+        # its leading coefficient, 1 once normalized: no control
+        gates += [cnot([(qt, 1), ((div, j + t - 1), 1)], (dvd, j)) for j in reversed(range(max(0, 1 - t), m - t))]
+        gates.append(cnot([(qt, 1)], (dvd, m - t)))
     gates.append(cnot(_pattern_controls(s, L, m - 1), (flg, 0)))
 
     # 4. the stored quotient word is q << deg(div), rotated left by 2;
@@ -123,17 +124,21 @@ def build_euclid_iteration(m: int) -> Circuit:
     Three individually reversible steps: the long division on (A, B),
     the reversed division on (a, b) which replays b <- b+qa and clears q
     (valid because floor((b+qa)/a) = floor(B/A)), then the pair swap.
+    While A != 1, deg(a) + deg(B) = m, so every value b takes, b plus a
+    partial quotient times a, has degree at most m - deg(A) <= m - 1:
+    b has m wires, and the reversed division skips round 0, whose
+    quotient bit, of z^deg(B), is 0.  The driver runs no lane with A = 1.
     """
     gates = _division_gates(m, "ra", "rb")
-    gates += reversed(_division_gates(m, "ka", "kb"))
+    gates += reversed(_division_gates(m, "ka", "kb", first=1))
     gates += [swap((a, i), (b, i)) for i in range(m) for a, b in (("ra", "rb"), ("ka", "kb"))]
     # remainders A, B and coefficients a, b; (a, A) is the leading pair
-    layout = {"ra": m, "rb": m + 1, "ka": m, "kb": m + 1, "q": m + 1, "s": log2_ceil(m), "flg": 1}
+    layout = {"ra": m, "rb": m + 1, "ka": m, "kb": m, "q": m + 1, "s": log2_ceil(m), "flg": 1}
     return Circuit(layout, gates, ("q", "s", "flg"))
 
 
 # Lanes per kernel run of `run_naive_inversions`.  At m = 16 each of the
-# iteration's 88 wire ints is then 8 KiB.  All of GF(2^20) took 3.9 s and
+# iteration's 87 wire ints is then 8 KiB.  All of GF(2^20) took 3.9 s and
 # 106-111 MB peak RSS in 2^16-lane runs, against 4.8 s and 249 MB in one run
 # of 2^20 lanes (two runs each; Python 3.11, shared 2-core Xeon).
 MAX_INVERSION_LANES = 1 << 16

@@ -33,29 +33,29 @@ GOLDEN = {
     "naive-division-m8": (
         lambda: build_naive_long_division(8),
         {
-            "width": 31, "depth": 80, "toffoli_depth": 60, "gates_total": 242, "gates_not": 1,
+            "width": 31, "depth": 72, "toffoli_depth": 59, "gates_total": 242, "gates_not": 1,
             "gates_cnot": 241, "gates_swap": 0, "cnot_arity_1": 129,
             "cnot_arity_2": 102, "cnot_arity_3": 8, "cnot_arity_4": 2,
         },
-        "37a41c188f3480d2a82951e9bf7c3b2f3f3ee241254a550b265df783503ae4f2",
+        "0e088d6c0da30e8d87b6abd848f19200d4340be2c7e38b90163cbac56b758d4e",
     ),
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16),
         {
-            "width": 88, "depth": 335, "toffoli_depth": 266, "gates_total": 1392, "gates_not": 2,
-            "gates_cnot": 1358, "gates_swap": 32, "cnot_arity_1": 690,
-            "cnot_arity_2": 628, "cnot_arity_4": 36, "cnot_arity_8": 4,
+            "width": 87, "depth": 299, "toffoli_depth": 257, "gates_total": 1375, "gates_not": 2,
+            "gates_cnot": 1341, "gates_swap": 32, "cnot_arity_1": 688,
+            "cnot_arity_2": 613, "cnot_arity_4": 36, "cnot_arity_8": 4,
         },
-        "1c0db3e0b3e20a9c1c932e53a9e379f492f442f3b3b6666927ce3d5e2f304c8c",
+        "2293ec75db53df45fa0d34ca8a02eaaf2151a7d0ad996c1b8fc757a5f346f44b",
     ),
     "degree-m8": (
         lambda: build_degree(8),
         {
-            "width": 11, "depth": 51, "toffoli_depth": 33, "gates_total": 108, "gates_not": 3,
+            "width": 11, "depth": 48, "toffoli_depth": 32, "gates_total": 108, "gates_not": 3,
             "gates_cnot": 105, "gates_swap": 0, "cnot_arity_1": 69,
             "cnot_arity_2": 35, "cnot_arity_4": 1,
         },
-        "f8b031cbdf1301d8d1dc494725fd432af22e2f939e931e77a0963aa4f45eb2e1",
+        "b0449093f9be02ea0800ed091666ce95d71c4c7ae3079a48c317429ab9894698",
     ),
     "increment-w3": (
         lambda: build_increment(3),
@@ -108,11 +108,11 @@ def test_golden_netlist(name):
 KERNELS = {
     "naive-division-m8": (
         lambda: build_naive_long_division(8), 2,
-        "b96cfd7314eb1da927fd9351734c5ac63177aaebbfcaff456b0a359906243d85",
+        "6b42e71c50bf6f3c66e75bd24d46b0259088806d586f37fd5106b97965a62bd2",
     ),
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16), 12,
-        "d6207604a87cfc8c10319892f230d8225841959446a799943ab38115f1014be8",
+        "9e76de9df737b8e37725c1a33e87393d32b6fdc83d0d2beff7bc51e4995b2702",
     ),
     "mul-accumulate-m8": (
         lambda: build_mul_accumulate(default_field(8)), 1,
@@ -166,8 +166,8 @@ CLI_REPORTS = {
         '{"cycles": 30, "formula": 72, "formula_h0": 67, "halting_counter_width": 5, '
         '"layout_width": 72, "m": 16, "multiplier_depth": 52, "multiplier_gates_total": 346, '
         '"multiplier_toffoli_depth": 39, "multiplier_width": 48, '
-        '"naive_iteration_depth": 335, "naive_iteration_gates_total": 1392, '
-        '"naive_iteration_toffoli_depth": 266, "naive_iteration_width": 88, '
+        '"naive_iteration_depth": 299, "naive_iteration_gates_total": 1375, '
+        '"naive_iteration_toffoli_depth": 257, "naive_iteration_width": 87, '
         '"term c": 2, "term degA": 4, "term degB": 4, '
         '"term deg_anc": 4, "term dega": 4, "term degb": 4, "term f": 1, "term h": 5, '
         '"term q": 12, "term rAa": 16, "term rBb": 16}\n'

@@ -1,14 +1,15 @@
 import subprocess
 import sys
+from itertools import compress
 from pathlib import Path
 
 import pytest
 
 from revgf2 import naive
 from revgf2.blocks import log2_ceil
-from revgf2.circuit import Circuit, cnot, gate_not, report, run_one, sweep
+from revgf2.circuit import Circuit, cnot, gate_not, report, run_lanes, run_one, sweep
 from revgf2.errors import InvariantViolation, ZeroElement
-from revgf2.field import FieldSpec, default_field, field_invert, field_mul
+from revgf2.field import FieldSpec, default_field, field_invert, field_mul, is_irreducible
 from revgf2.naive import (
     build_euclid_iteration,
     normalize_gates,
@@ -112,7 +113,8 @@ def test_normalize_shifts_stage_j_in_n_minus_2_to_the_j_controlled_swaps(n):
 @pytest.mark.parametrize("n", [3, 4, 8, 10, 163])
 def test_normalize_stage_0_is_two_reflections(n):
     # stage 0 rotates by one: its controlled swaps fall into two runs of
-    # disjoint pairs, the reflection of all n wires, then of wires 1..n-1
+    # disjoint pairs, the reflection of all n wires, then of wires 1..n-1,
+    # each emitted from the middle out
     stage_0 = [g for g in normalize_gates("x", n, "s") if g.controls[:1] == ((("s", 0), 1),)]
     runs = [[]]
     for g in stage_0:
@@ -121,19 +123,60 @@ def test_normalize_stage_0_is_two_reflections(n):
             runs.append([])
         runs[-1].append(pair)
     assert len(stage_0) == n - 1
-    assert runs == [[{i, n - 1 - i} for i in range(n // 2)], [{i, n - i} for i in range(1, (n + 1) // 2)]]
+    assert runs == [
+        [{i, n - 1 - i} for i in reversed(range(n // 2))],
+        [{i, n - i} for i in reversed(range(1, (n + 1) // 2))],
+    ]
 
 
 @pytest.mark.parametrize("m", [4, 8, 16])
 def test_division_rounds_subtract_top_down(m):
-    # round t's second subtraction writes b[m-t-1], the bit round t+1 copies
-    # into its quotient bit, so each round starts about two layers behind the last
+    # round t first writes b[m-t-1], the bit round t+1 copies into its
+    # quotient bit, and last clears b[m-t], the bit it copied itself, so
+    # each round starts about one layer behind the last
     rounds = {}
     for g in naive.build_naive_long_division(m).gates:
         if g.targets[0][0] == "b":
             rounds.setdefault(g.controls[0][0], []).append(g.targets[0][1])
     assert len(rounds) == m + 1
-    assert [written[:2] for written in list(rounds.values())[:m]] == [[m - t, m - t - 1] for t in range(m)]
+    written = list(rounds.values())
+    assert [(w[0], w[-1]) for w in written[:m]] == [(m - t - 1, m - t) for t in range(m)]
+    assert written[m] == [0]
+
+
+# m -> (division, iteration), each as (depth, Toffoli-depth)
+DEPTHS = {
+    4: ((38, 25), (75, 49)),
+    8: ((72, 59), (143, 117)),
+    16: ((150, 129), (299, 257)),
+    32: ((312, 279), (623, 557)),
+}
+
+
+@pytest.mark.parametrize("m", sorted(DEPTHS))
+def test_division_and_iteration_depths(m):
+    reports = map(report, (naive.build_naive_long_division(m), build_euclid_iteration(m)))
+    assert tuple((rep.depth, rep.toffoli_depth) for rep in reports) == DEPTHS[m]
+
+
+def test_iteration_coefficient_b_fits_m_wires():
+    # while A != 1, deg(a) + deg(B) = m, so b + q*a has degree at most m - 1:
+    # kb has m wires and the reversed division skips round 0
+    fields = [FieldSpec(m, f) for m in range(2, 9) for f in range(1 << m, 2 << m) if is_irreducible(f)]
+    assert len(fields) == 69
+    for field in fields:
+        iteration = build_euclid_iteration(field.m)
+        assert iteration.layout["kb"] == field.m
+        inputs = field.nonzero_elements()
+        assert all(field_mul(c, x, field) == 1 for c, x in zip(inputs, run_naive_inversions(inputs, field)))
+        # the driver runs only the lanes whose A is not 1
+        n = len(inputs)
+        values = {"ra": inputs, "rb": [field.modulus] * n, "ka": [1] * n, "kb": [0] * n}
+        while any(active := [A != 1 for A in values["ra"]]):
+            lanes = {name: list(compress(lane_values, active)) for name, lane_values in values.items()}
+            run = run_lanes(iteration, lanes)
+            assert not any(q | s | flg for q, s, flg in zip(*map(run.values, ("q", "s", "flg"))))
+            values = {name: list(run.values(name)) for name in lanes}
 
 
 @pytest.mark.parametrize("m", range(2, 17))
@@ -157,12 +200,12 @@ def test_m163_iteration_cost():
     # 2k - 3 Toffolis per k-controlled NOT with k >= 2, as perfbench counts them
     rep = report(build_euclid_iteration(163))
     assert rep.to_json() == {
-        "width": 827, "depth": 3411, "toffoli_depth": 2868, "gates_total": 48370, "gates_not": 2,
-        "gates_cnot": 48042, "gates_swap": 326, "cnot_arity_1": 13868,
-        "cnot_arity_2": 33824, "cnot_arity_4": 4, "cnot_arity_8": 330,
+        "width": 826, "depth": 2935, "toffoli_depth": 2713, "gates_total": 48206, "gates_not": 2,
+        "gates_cnot": 47878, "gates_swap": 326, "cnot_arity_1": 13866,
+        "cnot_arity_2": 33662, "cnot_arity_4": 4, "cnot_arity_8": 330,
         "cnot_arity_16": 4, "cnot_arity_32": 4, "cnot_arity_64": 4, "cnot_arity_128": 4,
     }
-    assert sum((2 * k - 3) * n for k, n in rep.control_arity.items() if k >= 2) == 40006
+    assert sum((2 * k - 3) * n for k, n in rep.control_arity.items() if k >= 2) == 39844
 
 
 @pytest.mark.parametrize("m", [8, 16, 32])
