@@ -43,7 +43,7 @@ def _rotation_pairs(reg: str, n: int, amount: int, direction: str):
     without its first wire.  That is n - gcd(n, d) swaps in all, none for
     d = 0, in two layers of disjoint swaps.  The cycles go one after the
     other: when the swaps share a control, that makes the m = 163 Euclid
-    iteration 2 935 deep, against 3 383 with every cycle's first
+    iteration 2 933 deep, against 3 381 with every cycle's first
     reflection before any second one.
     """
     if direction not in ("left", "right"):
@@ -133,16 +133,16 @@ def normalize_gates(div: str, n: int, s: str) -> list[Gate]:
     wires 0..n-1 and then of 1..n-1: n - 1 controlled swaps whose depth
     is that of their n - 1 Toffolis on s_0.  Each reflection is emitted
     from the middle out, which the disjoint pairs allow: the m = 16
-    Euclid iteration is 299 deep, against 307 from the outside in.  A
+    Euclid iteration is 285 deep, against 295 from the outside in.  A
     shift chain there, (i - 1, i) for i = n-1 down to 1, has each link
-    wait three layers on the wire it shares with the one before: 339
-    deep, though Toffoli-depth 242 against 257.
+    wait three layers on the wire it shares with the one before: 335
+    deep, though Toffoli-depth 216 against 231.
     Stages j >= 1 shift by the descending chain (i - 2^j, i) for
     i = n-1 down to 2^j: n - 2^j swaps where a rotation needs
     n - gcd(n, 2^j).  A link shares a wire only with the link 2^j after
     it, so the chain already keeps pace with s_j's Toffolis; rotations
-    there, cycle by cycle, made the m = 16 Euclid iteration 365 deep,
-    against 299.
+    there, cycle by cycle, made the m = 16 Euclid iteration 361 deep,
+    against 285.
     The gates reversed undo both."""
     L = log2_ceil(n)
     gates = []

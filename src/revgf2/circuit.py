@@ -234,9 +234,9 @@ class Circuit:
 
 
 # Gate lines per generated function.  Compiling the m = 16 Euclid iteration
-# (1 375 gates, 1 343 lines once SWAPs are relabellings, with its guarded
-# blocks) as one function peaks at about 4.7 MB under tracemalloc on
-# Python 3.11, streamed into 128-line chunks at about 0.75 MB.  Longer
+# (1 282 gates, 1 250 lines once SWAPs are relabellings, with its guarded
+# blocks) as one function peaks at about 4.5 MB under tracemalloc on
+# Python 3.11, streamed into 128-line chunks at about 0.76 MB.  Longer
 # chunks run fewer calls and loads, but the benchmark's peak RSS prices them:
 # at 2048 lines `invert-naive-m16` ran 13-26 % more inversions per second
 # and its peak RSS rose from 18.9 to 22.9 MB (+21 %), past the 10 % bound.
@@ -408,6 +408,9 @@ def run_one(circuit: Circuit, *values: int) -> tuple[int, ...]:
 # poly_divmod (Python 3.11, shared 2-core Xeon).
 MAX_LANE_BITS = 22
 
+# _OCTET_BIT[b] maps a byte to "1" if its bit b is set, else to "0"
+_OCTET_BIT = [bytes(ord("0") + (x >> b & 1) for x in range(256)) for b in range(8)]
+
 
 def pack_lanes(values: list[int], width: int) -> list[int]:
     """The `width` wire ints of a register that holds values[j] in lane j."""
@@ -418,8 +421,12 @@ def pack_lanes(values: list[int], width: int) -> list[int]:
     first, mask = values[0], (1 << len(values)) - 1
     if values.count(first) == len(values):  # every lane alike, one lane included: no transpose
         return [mask if first >> i & 1 else 0 for i in range(width)]
-    rows = [format(v | 1 << width, "b")[:0:-1] for v in values]  # LSB first, guard bit dropped
-    return [int("".join(col)[::-1], 2) for col in zip(*rows)]
+    wires = []
+    for p in range(0, width, 8):
+        # wires p..p+7 as one byte per lane, lane 0 last: a byte per lane, not an object
+        octets = bytes([v >> p & 255 for v in values])[::-1]
+        wires += [int(octets.translate(_OCTET_BIT[b]), 2) for b in range(min(8, width - p))]
+    return wires
 
 
 def lane_values(wires: list[int], lanes: int):

@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Sequence
 
 from . import blocks, naive, optimized, verify
 from .circuit import MAX_LANE_BITS, emit_netlist, report
@@ -145,6 +146,21 @@ def _distinct_sample(args, draw, population: int) -> list:
     return list(picked)
 
 
+class _PackedPairs(Sequence):
+    """Pairs (a, b) held one int each, a << shift | b, where a tuple of two
+    ints takes about three times the memory; each pair is made on access."""
+
+    def __init__(self, packed: list[int], shift: int):
+        self.packed, self.shift = packed, shift
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, index: int) -> tuple[int, int]:
+        pair = self.packed[index]
+        return pair >> self.shift, pair & ((1 << self.shift) - 1)
+
+
 def _scope(args, space: int):
     """Input sample for a verify sweep: everything, or a seeded sample."""
     if args.sample is not None:
@@ -187,9 +203,9 @@ def verify_naive_div(args) -> int:
     m = _m_at_least(args, "naive-div", 1)
     pairs = None  # every pair a != 0
     if args.sample is not None:
-        pairs = _distinct_sample(
-            args, lambda rng: (rng.randrange(1, 1 << m), rng.randrange(0, 1 << (m + 1))), ((1 << m) - 1) << (m + 1)
-        )
+        # a is drawn before b, and the pair is distinct exactly when its packed int is
+        draw = lambda rng: rng.randrange(1, 1 << m) << (m + 1) | rng.randrange(0, 1 << (m + 1))
+        pairs = _PackedPairs(_distinct_sample(args, draw, ((1 << m) - 1) << (m + 1)), m + 1)
     elif 2 * m + 1 > MAX_LANE_BITS:
         raise ScopeTooLarge(f"{2 * m + 1} swept bits exceed the {MAX_LANE_BITS}-bit lane bound; use --sample <n>")
     return _verify_payload("naive-div", verify.check_division(m, pairs), {"m": m})

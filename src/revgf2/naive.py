@@ -9,7 +9,8 @@ The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
      are all zero, and A then shifts left by 2^j, over those zero wires,
      if that bit is set.  S ends as A's leading-zero count, and A's
      leading coefficient, 1, sits at the top wire,
-  3. m+1 quotient rounds with fixed wiring: round t copies B's bit m-t
+  3. quotient rounds with fixed wiring, m+1 in the division and m in
+     each of the Euclid iteration's two: round t copies B's bit m-t
      into the quotient register and conditionally subtracts the aligned
      divisor; rounds beyond the quotient length are disabled by a flag
      wire that flips once, when the round counter passes S.  The flag is
@@ -21,12 +22,15 @@ The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
      layer behind the last rather than after all of it.  A round's
      subtractions commute, since each writes its own wire of B and none
      writes a wire another reads, so the order changes the depth, not
-     the map.  The rounds write the quotient word already rotated left
-     by 2: a relabelling of the wires they write, since the register
-     starts at 0, so no gates,
-  4. rotate the quotient register left by S, a controlled rotation on S's
+     the map.  Round t finds q's bit of z^(S+1-t) and writes it on wire
+     1-t mod n of an n-wire quotient ring, n = m+1 in the division: the
+     word already rotated right by S, a relabelling of the wires the
+     rounds write, since the register starts at 0, so no gates,
+  4. rotate the quotient ring left by S, a controlled rotation on S's
      bits, two layers of controlled swaps per bit, so the stored word
-     becomes q itself,
+     becomes q itself.  Bit j costs n - gcd(n, 2^j) swaps.  In the Euclid
+     iteration q has at most m bits, and the ring has n = m wires at
+     even m: 49 swaps at m = 16, against 64 for m+1 wires,
   5. the normalize gates reversed, which shift A back and clear S.
 
 The inversion driver packs its inputs into lanes, one lane per input, and
@@ -56,14 +60,21 @@ def _pattern_controls(reg: str, width: int, value: int):
     return [((reg, i), (value >> i) & 1) for i in range(width)]
 
 
-def _division_gates(m: int, div: str, dvd: str, first: int = 0):
+def _division_gates(m: int, div: str, dvd: str, first: int = 0, last: int | None = None, n: int | None = None):
     """Gate sequence for |div>|dvd>|0> <-> |div>|dvd+q*div>|q>.
 
-    div has m wires, the quotient q m+1, s ceil(log m), flg one; div must
-    be nonzero.  The rounds start at `first`, 0 or 1.  From round 0, dvd
-    has m+1 wires (the dividend may have degree m); from round 1 it has
-    m, and the quotient's bit of z^(m-deg(div)), round 0's, must be 0.
+    div has m wires, the quotient q n (m+1 unless given), s ceil(log m),
+    flg one; div must be nonzero.  Rounds `first` (0 or 1) to `last` (m
+    unless given) run; round t finds q's bit of z^(m-t-deg(div)) and
+    writes it on wire (1-t) mod n, so n >= last-first+1, and q ends on
+    its own wires if deg(q) < n.  From round 0, dvd has m+1 wires (the
+    dividend may have degree m); from round 1 it has m, and round 0's
+    bit, of z^(m-deg(div)), must be 0.  Ending at round m-1 drops round
+    m's bit, of z^(-deg(div)), which only div = 1 has; the flag then
+    ends at 0 only for deg(div) >= 1.
     """
+    last = m if last is None else last
+    n = m + 1 if n is None else n
     quo, s, flg = "q", "s", "flg"  # the scratch, named alike in both layouts
     L = log2_ceil(m)
     gates = []
@@ -75,14 +86,14 @@ def _division_gates(m: int, div: str, dvd: str, first: int = 0):
 
     # 3. quotient rounds.  Round t examines dvd bit m-t; the flag starts 1
     # and flips to 0 when t passes the quotient length (t = s+2).  Round t's
-    # quotient bit belongs on wire m-t, rotated left by 2 over the m+1
-    # quotient wires; q starts at 0, so writing it on wire m-t+2 mod m+1
-    # does that rotation by relabelling, with no gates.  The subtractions
+    # quotient bit, of z^(s+1-t), belongs on wire s+1-t once q is rotated
+    # left by s; q starts at 0, so writing it on wire 1-t mod n does the
+    # rest of that rotation by relabelling, with no gates.  The subtractions
     # go from dvd bit m-t-1, round t+1's, down, and the one that clears
     # bit m-t, the copied bit, goes last.
     gates.append(gate_not((flg, 0)))
-    for t in range(first, m + 1):
-        qt = (quo, (m - t + 2) % (m + 1))
+    for t in range(first, last + 1):
+        qt = (quo, (1 - t) % n)
         flag = []  # the flag is 1 in rounds 0 and 1, whatever s holds: no control
         if t >= 2:
             gates.append(cnot(_pattern_controls(s, L, t - 2), (flg, 0)))
@@ -92,11 +103,10 @@ def _division_gates(m: int, div: str, dvd: str, first: int = 0):
         # its leading coefficient, 1 once normalized: no control
         gates += [cnot([(qt, 1), ((div, j + t - 1), 1)], (dvd, j)) for j in reversed(range(max(0, 1 - t), m - t))]
         gates.append(cnot([(qt, 1)], (dvd, m - t)))
-    gates.append(cnot(_pattern_controls(s, L, m - 1), (flg, 0)))
+    gates.append(cnot(_pattern_controls(s, L, last - 1), (flg, 0)))
 
-    # 4. the stored quotient word is q << deg(div), rotated left by 2;
-    # rotate it left by s more, i.e. right by the degree.
-    gates.extend(controlled_rotation_gates(quo, m + 1, s, L, "left"))
+    # 4. the stored quotient word is q rotated right by s; rotate it back.
+    gates.extend(controlled_rotation_gates(quo, n, s, L, "left"))
 
     # 5. un-normalize div and uncompute s.
     gates.extend(reversed(normalize))
@@ -127,20 +137,27 @@ def build_euclid_iteration(m: int) -> Circuit:
     While A != 1, deg(a) + deg(B) = m, so every value b takes, b plus a
     partial quotient times a, has degree at most m - deg(A) <= m - 1:
     b has m wires, and the reversed division skips round 0, whose
-    quotient bit, of z^deg(B), is 0.  The driver runs no lane with A = 1.
+    quotient bit, of z^deg(B), is 0.  The driver runs no lane with A = 1,
+    so the forward division skips round m, whose bit only A = 1 sets.
+    Then q = B div A has degree deg(B) - deg(A) <= m - 1: each division
+    runs m rounds, on distinct wires of a ring of n = m wires at even m.
+    At odd m the ring keeps m + 1 wires, since a ring of odd length n
+    makes each rotation stage one cycle, which pipelines worse: n = 163
+    made the m = 163 iteration 3 673 deep, against 2 933 with n = 164.
     """
-    gates = _division_gates(m, "ra", "rb")
-    gates += reversed(_division_gates(m, "ka", "kb", first=1))
+    n = m + (m & 1)
+    gates = _division_gates(m, "ra", "rb", last=m - 1, n=n)
+    gates += reversed(_division_gates(m, "ka", "kb", first=1, n=n))
     gates += [swap((a, i), (b, i)) for i in range(m) for a, b in (("ra", "rb"), ("ka", "kb"))]
     # remainders A, B and coefficients a, b; (a, A) is the leading pair
-    layout = {"ra": m, "rb": m + 1, "ka": m, "kb": m, "q": m + 1, "s": log2_ceil(m), "flg": 1}
+    layout = {"ra": m, "rb": m + 1, "ka": m, "kb": m, "q": n, "s": log2_ceil(m), "flg": 1}
     return Circuit(layout, gates, ("q", "s", "flg"))
 
 
 # Lanes per kernel run of `run_naive_inversions`.  At m = 16 each of the
-# iteration's 87 wire ints is then 8 KiB.  All of GF(2^20) took 3.9 s and
-# 106-111 MB peak RSS in 2^16-lane runs, against 4.8 s and 249 MB in one run
-# of 2^20 lanes (two runs each; Python 3.11, shared 2-core Xeon).
+# iteration's 86 wire ints is then 8 KiB.  All of GF(2^20) took 1.5-1.6 s and
+# 100 MB peak RSS in 2^16-lane runs, against 1.9 s and 146 MB in one run of
+# 2^20 lanes (two runs each; Python 3.11, shared 2-core Xeon).
 MAX_INVERSION_LANES = 1 << 16
 
 

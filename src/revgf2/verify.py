@@ -4,6 +4,7 @@ MSB-first bit strings."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 from . import blocks
@@ -77,12 +78,13 @@ def check_blocks(m: int) -> CheckResult:
     return result
 
 
-def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckResult:
+def check_division(m: int, pairs: Sequence[tuple[int, int]] | None = None) -> CheckResult:
     """The naive long division against poly_divmod's (q, r), reversed to the
     layout order of b and q, with a and the scratch restored: on every pair
     a != 0 in one sweep, or on given pairs, each a != 0 and each value
     within its register, one lane each, in runs of at most 2^MAX_LANE_BITS
-    lanes."""
+    lanes.  A run's a and b columns are read from `pairs` only when it
+    starts, so `pairs` may be a view that makes each pair on access."""
     for pair in pairs or ():
         if pair[0] == 0:
             raise BadParameter(f"the pair (a, b) = {pair} divides by a = 0")
@@ -97,8 +99,9 @@ def check_division(m: int, pairs: list[tuple[int, int]] | None = None) -> CheckR
     if pairs is None:
         return _compare(result, division, sweep(division, ("a", "b")), ("a", "b"), expect)
     lanes = 1 << MAX_LANE_BITS
-    for part in (pairs[i:i + lanes] for i in range(0, len(pairs), lanes)):
-        run = run_lanes(division, {"a": [a for a, _ in part], "b": [b for _, b in part]})
+    for start in range(0, len(pairs), lanes):
+        part = range(start, min(start + lanes, len(pairs)))
+        run = run_lanes(division, {"a": [pairs[i][0] for i in part], "b": [pairs[i][1] for i in part]})
         _compare(result, division, run, ("a", "b"), expect)
     return result
 

@@ -1,8 +1,10 @@
 import argparse
 import json
+import random
 
 import pytest
 
+from revgf2 import verify
 from revgf2.cli import build_parser, main
 
 
@@ -48,7 +50,7 @@ def test_estimate(capsys):
     assert payload["formula_h0"] == 67
     # the naive Euclid iteration's report(), which the budget check ignores
     naive_cost = [payload[f"naive_iteration_{key}"] for key in ("width", "gates_total", "depth", "toffoli_depth")]
-    assert naive_cost == [87, 1375, 299, 257]
+    assert naive_cost == [86, 1282, 285, 231]
     assert main(["estimate", "--m", "4"]) == 0
     payload, _ = last_json(capsys)
     assert payload["formula_h0"] == 29
@@ -90,6 +92,20 @@ def test_verify_sample_draws_distinct_inputs(target, m, population, capsys):
     assert main(["verify", target, "--m", str(m), "--sample", "50"]) == 0
     payload, _ = last_json(capsys)
     assert payload["pass"] and payload["checked"] == population
+
+
+def test_verify_naive_div_sample_holds_pairs_packed(monkeypatch, capsys):
+    # the distinct seeded draws (a, b), a before b, held as ints a << (m + 1) | b
+    seen = []
+    check_division = verify.check_division
+    monkeypatch.setattr(verify, "check_division", lambda m, pairs: seen.append(pairs) or check_division(m, pairs))
+    assert main(["verify", "naive-div", "--m", "6", "--sample", "50", "--seed", "9"]) == 0
+    rng, want = random.Random(9), {}
+    while len(want) < 50:
+        want[rng.randrange(1, 1 << 6), rng.randrange(0, 1 << 7)] = None
+    assert list(seen[0]) == list(want)
+    assert seen[0].packed == [a << 7 | b for a, b in want]
+    assert last_json(capsys)[0]["checked"] == 50
 
 
 @pytest.mark.parametrize("target", ["naive-invert", "naive-div"])

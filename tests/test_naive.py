@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from itertools import compress
@@ -146,10 +147,11 @@ def test_division_rounds_subtract_top_down(m):
 
 # m -> (division, iteration), each as (depth, Toffoli-depth)
 DEPTHS = {
-    4: ((38, 25), (75, 49)),
-    8: ((72, 59), (143, 117)),
-    16: ((150, 129), (299, 257)),
-    32: ((312, 279), (623, 557)),
+    4: ((38, 25), (70, 43)),
+    8: ((72, 59), (143, 107)),
+    16: ((150, 129), (285, 231)),
+    17: ((160, 129), (317, 255)),
+    32: ((312, 279), (583, 497)),
 }
 
 
@@ -159,11 +161,28 @@ def test_division_and_iteration_depths(m):
     assert tuple((rep.depth, rep.toffoli_depth) for rep in reports) == DEPTHS[m]
 
 
+@pytest.mark.parametrize("m", range(2, 41))
+def test_iteration_quotient_is_an_even_ring(m):
+    # while A != 1, q = B div A has at most m bits: each division copies m
+    # quotient bits onto distinct wires of a ring of m wires at even m, m + 1
+    # at odd m, and rotates it by s in n - gcd(n, 2^j) swaps per stage j
+    iteration = build_euclid_iteration(m)
+    n = iteration.layout["q"]
+    assert n == m + (m & 1)
+    onto_q = [g for g in iteration.gates if g.targets[0][0] == "q"]
+    for dvd in ("rb", "kb"):
+        copied = [g.targets[0][1] for g in onto_q if any(w[0] == dvd for w, _ in g.controls)]
+        assert len(copied) == len(set(copied)) == m
+    swaps = [g for g in onto_q if any(w[0] == "s" for w, _ in g.controls)]  # each controlled swap's Toffoli
+    assert len(swaps) == 2 * sum(n - math.gcd(n, 1 << j) for j in range(log2_ceil(m)))
+
+
 def test_iteration_coefficient_b_fits_m_wires():
     # while A != 1, deg(a) + deg(B) = m, so b + q*a has degree at most m - 1:
-    # kb has m wires and the reversed division skips round 0
-    fields = [FieldSpec(m, f) for m in range(2, 9) for f in range(1 << m, 2 << m) if is_irreducible(f)]
-    assert len(fields) == 69
+    # kb has m wires, the reversed division skips round 0 and the forward
+    # one round m, whose quotient bit only A = 1 sets
+    fields = [FieldSpec(m, f) for m in range(2, 11) for f in range(1 << m, 2 << m) if is_irreducible(f)]
+    assert len(fields) == 224
     for field in fields:
         iteration = build_euclid_iteration(field.m)
         assert iteration.layout["kb"] == field.m
@@ -200,12 +219,12 @@ def test_m163_iteration_cost():
     # 2k - 3 Toffolis per k-controlled NOT with k >= 2, as perfbench counts them
     rep = report(build_euclid_iteration(163))
     assert rep.to_json() == {
-        "width": 826, "depth": 2935, "toffoli_depth": 2713, "gates_total": 48206, "gates_not": 2,
-        "gates_cnot": 47878, "gates_swap": 326, "cnot_arity_1": 13866,
-        "cnot_arity_2": 33662, "cnot_arity_4": 4, "cnot_arity_8": 330,
+        "width": 826, "depth": 2933, "toffoli_depth": 2711, "gates_total": 48203, "gates_not": 2,
+        "gates_cnot": 47875, "gates_swap": 326, "cnot_arity_1": 13865,
+        "cnot_arity_2": 33661, "cnot_arity_4": 4, "cnot_arity_8": 329,
         "cnot_arity_16": 4, "cnot_arity_32": 4, "cnot_arity_64": 4, "cnot_arity_128": 4,
     }
-    assert sum((2 * k - 3) * n for k, n in rep.control_arity.items() if k >= 2) == 39844
+    assert sum((2 * k - 3) * n for k, n in rep.control_arity.items() if k >= 2) == 39830
 
 
 @pytest.mark.parametrize("m", [8, 16, 32])
