@@ -1,7 +1,9 @@
 """Reversible-gate IR, bit-sliced basis-state simulator, and resource accounting.
 
 A Circuit is a value: an ordered gate tuple over a named-register layout,
-checked against the layout once, when it is made.  A builder passes its
+checked against the layout once, when it is made, each distinct wire once.
+A gate is itself a tuple, (kind, controls, targets), over wire and control
+objects that the gate builders share.  A builder passes its
 whole gate list, and the registers the circuit restores: operands handed
 back unchanged and scratch that starts and ends at 0, on every input in
 its domain; `verify` checks that, no run does.  Gates are NOT,
@@ -33,8 +35,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import islice, repeat
-from operator import lshift, or_
+from itertools import chain, islice, repeat
+from operator import itemgetter, lshift, or_
 from types import MappingProxyType
 
 from .errors import LayoutMismatch, WidthTooLarge
@@ -46,40 +48,87 @@ CNOT = "CNOT"
 SWAP = "SWAP"
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    controls: tuple[tuple[Wire, int], ...] = ()
-    targets: tuple[Wire, ...] = ()
+class Gate(tuple):
+    """One gate, the tuple (kind, controls, targets): `controls` holds
+    (wire, polarity) pairs and `targets` wires, both as tuples.  Checked
+    when it is made; `gate_not`, `cnot` and `swap` make each gate over one
+    shared object per distinct wire, (wire, polarity) pair and one-wire
+    target tuple, so a large circuit holds little more than its gates."""
 
-    def __post_init__(self):
-        wires = [w for w, _ in self.controls] + list(self.targets)
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    controls = property(itemgetter(1))
+    targets = property(itemgetter(2))
+
+    def __new__(cls, kind: str, controls=(), targets=()):
+        controls, targets = tuple(controls), tuple(targets)
+        wires = [w for w, _ in controls] + list(targets)
         if len(set(wires)) != len(wires):
             raise ValueError("controls and targets must be disjoint wires")
-        if self.kind == NOT and (self.controls or len(self.targets) != 1):
-            raise ValueError("NOT takes one target and no controls")
-        if self.kind == CNOT and (not self.controls or len(self.targets) != 1):
-            raise ValueError("CNOT takes one target and at least one control")
-        if self.kind == SWAP and (self.controls or len(self.targets) != 2):
-            raise ValueError("SWAP takes exactly two targets and no controls")
+        return _checked(kind, controls, targets)
+
+    def __repr__(self) -> str:
+        return f"Gate{tuple.__repr__(self)}"
+
+    def __getnewargs__(self):  # copy and pickle pass the three fields, not one tuple
+        return tuple(self)
 
     def wires(self):
-        for w, _ in self.controls:
+        for w, _ in self[1]:
             yield w
-        yield from self.targets
+        yield from self[2]
+
+
+def _checked(kind: str, controls: tuple, targets: tuple) -> Gate:
+    """The gate, once its kind is one of the three and its arity holds; the
+    caller checks that its wires are disjoint."""
+    if kind not in (NOT, CNOT, SWAP):
+        raise ValueError(f"a gate is NOT, CNOT or SWAP, not {kind!r}")
+    if kind == NOT and (controls or len(targets) != 1):
+        raise ValueError("NOT takes one target and no controls")
+    if kind == CNOT and (not controls or len(targets) != 1):
+        raise ValueError("CNOT takes one target and at least one control")
+    if kind == SWAP and (controls or len(targets) != 2):
+        raise ValueError("SWAP takes exactly two targets and no controls")
+    return tuple.__new__(Gate, (kind, controls, targets))
+
+
+# The objects the gate builders share, one per distinct value ever built:
+# a few thousand per field size, against millions of gates at m = 163.
+_wires: dict[Wire, Wire] = {}  # each wire
+_pairs: dict[tuple[Wire, int], tuple[Wire, int]] = {}  # each (wire, polarity) pair
+_alone: dict[Wire, tuple[Wire]] = {}  # each one-wire target tuple
+_wire_of = itemgetter(0)  # a control pair's wire
+
+
+def _target(w: Wire) -> tuple[Wire]:
+    return _alone.setdefault(w, (_wires.setdefault(w, w),))
 
 
 def gate_not(target: Wire) -> Gate:
-    return Gate(NOT, targets=(target,))
+    return _checked(NOT, (), _alone.get(target) or _target(target))
 
 
 def cnot(controls, target: Wire) -> Gate:
     """Multi-controlled NOT; `controls` is a list of (wire, polarity)."""
-    return Gate(CNOT, controls=tuple(controls), targets=(target,))
+    controls = tuple(controls)
+    controls = tuple(map(_pairs.setdefault, controls, controls))
+    if len(controls) == 1:
+        disjoint = controls[0][0] != target
+    else:
+        wires = set(map(_wire_of, controls))
+        disjoint = len(wires) == len(controls) and target not in wires
+    if not disjoint:
+        raise ValueError("controls and targets must be disjoint wires")
+    if not controls:
+        raise ValueError("CNOT takes one target and at least one control")
+    return tuple.__new__(Gate, (CNOT, controls, _alone.get(target) or _target(target)))
 
 
 def swap(w1: Wire, w2: Wire) -> Gate:
-    return Gate(SWAP, targets=(w1, w2))
+    if w1 == w2:
+        raise ValueError("controls and targets must be disjoint wires")
+    return _checked(SWAP, (), (_wires.setdefault(w1, w1), _wires.setdefault(w2, w2)))
 
 
 def pipeline(gates) -> list[Gate]:
@@ -102,14 +151,17 @@ def pipeline(gates) -> list[Gate]:
     follows: list[list[int]] = []  # follows[g]: the phases gate g comes after
     member: list[list[int]] = []  # member[g]: the phases gate g belongs to
     state: dict[Wire, tuple[str, int, int]] = {}  # wire -> (use, current phase, the phase before or -1)
+    wires: list[list[Wire]] = []  # wires[g]: gate g's wires
     phases = 0
-    for g in gates:
-        uses = [(w, "read") for w, _ in g.controls] + [(w, SWAP if g.kind == SWAP else "xor") for w in g.targets]
+    for kind, controls, targets in gates:
+        wires.append([w for w, _ in controls] + list(targets))
+        write = SWAP if kind == SWAP else "xor"
+        uses = [(w, "read") for w, _ in controls] + [(w, write) for w in targets]
         follows.append([])
         member.append([])
         for w, use in uses:
-            kind, now, before = state.get(w, (None, -1, -1))
-            if use != kind or use == SWAP:
+            current, now, before = state.get(w, (None, -1, -1))
+            if use != current or use == SWAP:
                 now, before = phases, now
                 phases += 1
                 state[w] = (use, now, before)
@@ -128,9 +180,9 @@ def pipeline(gates) -> list[Gate]:
     layer = [0] * len(gates)
     for g in sorted(range(len(gates)), key=lambda g: (-height[g], g)):
         lo = 1 + max((done[p] for p in follows[g]), default=-1)
-        taken = reduce(or_, (busy.get(w, 0) for w in gates[g].wires()), 0) >> lo
+        taken = reduce(or_, map(busy.get, wires[g], repeat(0))) >> lo
         layer[g] = at = lo + (~taken & (taken + 1)).bit_length() - 1
-        for w in gates[g].wires():
+        for w in wires[g]:
             busy[w] = busy.get(w, 0) | 1 << at
         for p in member[g]:
             done[p] = max(done[p], at)
@@ -153,9 +205,21 @@ class Circuit:
         object.__setattr__(self, "layout", MappingProxyType(dict(self.layout)))
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "_growable", not self.gates)
-        for reg, idx in (w for g in self.gates for w in g.wires()):
-            if not 0 <= idx < self.layout.get(reg, 0):
-                raise LayoutMismatch(f"wire {reg}[{idx}] not in layout")
+        gates, layout = self.gates, self.layout
+        if not set(map(type, gates)) <= {Gate}:
+            raise TypeError("a circuit holds Gate values only")
+
+        def outside(wire) -> bool:
+            reg, idx = wire
+            return not 0 <= idx < layout.get(reg, 0)
+
+        # each distinct wire once: the targets', then the control pairs'; the
+        # message names the first offender in gate order, whatever the set order
+        wires = set(chain.from_iterable(map(itemgetter(2), gates)))
+        wires.update(map(_wire_of, set(chain.from_iterable(map(itemgetter(1), gates)))))
+        if any(map(outside, wires)):
+            reg, idx = next(w for g in gates for w in g.wires() if outside(w))
+            raise LayoutMismatch(f"wire {reg}[{idx}] not in layout")
         if not self.layout.keys() >= set(self.restores):
             raise LayoutMismatch(f"restored registers {sorted(set(self.restores) - self.layout.keys())} not in layout")
 
@@ -246,14 +310,14 @@ _CHUNK_GATES = 128
 def _slot_lines(gates, index: dict[Wire, int], slot: list[int]):
     """Each NOT and CNOT as (target, 1-controls, 0-controls) in list slots.
     A SWAP exchanges two entries of `slot` and yields nothing."""
-    for g in gates:
-        if g.kind == SWAP:
-            a, b = (index[w] for w in g.targets)
+    for kind, controls, targets in gates:
+        if kind == SWAP:
+            a, b = map(index.__getitem__, targets)
             slot[a], slot[b] = slot[b], slot[a]
             continue
-        ones = [slot[index[w]] for w, pol in g.controls if pol]
-        zeros = [slot[index[w]] for w, pol in g.controls if not pol]
-        yield slot[index[g.targets[0]]], ones, zeros
+        ones = [slot[index[w]] for w, pol in controls if pol]
+        zeros = [slot[index[w]] for w, pol in controls if not pol]
+        yield slot[index[targets[0]]], ones, zeros
 
 
 def _units(lines):
@@ -540,24 +604,42 @@ class ResourceReport:
 
 def report(circuit: Circuit) -> ResourceReport:
     """Resource accounting: width, gate histograms, greedy wire-disjoint depth
-    and Toffoli-depth."""
-    counts: dict[str, int] = {}
+    and Toffoli-depth, in one pass that unpacks each gate once."""
+    gates = circuit.gates
     arity: dict[int, int] = {}
     # per wire, the layer of the last gate on it; it only grows, so the deepest ends on some wire
     layers: dict[Wire, int] = {}
     toffoli_layers: dict[Wire, int] = {}
-    for g in circuit.gates:
-        counts[g.kind] = counts.get(g.kind, 0) + 1
-        n = len(g.controls)
-        if g.kind == CNOT:
+    get, toffoli_get = layers.get, toffoli_layers.get
+    nots = swaps = 0
+    for _, controls, targets in gates:
+        if controls:  # a CNOT: the layer after the latest of its wires
+            t, = targets
+            layer, toffoli_layer = get(t, 0), toffoli_get(t, 0)
+            for w, _ in controls:  # compare and assign: max() would cost about twice the loop
+                x = get(w, 0)
+                if x > layer:
+                    layer = x
+                x = toffoli_get(w, 0)
+                if x > toffoli_layer:
+                    toffoli_layer = x
+            n = len(controls)
             arity[n] = arity.get(n, 0) + 1
-        wires = [w for w, _ in g.controls]
-        wires += g.targets
-        layer = 1 + max(map(layers.get, wires, repeat(0)))
-        toffoli_layer = (n >= 2) + max(map(toffoli_layers.get, wires, repeat(0)))
-        for w in wires:
-            layers[w] = layer
-            toffoli_layers[w] = toffoli_layer
+            layer += 1
+            toffoli_layer += n > 1
+            layers[t], toffoli_layers[t] = layer, toffoli_layer
+            for w, _ in controls:
+                layers[w], toffoli_layers[w] = layer, toffoli_layer
+        elif len(targets) == 2:  # a SWAP
+            swaps += 1
+            a, b = targets
+            layers[a] = layers[b] = 1 + max(get(a, 0), get(b, 0))
+            toffoli_layers[a] = toffoli_layers[b] = max(toffoli_get(a, 0), toffoli_get(b, 0))
+        else:  # a NOT
+            nots += 1
+            t, = targets
+            layers[t] = 1 + get(t, 0)
+    counts = {kind: n for kind, n in ((NOT, nots), (CNOT, len(gates) - nots - swaps), (SWAP, swaps)) if n}
     depth = max(layers.values(), default=0)
     return ResourceReport(circuit.width, counts, arity, depth, max(toffoli_layers.values(), default=0))
 
@@ -568,17 +650,17 @@ def report(circuit: Circuit) -> ResourceReport:
 def emit_netlist(circuit: Circuit) -> str:
     """One REG line per register, then one line per gate."""
     lines = [f"REG {name} {width}" for name, width in circuit.layout.items()]
-    for g in circuit.gates:
-        if g.kind == NOT:
-            (reg, idx), = g.targets
+    for kind, controls, targets in circuit.gates:
+        if kind == NOT:
+            (reg, idx), = targets
             lines.append(f"NOT {reg}[{idx}]")
-        elif g.kind == CNOT:
+        elif kind == CNOT:
             ctrls = " ".join(
-                f"{'+' if pol else '-'}{reg}[{idx}]" for (reg, idx), pol in g.controls
+                f"{'+' if pol else '-'}{reg}[{idx}]" for (reg, idx), pol in controls
             )
-            (reg, idx), = g.targets
+            (reg, idx), = targets
             lines.append(f"CNOT {ctrls} > {reg}[{idx}]")
         else:
-            (r1, i1), (r2, i2) = g.targets
+            (r1, i1), (r2, i2) = targets
             lines.append(f"SWAP {r1}[{i1}] {r2}[{i2}]")
     return "\n".join(lines) + "\n"

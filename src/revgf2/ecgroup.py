@@ -32,7 +32,7 @@ from .circuit import Circuit, run_one
 from .curve import CurveKind, CurvePoint, CurveSpec, ec_add, enumerate_points, on_curve
 from .errors import DivisionByZero, InvariantViolation, NonGenericInput, PointNotOnCurve
 from .field import FieldSpec, field_sqr
-from .naive import build_euclid_iteration, run_naive_inversion
+from .naive import euclid_iteration_layout, run_naive_inversion
 from .optimized import halting_counter_width, optimized_invert, qubit_budget
 
 
@@ -208,10 +208,11 @@ def group_op_width(field: FieldSpec, backend: str = "naive") -> dict[str, int]:
     """Width audit: the assembled group operation needs the point registers,
     the slope/product scratch, and whichever Euclid inverter is driven,
     i.e. it is bounded by one division arrow: the naive inverter's built
-    iteration circuit's width, or the opt one's qubit budget."""
+    iteration's width, read off its layout without building it, or the opt
+    one's qubit budget."""
     m = field.m
     if backend == "naive":
-        inverter = build_euclid_iteration(m).width
+        inverter = sum(euclid_iteration_layout(m).values())
     elif backend == "opt":
         inverter = qubit_budget(m, halting_counter_width(m))
     else:

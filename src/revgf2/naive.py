@@ -127,6 +127,13 @@ def build_naive_long_division(m: int) -> Circuit:
     return Circuit(layout, _division_gates(m, "a", "b"), ("a", "s", "anc", "flg"))
 
 
+def euclid_iteration_layout(m: int) -> dict[str, int]:
+    """The Euclid iteration's registers: remainders A, B and coefficients
+    a, b, (a, A) the leading pair, then the quotient ring (m + (m & 1)
+    wires, see `build_euclid_iteration`) and the scratch."""
+    return {"ra": m, "rb": m + 1, "ka": m, "kb": m, "q": m + (m & 1), "s": log2_ceil(m), "flg": 1}
+
+
 @functools.lru_cache(maxsize=None)
 def build_euclid_iteration(m: int) -> Circuit:
     """One Euclid iteration (a,A)(b,B) <-> (b+qa, B+qA)(a,A), q uncomputed.
@@ -145,12 +152,11 @@ def build_euclid_iteration(m: int) -> Circuit:
     makes each rotation stage one cycle, which pipelines worse: n = 163
     made the m = 163 iteration 3 673 deep, against 2 933 with n = 164.
     """
-    n = m + (m & 1)
+    layout = euclid_iteration_layout(m)
+    n = layout["q"]
     gates = _division_gates(m, "ra", "rb", last=m - 1, n=n)
     gates += reversed(_division_gates(m, "ka", "kb", first=1, n=n))
     gates += [swap((a, i), (b, i)) for i in range(m) for a, b in (("ra", "rb"), ("ka", "kb"))]
-    # remainders A, B and coefficients a, b; (a, A) is the leading pair
-    layout = {"ra": m, "rb": m + 1, "ka": m, "kb": m, "q": n, "s": log2_ceil(m), "flg": 1}
     return Circuit(layout, gates, ("q", "s", "flg"))
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import dis
 import random
@@ -17,6 +18,7 @@ from revgf2.circuit import (
     SWAP,
     Circuit,
     Gate,
+    ResourceReport,
     cnot,
     gate_not,
     lane_values,
@@ -54,6 +56,9 @@ def test_gate_validation():
         Gate(NOT, controls=((("a", 1), 1),), targets=(("a", 0),))
     with pytest.raises(ValueError, match="CNOT takes one target and at least one control"):
         Gate(CNOT, targets=(("a", 0),))
+    # report() and the kernel tell the three kinds apart by their shape alone
+    with pytest.raises(ValueError, match="a gate is NOT, CNOT or SWAP, not 'TOFFOLI'"):
+        Gate("TOFFOLI", controls=((("a", 1), 1), (("a", 2), 1)), targets=(("a", 0),))
 
 
 def test_layout_checked_on_construction():
@@ -62,6 +67,53 @@ def test_layout_checked_on_construction():
             Circuit({"a": 2}, [gate_not(("a", 0)), cnot([(("a", 1), 1)], (reg, idx))])
     with pytest.raises(LayoutMismatch, match=r"restored registers \['nope'\] not in layout"):
         Circuit({"a": 2}, [gate_not(("a", 0))], ("nope",))
+
+
+def test_the_first_wire_outside_the_layout_in_gate_order_is_named():
+    # several offenders, so a set's order, which PYTHONHASHSEED changes, would name another
+    code = (
+        "from revgf2.circuit import Circuit, cnot, gate_not\n"
+        "gates = [gate_not(('a', 0)), cnot([(('zz', 3), 1)], ('a', 1))]\n"
+        "gates += [cnot([(('a', 0), 1)], (name, k)) for name in ('b', 'c', 'd') for k in range(4)]\n"
+        "try:\n"
+        "    Circuit({'a': 2}, gates)\n"
+        "except Exception as e:\n"
+        "    print(type(e).__name__, e)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    for seed in ("0", "1"):
+        done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout == "LayoutMismatch wire zz[3] not in layout\n", done.stderr
+
+
+def test_gates_are_tuples_over_shared_wires():
+    g = cnot([(("a", 0), 0), (("a", 1), 1)], ("b", 0))
+    assert g == (CNOT, ((("a", 0), 0), (("a", 1), 1)), (("b", 0),)) and isinstance(g, tuple)
+    assert (g.kind, g.controls, g.targets) == tuple(g) and list(g.wires()) == [("a", 0), ("a", 1), ("b", 0)]
+    assert Gate(*g) == g and repr(g).startswith("Gate(")
+    assert copy.deepcopy(g) == g and type(copy.copy(g)) is Gate
+    with pytest.raises(AttributeError):
+        g.kind = NOT
+    # one object per distinct wire, (wire, polarity) pair and one-wire target tuple
+    again = [cnot([(("a", 1), 1)], ("b", 0)), gate_not(("b", 0)), swap(("b", 0), ("a", 0))]
+    assert again[0].controls[0] is g.controls[1] and again[0].targets is again[1].targets is g.targets
+    assert again[2].targets[0] is g.targets[0]
+    with pytest.raises(TypeError, match="Gate values only"):
+        Circuit({"a": 1}, [(NOT, (), (("a", 0),))])
+
+
+def test_gates_take_little_memory():
+    # a frozen dataclass over fresh wire tuples held about 340 B per gate at
+    # m = 163; tuples over shared wires hold about 125
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        iteration = build_euclid_iteration.__wrapped__(40)  # not the cached one
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 160 * len(iteration.gates)
 
 
 def test_cached_circuits_are_values():
@@ -197,6 +249,40 @@ def test_lane_packing_rejects_values_that_do_not_fit():
     for bad in ([0, 8], [-1], [8] * 3, [-1] * 2):
         with pytest.raises(ValueError):
             pack_lanes(bad, 3)
+
+
+def reference_report(c):
+    """Gate by gate from the definitions: each gate takes the layer after the
+    latest gate on any of its wires, and a Toffoli layer after the latest
+    such one, plus one only for a CNOT with two or more controls."""
+    counts, arity, layer, toffoli_layer = Counter(), Counter(), {}, {}
+    for g in c.gates:
+        counts[g.kind] += 1
+        if g.kind == CNOT:
+            arity[len(g.controls)] += 1
+        wires = [w for w, _ in g.controls] + list(g.targets)
+        at = 1 + max(layer.get(w, 0) for w in wires)
+        toffoli_at = (len(g.controls) >= 2) + max(toffoli_layer.get(w, 0) for w in wires)
+        for w in wires:
+            layer[w], toffoli_layer[w] = at, toffoli_at
+    return ResourceReport(c.width, dict(counts), dict(arity), max(layer.values(), default=0),
+                          max(toffoli_layer.values(), default=0))
+
+
+def test_report_matches_a_gate_by_gate_reference():
+    for empty in (Circuit({}), Circuit({"a": 3})):
+        assert report(empty) == reference_report(empty) == ResourceReport(empty.width, {}, {}, 0, 0)
+    rng = random.Random(36)
+    arities = Counter()
+    for _ in range(300):
+        layout = {"x": rng.randint(1, 4), "y": rng.randint(1, 3), "z": rng.randint(1, 4)}
+        wires = [(name, i) for name, width in layout.items() for i in range(width)]
+        # SWAPs, NOTs and CNOTs with up to 5 controls of either polarity
+        c = Circuit(layout, list(random_gates(rng, wires, rng.randint(1, 60), max_controls=5)))
+        rep = report(c)
+        assert rep == reference_report(c)
+        arities.update(rep.control_arity)
+    assert set(arities) == {1, 2, 3, 4, 5}
 
 
 def test_pipeline_moves_gates_only_past_gates_they_commute_with():

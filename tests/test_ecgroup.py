@@ -198,6 +198,17 @@ def test_width_bounded_by_division():
         )
 
 
+def test_naive_width_is_read_off_the_layout():
+    from revgf2.field import default_field
+    from revgf2.naive import build_euclid_iteration
+
+    for m in range(2, 18):
+        assert group_op_width(default_field(m), "naive")["total"] == build_euclid_iteration(m).width + m
+    before = build_euclid_iteration.cache_info()
+    assert group_op_width(default_field(163), "naive")["total"] == 826 + 163
+    assert build_euclid_iteration.cache_info() == before  # the m = 163 iteration is not built
+
+
 def test_width_rejects_unknown_backend():
     with pytest.raises(ValueError, match="backend must be naive or opt, not 'bogus'"):
         group_op_width(F16, "bogus")
