@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .circuit import Circuit, Gate, cnot, gate_not, pipeline, swap
+from .circuit import Circuit, Gate, Wire, cnot, gate_not, pipeline, register_wires, swap
 from .errors import BadParameter
 from .field import FieldSpec, default_field
 
@@ -43,7 +43,7 @@ def _rotation_pairs(reg: str, n: int, amount: int, direction: str):
     without its first wire.  That is n - gcd(n, d) swaps in all, none for
     d = 0, in two layers of disjoint swaps.  The cycles go one after the
     other: when the swaps share a control, that makes the m = 163 Euclid
-    iteration 2 933 deep, against 3 381 with every cycle's first
+    iteration 2 674 deep, against 3 291 with every cycle's first
     reflection before any second one.
     """
     if direction not in ("left", "right"):
@@ -77,18 +77,18 @@ def _controlled_swaps(pairs, control) -> list[Gate]:
     return gates
 
 
-def controlled_rotation_stage(data: str, n: int, shift: str, j: int, direction: str) -> list[Gate]:
-    """Stage j of a rotation by a register's value: rotate the n-wire register
-    `data` by 2^j when bit j of `shift` is 1.  Its n - gcd(n, 2^j mod n) SWAPs,
-    two reflections per cycle, are each a controlled swap on that one wire
-    (no ancillas)."""
-    return _controlled_swaps(_rotation_pairs(data, n, 1 << j, direction), (shift, j))
+def controlled_rotation_stage(data: str, n: int, control: Wire, j: int, direction: str) -> list[Gate]:
+    """Stage j of a rotation by a count: rotate the n-wire register `data` by
+    2^j when the `control` wire, the count's bit j, is 1.  Its
+    n - gcd(n, 2^j mod n) SWAPs, two reflections per cycle, are each a
+    controlled swap on that one wire (no ancillas)."""
+    return _controlled_swaps(_rotation_pairs(data, n, 1 << j, direction), control)
 
 
-def controlled_rotation_gates(data: str, n: int, shift: str, k: int, direction: str) -> list[Gate]:
-    """Rotate the n-wire register `data` by the value of the k-wire register
-    `shift`: its stages j = 0..k-1 in order."""
-    return [g for j in range(k) for g in controlled_rotation_stage(data, n, shift, j, direction)]
+def controlled_rotation_gates(data: str, n: int, shift, direction: str) -> list[Gate]:
+    """Rotate the n-wire register `data` by the count held on the wires
+    `shift`, bit j on shift[j]: its stages j = 0..k-1 in order."""
+    return [g for j, control in enumerate(shift) for g in controlled_rotation_stage(data, n, control, j, direction)]
 
 
 def build_controlled_shift(n: int, k: int) -> Circuit:
@@ -96,7 +96,7 @@ def build_controlled_shift(n: int, k: int) -> Circuit:
     register and a k-wire shift register."""
     if n < 2 or k < 1:
         raise BadParameter("controlled shift needs n >= 2 and k >= 1")
-    return Circuit({"data": n, "shift": k}, controlled_rotation_gates("data", n, "shift", k, "left"), ("shift",))
+    return Circuit({"data": n, "shift": k}, controlled_rotation_gates("data", n, register_wires("shift", k), "left"), ("shift",))
 
 
 def _increment_gates(wires) -> list[Gate]:
@@ -110,7 +110,7 @@ def build_increment(w: int) -> Circuit:
     most-significant result bit (and stays 0 for k <= 2^w - 2)."""
     if w < 1:
         raise BadParameter("increment needs w >= 1")
-    return Circuit({"k": w, "anc": 1}, _increment_gates([("k", i) for i in range(w)] + [("anc", 0)]))
+    return Circuit({"k": w, "anc": 1}, _increment_gates(register_wires("k", w) + [("anc", 0)]))
 
 
 def build_decrement(w: int) -> Circuit:
@@ -118,42 +118,43 @@ def build_decrement(w: int) -> Circuit:
     ancilla returns to 0, so one ancilla serves every decrement in a row."""
     if w < 1:
         raise BadParameter("decrement needs w >= 1")
-    return Circuit({"k": w, "anc": 1}, reversed(_increment_gates([("k", i) for i in range(w)] + [("anc", 0)])))
+    return Circuit({"k": w, "anc": 1}, reversed(_increment_gates(register_wires("k", w) + [("anc", 0)])))
 
 
-def normalize_gates(div: str, n: int, s: str) -> list[Gate]:
+def normalize_gates(div: str, n: int, s) -> list[Gate]:
     """Binary-search normalization of a nonzero n-wire register `div` with
-    the ceil(log n)-wire register `s` at 0 (Warren, Hacker's Delight,
-    section 5-3): for j = L-1 down to 0, NOT s_j under 0-controls on the
-    top 2^j wires of div, then shift div left by 2^j on s_j.  Each stage
-    leaves fewer than 2^j leading zeros, so s ends as n-1-deg(div) and
-    div's top wire at 1.  A stage only fires when div's top 2^j wires are
-    0, so there a shift and a rotation agree.
+    a count s of L = ceil(log n) wires at 0, bit j on the wire s[j]
+    (Warren, Hacker's Delight, section 5-3): for j = L-1 down to 0, NOT
+    s_j under 0-controls on the top 2^j wires of div, then shift div left
+    by 2^j on s_j.  Each stage leaves fewer than 2^j leading zeros, so s
+    ends as n-1-deg(div) and div's top wire at 1.  A stage only fires when
+    div's top 2^j wires are 0, so there a shift and a rotation agree.
     Stage 0 rotates by one, as two reflections of disjoint pairs, of
     wires 0..n-1 and then of 1..n-1: n - 1 controlled swaps whose depth
     is that of their n - 1 Toffolis on s_0.  Each reflection is emitted
     from the middle out, which the disjoint pairs allow: the m = 16
-    Euclid iteration is 285 deep, against 295 from the outside in.  A
+    Euclid iteration is 253 deep, against 261 from the outside in.  A
     shift chain there, (i - 1, i) for i = n-1 down to 1, has each link
-    wait three layers on the wire it shares with the one before: 335
-    deep, though Toffoli-depth 216 against 231.
+    wait three layers on the wire it shares with the one before: 307
+    deep, though Toffoli-depth 188 against 203.
     Stages j >= 1 shift by the descending chain (i - 2^j, i) for
     i = n-1 down to 2^j: n - 2^j swaps where a rotation needs
     n - gcd(n, 2^j).  A link shares a wire only with the link 2^j after
     it, so the chain already keeps pace with s_j's Toffolis; rotations
-    there, cycle by cycle, made the m = 16 Euclid iteration 361 deep,
-    against 285.
+    there, cycle by cycle, make the m = 16 Euclid iteration 295 deep,
+    against 253.
     The gates reversed undo both."""
-    L = log2_ceil(n)
+    if len(s) != log2_ceil(n):
+        raise BadParameter(f"normalizing {n} wires takes a {log2_ceil(n)}-wire count, not {len(s)}")
     gates = []
-    for j in reversed(range(L)):
-        gates.append(cnot([((div, n - 1 - u), 0) for u in range(1 << j)], (s, j)))
+    for j in reversed(range(len(s))):
+        gates.append(cnot([((div, n - 1 - u), 0) for u in range(1 << j)], s[j]))
         if j:
             pairs = [((div, i - (1 << j)), (div, i)) for i in range(n - 1, (1 << j) - 1, -1)]
         else:
             pairs = [((div, i), (div, n - 1 - i)) for i in reversed(range(n // 2))]
             pairs += [((div, i), (div, n - i)) for i in reversed(range(1, (n + 1) // 2))]
-        gates.extend(_controlled_swaps(pairs, (s, j)))
+        gates.extend(_controlled_swaps(pairs, s[j]))
     return gates
 
 
@@ -171,8 +172,8 @@ def build_degree(m: int) -> Circuit:
     if m < 2:
         raise BadParameter("the degree block needs m >= 2")
     L = log2_ceil(m)
-    deg = [("deg", j) for j in range(L)]
-    gates = normalize_gates("a", m, "deg") + controlled_rotation_gates("a", m, "deg", L, "right")
+    deg = register_wires("deg", L)
+    gates = normalize_gates("a", m, deg) + controlled_rotation_gates("a", m, deg, "right")
     gates += [gate_not(w) for w in deg]
     gates += [g for i in range(L) if (m >> i) & 1 for g in _increment_gates(deg[i:])]
     return Circuit({"a": m, "deg": L}, gates, ("a",))

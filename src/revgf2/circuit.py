@@ -23,9 +23,10 @@ marks the lanes in which registers came back changed; `apply` and
 gate becomes one line of Python such as `w17 ^= w3 & ~w9`, compiled in
 chunks of functions over local wire ints.  A SWAP only relabels which
 list slot holds which wire while the code is generated; one last
-assignment puts each wire the SWAPs moved back in its own slot, so every
-run leaves the wires in layout order.  A run of gates that one wire
-guards runs, or is skipped, as a block (`_kernel`).  `pipeline` reorders
+assignment puts each wire the SWAPs moved back in its own slot, by slices
+where wires moved as a block, so every run leaves the wires in layout
+order.  A run of gates that one wire guards runs, or is skipped, as a
+block (`_kernel`).  `pipeline` reorders
 a gate list into wire-disjoint layers, moving a gate only past gates it
 commutes with.
 """
@@ -129,6 +130,11 @@ def swap(w1: Wire, w2: Wire) -> Gate:
     if w1 == w2:
         raise ValueError("controls and targets must be disjoint wires")
     return _checked(SWAP, (), (_wires.setdefault(w1, w1), _wires.setdefault(w2, w2)))
+
+
+def register_wires(reg: str, width: int) -> list[Wire]:
+    """The wires of register `reg`, bit 0 first."""
+    return [(reg, i) for i in range(width)]
 
 
 def pipeline(gates) -> list[Gate]:
@@ -245,8 +251,10 @@ class Circuit:
         lines into units and the units into chunks.  A SWAP only exchanges
         the slots two wires are read from and written to; when the SWAPs
         leave a wire outside its own slot, one last chunk puts each such
-        wire back in a single assignment.  A unit is one line, or the
-        three lines `a ^= b; b ^= s & a; a ^= b` of a controlled swap.
+        wire back in a single assignment, each block of wires that moved
+        together as one slice: four at the m = 16 Euclid iteration's pair
+        swap.  A unit is one line, or the three lines
+        `a ^= b; b ^= s & a; a ^= b` of a controlled swap.
         It is the identity in every lane where its guard is 0: any 1-control
         of a single line, but only s of a controlled swap, whose first line
         writes a.  Consecutive units of one kind in a chunk that share a
@@ -261,9 +269,18 @@ class Circuit:
         index = {w: i for i, w in enumerate(wires)}
         slot = list(range(len(wires)))  # slot[i]: the list position holding wire i
         chunks = [_compile_chunk(runs) for runs in _chunk_runs(_units(_slot_lines(self.gates, index, slot)))]
-        moved = [i for i, at in enumerate(slot) if at != i]
+        moved: list[list[int]] = []  # [first wire, past the last, first slot] per block the SWAPs moved together
+        for i, at in enumerate(slot):
+            if at == i:
+                continue
+            if moved and moved[-1][1] == i and slot[i - 1] == at - 1:
+                moved[-1][1] += 1
+            else:
+                moved.append([i, i + 1, at])
         if moved:
-            chunks.append(_compile(", ".join(f"w[{i}]" for i in moved) + " = " + ", ".join(f"w[{slot[i]}]" for i in moved)))
+            part = lambda a, b: f"w[{a}]" if b == a + 1 else f"w[{a}:{b}]"
+            homes = ", ".join(part(i, j) for i, j, _ in moved)
+            chunks.append(_compile(f"{homes} = " + ", ".join(part(at, at + j - i) for i, j, at in moved)))
         return chunks
 
     @cached_property

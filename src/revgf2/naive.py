@@ -33,6 +33,15 @@ The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
      even m: 49 swaps at m = 16, against 64 for m+1 wires,
   5. the normalize gates reversed, which shift A back and clear S.
 
+In the Euclid iteration the forward division's S is the register s, and
+the reversed division's S starts on wires already clear: its top two bits
+on rb[m] and rb[m-1], which hold B mod A's coefficients of z^m and
+z^(m-1), 0 while A != 1 since deg(B mod A) <= deg(A) - 1 <= m - 2, and
+the rest on the s wires the forward division clears first.  The two
+divisions then overlap rather than run back to back.  A lane with A = 1
+may find them set and end with garbage; the driver gives such a lane its
+previous wires back.
+
 The inversion driver packs its inputs into lanes, one lane per input, and
 runs the iteration's kernel pass after pass, in place, on one resident wire
 list that every pass leaves in layout order, until every lane has A = 1; a
@@ -50,20 +59,22 @@ import functools
 from operator import itemgetter, or_
 
 from .blocks import controlled_rotation_gates, log2_ceil, normalize_gates
-from .circuit import Circuit, cnot, gate_not, lane_values, pack_lanes, run_wires, swap
+from .circuit import Circuit, cnot, gate_not, lane_values, pack_lanes, register_wires, run_wires, swap
 from .errors import InvariantViolation, ZeroElement
 from .field import FieldSpec, require_element
 
 
-def _pattern_controls(reg: str, width: int, value: int):
-    """Controls asserting reg == value (0-controls on the clear bits)."""
-    return [((reg, i), (value >> i) & 1) for i in range(width)]
+def _pattern_controls(wires, value: int):
+    """Controls asserting the count on `wires`, bit i on wires[i], equals
+    value (0-controls on the clear bits)."""
+    return [(w, (value >> i) & 1) for i, w in enumerate(wires)]
 
 
-def _division_gates(m: int, div: str, dvd: str, first: int = 0, last: int | None = None, n: int | None = None):
+def _division_gates(m: int, div: str, dvd: str, first: int = 0, last: int | None = None, n: int | None = None, s=None):
     """Gate sequence for |div>|dvd>|0> <-> |div>|dvd+q*div>|q>.
 
-    div has m wires, the quotient q n (m+1 unless given), s ceil(log m),
+    div has m wires, the quotient q n (m+1 unless given), the leading-zero
+    count ceil(log m), bit j on the wire s[j] (register s unless given), and
     flg one; div must be nonzero.  Rounds `first` (0 or 1) to `last` (m
     unless given) run; round t finds q's bit of z^(m-t-deg(div)) and
     writes it on wire (1-t) mod n, so n >= last-first+1, and q ends on
@@ -75,8 +86,8 @@ def _division_gates(m: int, div: str, dvd: str, first: int = 0, last: int | None
     """
     last = m if last is None else last
     n = m + 1 if n is None else n
-    quo, s, flg = "q", "s", "flg"  # the scratch, named alike in both layouts
-    L = log2_ceil(m)
+    s = register_wires("s", log2_ceil(m)) if s is None else s
+    quo, flg = "q", ("flg", 0)  # the scratch, named alike in both layouts
     gates = []
 
     # 1-2. s <- number of leading zeros of div (= m-1-deg); shift div left
@@ -91,22 +102,22 @@ def _division_gates(m: int, div: str, dvd: str, first: int = 0, last: int | None
     # rest of that rotation by relabelling, with no gates.  The subtractions
     # go from dvd bit m-t-1, round t+1's, down, and the one that clears
     # bit m-t, the copied bit, goes last.
-    gates.append(gate_not((flg, 0)))
+    gates.append(gate_not(flg))
     for t in range(first, last + 1):
         qt = (quo, (1 - t) % n)
         flag = []  # the flag is 1 in rounds 0 and 1, whatever s holds: no control
         if t >= 2:
-            gates.append(cnot(_pattern_controls(s, L, t - 2), (flg, 0)))
-            flag = [((flg, 0), 1)]
+            gates.append(cnot(_pattern_controls(s, t - 2), flg))
+            flag = [(flg, 1)]
         gates.append(cnot(flag + [((dvd, m - t), 1)], qt))
         # div wire j+t-1 is subtracted from dvd wire j; div's wire m-1 holds
         # its leading coefficient, 1 once normalized: no control
         gates += [cnot([(qt, 1), ((div, j + t - 1), 1)], (dvd, j)) for j in reversed(range(max(0, 1 - t), m - t))]
         gates.append(cnot([(qt, 1)], (dvd, m - t)))
-    gates.append(cnot(_pattern_controls(s, L, last - 1), (flg, 0)))
+    gates.append(cnot(_pattern_controls(s, last - 1), flg))
 
     # 4. the stored quotient word is q rotated right by s; rotate it back.
-    gates.extend(controlled_rotation_gates(quo, n, s, L, "left"))
+    gates.extend(controlled_rotation_gates(quo, n, s, "left"))
 
     # 5. un-normalize div and uncompute s.
     gates.extend(reversed(normalize))
@@ -150,12 +161,19 @@ def build_euclid_iteration(m: int) -> Circuit:
     runs m rounds, on distinct wires of a ring of n = m wires at even m.
     At odd m the ring keeps m + 1 wires, since a ring of odd length n
     makes each rotation stage one cycle, which pipelines worse: n = 163
-    made the m = 163 iteration 3 673 deep, against 2 933 with n = 164.
+    makes the m = 163 iteration 3 601 deep, against 2 674 with n = 164.
+    The reversed division counts a's leading zeros on wires already clear
+    (see the module docstring): bit j on free[L-1-j] of
+    free = (rb[m], rb[m-1], s_0, s_1, ...).  Its normalization computes
+    bits L-1 down to 0, so the first two go on rb's top wires and the rest
+    on s in the order the forward un-normalization clears it: the m = 16
+    iteration is 253 deep, against 285 with both counts on s.
     """
     layout = euclid_iteration_layout(m)
-    n = layout["q"]
+    n, L = layout["q"], layout["s"]
     gates = _division_gates(m, "ra", "rb", last=m - 1, n=n)
-    gates += reversed(_division_gates(m, "ka", "kb", first=1, n=n))
+    free = [("rb", m), ("rb", m - 1), *register_wires("s", L)]
+    gates += reversed(_division_gates(m, "ka", "kb", first=1, n=n, s=free[L - 1::-1]))
     gates += [swap((a, i), (b, i)) for i in range(m) for a, b in (("ra", "rb"), ("ka", "kb"))]
     return Circuit(layout, gates, ("q", "s", "flg"))
 

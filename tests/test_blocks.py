@@ -15,7 +15,7 @@ from revgf2.blocks import (
     log2_ceil,
     rotation_gates,
 )
-from revgf2.circuit import Circuit, report, run_lanes, sweep
+from revgf2.circuit import Circuit, register_wires, report, run_lanes, sweep
 from revgf2.errors import BadParameter
 from revgf2.field import FieldSpec, default_field, field_mul, is_irreducible
 from revgf2.poly import degree
@@ -79,7 +79,7 @@ def test_controlled_shift():
     for n in range(2, 13):
         for k in range(1, 5):
             want_gates = 3 * sum(n - gcd(n, (1 << j) % n) for j in range(k))
-            right = Circuit({"data": n, "shift": k}, controlled_rotation_gates("data", n, "shift", k, "right"))
+            right = Circuit({"data": n, "shift": k}, controlled_rotation_gates("data", n, register_wires("shift", k), "right"))
             for direction, c in (("left", build_controlled_shift(n, k)), ("right", right)):
                 assert report(c).total_gates == want_gates
                 run_all = sweep(c, ("data", "shift"))

@@ -366,6 +366,26 @@ def test_kernel_matches_a_gate_by_gate_reference():
         check_against_reference(c, ("x", "z"), rng)
 
 
+def test_wires_that_move_as_a_block_go_back_by_slices(monkeypatch):
+    # two adjacent registers swapped wire by wire each go back as one slice;
+    # swapping one pair back splits both runs around the wire that stays home
+    rng = random.Random(29)
+    layout = {"x": 4, "y": 4, "z": 2}
+    wires = [(name, i) for name, width in layout.items() for i in range(width)]
+    pair = [swap(("x", i), ("y", i)) for i in range(4)]
+    bodies = []
+    compile_chunk = circuit._compile
+    monkeypatch.setattr(circuit, "_compile", lambda *body: bodies.append(body) or compile_chunk(*body))
+    for swaps, closing in (
+        (pair, "w[0:4], w[4:8] = w[4:8], w[0:4]"),
+        (pair + [swap(("x", 2), ("y", 2))], "w[0:2], w[3], w[4:6], w[7] = w[4:6], w[7], w[0:2], w[3]"),
+    ):
+        lines = lambda: [g for g in random_gates(rng, wires, 60) if g.kind != SWAP]
+        c = Circuit(layout, lines() + swaps + lines())
+        check_against_reference(c, ("x", "z"), rng)
+        assert bodies[-1] == (closing,)
+
+
 def test_register_names_never_reach_the_kernel():
     names = ["'\"", "x]#", "__import__('os')._exit(3)", "w", "w0", "mask", "{1/0}"]
     gates = []
@@ -408,16 +428,16 @@ def test_controlled_swaps_run_in_guarded_blocks():
     rng = random.Random(13)
     for n, k in ((3, 2), (5, 3), (6, 3)):
         stages = [(j, d) for d in ("left", "right") for j in range(k) if (1 << j) % n]
-        c = Circuit({"d": n, "s": k}, [g for j, d in stages for g in controlled_rotation_stage("d", n, "s", j, d)])
+        c = Circuit({"d": n, "s": k}, [g for j, d in stages for g in controlled_rotation_stage("d", n, ("s", j), j, d)])
         # one permutation branch and one guarded fallback per stage: its swaps share s_j
         assert guarded_blocks(c) == (len(stages), len(stages))
         check_every_guard_value(c, ("d",), "s", rng)
     # a lone controlled swap runs under s, never under its middle gate's other control
-    c = Circuit({"d": 2, "s": 1}, controlled_rotation_stage("d", 2, "s", 0, "left"))
+    c = Circuit({"d": 2, "s": 1}, controlled_rotation_stage("d", 2, ("s", 0), 0, "left"))
     assert guarded_blocks(c) == (1, 1)
     check_every_guard_value(c, ("d",), "s", rng)
     # swaps that compose to the identity leave nothing to permute
-    c = Circuit({"d": 2, "s": 1}, 2 * controlled_rotation_stage("d", 2, "s", 0, "left"))
+    c = Circuit({"d": 2, "s": 1}, 2 * controlled_rotation_stage("d", 2, ("s", 0), 0, "left"))
     assert guarded_blocks(c) == (1, 1)
     check_every_guard_value(c, ("d",), "s", rng)
 
@@ -429,7 +449,7 @@ def test_a_toffoli_on_the_swap_guard_starts_its_own_run():
     layout = {"d": 4, "x": 2, "s": 1}
     s = ("s", 0)
     toffolis = [cnot([(s, 1), (("x", i), 1)], ("d", i)) for i in range(2)]
-    stage = controlled_rotation_stage("d", 4, "s", 0, "left")
+    stage = controlled_rotation_stage("d", 4, s, 0, "left")
     for gates, blocks in (
         (stage + toffolis[:1], (1, 1)),  # the swaps' branch and fallback; the Toffoli a plain line
         (toffolis[:1] + stage, (1, 1)),

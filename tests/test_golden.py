@@ -42,11 +42,11 @@ GOLDEN = {
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16),
         {
-            "width": 86, "depth": 285, "toffoli_depth": 231, "gates_total": 1282, "gates_not": 2,
+            "width": 86, "depth": 253, "toffoli_depth": 203, "gates_total": 1282, "gates_not": 2,
             "gates_cnot": 1248, "gates_swap": 32, "cnot_arity_1": 627,
             "cnot_arity_2": 582, "cnot_arity_4": 35, "cnot_arity_8": 4,
         },
-        "1dc1ffb0704f13d06ec91e16ea71002bb4e8494d5a6f56cd45c197e96d8156ee",
+        "c70927e5ad1096abe49ced1cb7f5a7f63bbf684d492fc9d95d02a09903c4968a",
     ),
     "degree-m8": (
         lambda: build_degree(8),
@@ -112,7 +112,7 @@ KERNELS = {
     ),
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16), 11,
-        "2ca51edb3e441a5b9cfdf74a2f80a3d40b0a4fd9c69f9a499bb523ece11da9fc",
+        "1b52fb8224dd6ba150d0810ba3782a9840ba3422b01d6b9e2d031616408595e2",
     ),
     "mul-accumulate-m8": (
         lambda: build_mul_accumulate(default_field(8)), 1,
@@ -166,8 +166,8 @@ CLI_REPORTS = {
         '{"cycles": 30, "formula": 72, "formula_h0": 67, "halting_counter_width": 5, '
         '"layout_width": 72, "m": 16, "multiplier_depth": 52, "multiplier_gates_total": 346, '
         '"multiplier_toffoli_depth": 39, "multiplier_width": 48, '
-        '"naive_iteration_depth": 285, "naive_iteration_gates_total": 1282, '
-        '"naive_iteration_toffoli_depth": 231, "naive_iteration_width": 86, '
+        '"naive_iteration_depth": 253, "naive_iteration_gates_total": 1282, '
+        '"naive_iteration_toffoli_depth": 203, "naive_iteration_width": 86, '
         '"term c": 2, "term degA": 4, "term degB": 4, '
         '"term deg_anc": 4, "term dega": 4, "term degb": 4, "term f": 1, "term h": 5, '
         '"term q": 12, "term rAa": 16, "term rBb": 16}\n'

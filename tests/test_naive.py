@@ -1,15 +1,15 @@
 import math
 import subprocess
 import sys
-from itertools import compress
+from itertools import compress, takewhile
 from pathlib import Path
 
 import pytest
 
 from revgf2 import naive
 from revgf2.blocks import log2_ceil
-from revgf2.circuit import Circuit, cnot, gate_not, report, run_lanes, run_one, sweep
-from revgf2.errors import InvariantViolation, ZeroElement
+from revgf2.circuit import Circuit, cnot, gate_not, register_wires, report, run_lanes, run_one, sweep
+from revgf2.errors import BadParameter, InvariantViolation, ZeroElement
 from revgf2.field import FieldSpec, default_field, field_invert, field_mul, is_irreducible
 from revgf2.naive import (
     build_euclid_iteration,
@@ -82,7 +82,7 @@ def test_invariant_check_survives_python_O():
 def test_normalize_counts_leading_zeros(n):
     # one sweep over every x: normalize, copy x and s out, normalize reversed
     L = log2_ceil(n)
-    normalize = normalize_gates("x", n, "s")
+    normalize = normalize_gates("x", n, register_wires("s", L))
     copies = [cnot([(("x", i), 1)], ("y", i)) for i in range(n)]
     copies += [cnot([(("s", j), 1)], ("t", j)) for j in range(L)]
     circ = Circuit({"x": n, "s": L, "y": n, "t": L}, normalize + copies + normalize[::-1])
@@ -95,6 +95,13 @@ def test_normalize_counts_leading_zeros(n):
         assert (x_back, s_back) == (x, 0)
 
 
+def test_normalize_refuses_a_count_of_the_wrong_width():
+    # the count's wires come from the caller: 8 wires need a 3-wire count
+    for width in (2, 4):
+        with pytest.raises(BadParameter, match=f"takes a 3-wire count, not {width}"):
+            normalize_gates("x", 8, register_wires("s", width))
+
+
 @pytest.mark.parametrize("m", range(2, 17))
 def test_division_rotates_its_quotient_by_2_without_swaps(m):
     # only the controlled rotation by s moves q; its swaps are CNOT/Toffoli triples
@@ -105,7 +112,7 @@ def test_division_rotates_its_quotient_by_2_without_swaps(m):
 def test_normalize_shifts_stage_j_in_n_minus_2_to_the_j_controlled_swaps(n):
     # a rotation by 2^j needs n - gcd(n, 2^j) swaps: 247 more per pass at n = 163
     L = log2_ceil(n)
-    gates = normalize_gates("x", n, "s")
+    gates = normalize_gates("x", n, register_wires("s", L))
     swaps = [g for g in gates if any(w[0] == "s" for w, _ in g.controls)]  # each swap's Toffoli
     assert len(swaps) == sum(n - (1 << j) for j in range(L))
     assert len(gates) == L + 3 * len(swaps)
@@ -116,7 +123,8 @@ def test_normalize_stage_0_is_two_reflections(n):
     # stage 0 rotates by one: its controlled swaps fall into two runs of
     # disjoint pairs, the reflection of all n wires, then of wires 1..n-1,
     # each emitted from the middle out
-    stage_0 = [g for g in normalize_gates("x", n, "s") if g.controls[:1] == ((("s", 0), 1),)]
+    gates = normalize_gates("x", n, register_wires("s", log2_ceil(n)))
+    stage_0 = [g for g in gates if g.controls[:1] == ((("s", 0), 1),)]
     runs = [[]]
     for g in stage_0:
         pair = {g.controls[1][0][1], g.targets[0][1]}
@@ -147,11 +155,11 @@ def test_division_rounds_subtract_top_down(m):
 
 # m -> (division, iteration), each as (depth, Toffoli-depth)
 DEPTHS = {
-    4: ((38, 25), (70, 43)),
-    8: ((72, 59), (143, 107)),
-    16: ((150, 129), (285, 231)),
-    17: ((160, 129), (317, 255)),
-    32: ((312, 279), (583, 497)),
+    4: ((38, 25), (56, 33)),
+    8: ((72, 59), (121, 89)),
+    16: ((150, 129), (253, 203)),
+    17: ((160, 129), (293, 241)),
+    32: ((312, 279), (527, 445)),
 }
 
 
@@ -165,15 +173,20 @@ def test_division_and_iteration_depths(m):
 def test_iteration_quotient_is_an_even_ring(m):
     # while A != 1, q = B div A has at most m bits: each division copies m
     # quotient bits onto distinct wires of a ring of m wires at even m, m + 1
-    # at odd m, and rotates it by s in n - gcd(n, 2^j) swaps per stage j
+    # at odd m, and rotates it by its leading-zero count in n - gcd(n, 2^j)
+    # swaps per stage j; the forward division counts on s, the reversed one
+    # on rb's two top wires and then s
     iteration = build_euclid_iteration(m)
     n = iteration.layout["q"]
     assert n == m + (m & 1)
     onto_q = [g for g in iteration.gates if g.targets[0][0] == "q"]
+    counts = {("rb", m), ("rb", m - 1), *register_wires("s", log2_ceil(m))}
+    # each controlled swap's Toffoli; rounds 0 and 1 copy rb[m] and rb[m - 1] with CNOTs
+    swaps = [g for g in onto_q if len(g.controls) == 2 and any(w in counts for w, _ in g.controls)]
+    rotation = set(swaps)
     for dvd in ("rb", "kb"):
-        copied = [g.targets[0][1] for g in onto_q if any(w[0] == dvd for w, _ in g.controls)]
+        copied = [g.targets[0][1] for g in onto_q if g not in rotation and any(w[0] == dvd for w, _ in g.controls)]
         assert len(copied) == len(set(copied)) == m
-    swaps = [g for g in onto_q if any(w[0] == "s" for w, _ in g.controls)]  # each controlled swap's Toffoli
     assert len(swaps) == 2 * sum(n - math.gcd(n, 1 << j) for j in range(log2_ceil(m)))
 
 
@@ -198,6 +211,29 @@ def test_iteration_coefficient_b_fits_m_wires():
             values = {name: list(run.values(name)) for name in lanes}
 
 
+def test_forward_division_leaves_the_top_two_wires_of_rb_at_0():
+    # while A != 1, the forward division leaves B mod A in rb, of degree at
+    # most deg(A) - 1 <= m - 2, so rb[m - 1] and rb[m] are 0 in every lane:
+    # the reversed division keeps its count's top two bits there
+    fields = [FieldSpec(m, f) for m in range(2, 11) for f in range(1 << m, 2 << m) if is_irreducible(f)]
+    assert len(fields) == 224
+    for m in range(2, 11):
+        iteration = build_euclid_iteration(m)
+        # the forward division is every gate before the first on ka or kb
+        gates = list(takewhile(lambda g: all(w[0] not in ("ka", "kb") for w in g.wires()), iteration.gates))
+        forward = Circuit(iteration.layout, gates)
+        rest = Circuit(iteration.layout, iteration.gates[len(gates):])
+        for field in (field for field in fields if field.m == m):
+            inputs = field.nonzero_elements()
+            n = len(inputs)
+            values = {"ra": inputs, "rb": [field.modulus] * n, "ka": [1] * n, "kb": [0] * n}
+            while any(active := [A != 1 for A in values["ra"]]):
+                run = run_lanes(forward, {name: list(compress(lane_values, active)) for name, lane_values in values.items()})
+                assert run.after["rb"][m - 1] == run.after["rb"][m] == 0
+                run = run_lanes(rest, {name: list(run.values(name)) for name in iteration.layout})
+                values = {name: list(run.values(name)) for name in values}
+
+
 @pytest.mark.parametrize("m", range(2, 17))
 def test_division_spends_no_toffoli_on_a_control_known_to_be_1(m):
     # after normalization a's top wire is 1 in every round, and the flag is 1 in rounds 0 and 1
@@ -219,7 +255,7 @@ def test_m163_iteration_cost():
     # 2k - 3 Toffolis per k-controlled NOT with k >= 2, as perfbench counts them
     rep = report(build_euclid_iteration(163))
     assert rep.to_json() == {
-        "width": 826, "depth": 2933, "toffoli_depth": 2711, "gates_total": 48203, "gates_not": 2,
+        "width": 826, "depth": 2674, "toffoli_depth": 2466, "gates_total": 48203, "gates_not": 2,
         "gates_cnot": 47875, "gates_swap": 326, "cnot_arity_1": 13865,
         "cnot_arity_2": 33661, "cnot_arity_4": 4, "cnot_arity_8": 329,
         "cnot_arity_16": 4, "cnot_arity_32": 4, "cnot_arity_64": 4, "cnot_arity_128": 4,

@@ -1,7 +1,7 @@
 import pytest
 
 from revgf2 import blocks, circuit, verify
-from revgf2.circuit import Circuit, cnot, gate_not
+from revgf2.circuit import Circuit, cnot, gate_not, register_wires
 from revgf2.cli import main
 from revgf2.curve import CurvePoint, enumerate_points, load_curve
 from revgf2.ecgroup import FixedPointParams, generic_points
@@ -71,8 +71,9 @@ def test_degree_block_that_leaves_a_rotated_is_reported(monkeypatch):
     def without_rotate_back(m):
         """The degree block without its step that rotates a back."""
         full = build_degree(m)
-        start = len(blocks.normalize_gates("a", m, "deg"))
-        end = start + len(blocks.controlled_rotation_gates("a", m, "deg", blocks.log2_ceil(m), "right"))
+        deg = register_wires("deg", blocks.log2_ceil(m))
+        start = len(blocks.normalize_gates("a", m, deg))
+        end = start + len(blocks.controlled_rotation_gates("a", m, deg, "right"))
         return Circuit(full.layout, full.gates[:start] + full.gates[end:], full.restores)
 
     monkeypatch.setitem(blocks.BLOCKS, "deg", (without_rotate_back, ("m",)))
