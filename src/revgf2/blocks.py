@@ -41,17 +41,27 @@ def _rotation_pairs(reg: str, n: int, amount: int, direction: str):
     d = amount mod n steps each of its gcd(n, d) cycles c, c+d, c+2d, ...
     (mod n) by two reflections: reverse the cycle, then reverse it again
     without its first wire.  That is n - gcd(n, d) swaps in all, none for
-    d = 0, in two layers of disjoint swaps.  The cycles go one after the
-    other: when the swaps share a control, that makes the m = 163 Euclid
-    iteration 2 674 deep, against 3 291 with every cycle's first
-    reflection before any second one.
+    d = 0, in two layers of disjoint swaps.  When the swaps share a
+    control, their order sets the depth.  On a ring of n = 2^k wires each
+    reflection goes round-robin over the cycles, pair i of every cycle,
+    then pair i + 1, and every first reflection goes before any second
+    one: the m = 16 Euclid iteration is 228 deep, against 242 with the
+    cycles one after the other.  Other rings keep the cycles one after the
+    other: round-robin there makes the m = 163 iteration 3 291 deep,
+    Toffoli-depth 3 062, against 2 528 and 2 313.
     """
     if direction not in ("left", "right"):
         raise BadParameter(f"direction must be left or right, not {direction!r}")
     d = amount % n
     g = math.gcd(n, d)  # gcd(n, 0) = n: n one-wire cycles, no steps
     cycles = ([(reg, (c + t * d) % n) for t in range(n // g)] for c in range(g))
-    pairs = [(part[i], part[-1 - i]) for cycle in cycles for part in (cycle, cycle[1:]) for i in range(len(part) // 2)]
+    # each cycle's two reflections, as lists of pairs
+    steps = [[[(part[i], part[-1 - i]) for i in range(len(part) // 2)] for part in (cycle, cycle[1:])] for cycle in cycles]
+    # either order is correct; the ring's size picks the shallower one (see above)
+    if n & (n - 1):
+        pairs = [pair for cycle in steps for reflection in cycle for pair in reflection]
+    else:  # zip takes every pair, since every cycle has n / g wires
+        pairs = [pair for r in (0, 1) for row in zip(*(cycle[r] for cycle in steps)) for pair in row]
     return pairs if direction == "left" else pairs[::-1]
 
 
@@ -73,7 +83,8 @@ def _controlled_swaps(pairs, control) -> list[Gate]:
     gates = []
     for w1, w2 in pairs:
         # CSWAP as CNOT / Toffoli / CNOT: only the middle gate carries the control
-        gates += [cnot([(w2, 1)], w1), cnot([(control, 1), (w1, 1)], w2), cnot([(w2, 1)], w1)]
+        outer = cnot([(w2, 1)], w1)
+        gates += [outer, cnot([(control, 1), (w1, 1)], w2), outer]
     return gates
 
 
@@ -133,29 +144,52 @@ def normalize_gates(div: str, n: int, s) -> list[Gate]:
     wires 0..n-1 and then of 1..n-1: n - 1 controlled swaps whose depth
     is that of their n - 1 Toffolis on s_0.  Each reflection is emitted
     from the middle out, which the disjoint pairs allow: the m = 16
-    Euclid iteration is 253 deep, against 261 from the outside in.  A
+    Euclid iteration is 228 deep, against 243 from the outside in.  A
     shift chain there, (i - 1, i) for i = n-1 down to 1, has each link
-    wait three layers on the wire it shares with the one before: 307
-    deep, though Toffoli-depth 188 against 203.
+    wait three layers on the wire it shares with the one before: 309
+    deep, though Toffoli-depth 181 against 185.
     Stages j >= 1 shift by the descending chain (i - 2^j, i) for
     i = n-1 down to 2^j: n - 2^j swaps where a rotation needs
     n - gcd(n, 2^j).  A link shares a wire only with the link 2^j after
     it, so the chain already keeps pace with s_j's Toffolis; rotations
-    there, cycle by cycle, make the m = 16 Euclid iteration 295 deep,
-    against 253.
+    there (`_rotation_pairs`) make the m = 16 Euclid iteration 253 deep,
+    against 228.
     The gates reversed undo both."""
     if len(s) != log2_ceil(n):
         raise BadParameter(f"normalizing {n} wires takes a {log2_ceil(n)}-wire count, not {len(s)}")
-    gates = []
-    for j in reversed(range(len(s))):
-        gates.append(cnot([((div, n - 1 - u), 0) for u in range(1 << j)], s[j]))
-        if j:
-            pairs = [((div, i - (1 << j)), (div, i)) for i in range(n - 1, (1 << j) - 1, -1)]
-        else:
-            pairs = [((div, i), (div, n - 1 - i)) for i in reversed(range(n // 2))]
-            pairs += [((div, i), (div, n - i)) for i in reversed(range(1, (n + 1) // 2))]
-        gates.extend(_controlled_swaps(pairs, s[j]))
-    return gates
+    return [g for j in reversed(range(len(s))) for g in normalize_stage(div, n, s[j], j)]
+
+
+def normalize_stage(div: str, n: int, control: Wire, j: int, idle=()) -> list[Gate]:
+    """Stage j of `normalize_gates`, its count bit on the `control` wire:
+    the zero test of div's top 2^j wires, then the shift on `control`.
+
+    Wires in `idle`, at 0 and untouched by the stage, shorten the queue of
+    the shift's k swaps on `control`.  The swaps, in pair order, form
+    C = ceil(k/8) near-equal contiguous blocks, the larger first.  The
+    count bit runs the first block, and a copy of it on one of the first
+    C - 1 idle wires each other one.  The copies double in number each
+    layer, copy i from wire i - 2^floor(log2 i) of (count bit, copies...),
+    and are cleared in reverse order after the swaps.  So the Toffolis
+    queue on C wires, about 8 on each, not all on one: 2 CNOTs per copy,
+    no wire, and each block is still a run of controlled swaps under one
+    guard in the kernel.  With k <= 8 or no idle wire, the stage of
+    `normalize_gates`.  The Euclid iteration fans stage 0 out only: copies
+    at stages j >= 1 lengthen the shift chains, and make the m = 16
+    iteration 254 deep, against 228."""
+    if j:
+        pairs = [((div, i - (1 << j)), (div, i)) for i in range(n - 1, (1 << j) - 1, -1)]
+    else:
+        pairs = [((div, i), (div, n - 1 - i)) for i in reversed(range(n // 2))]
+        pairs += [((div, i), (div, n - i)) for i in reversed(range(1, (n + 1) // 2))]
+    holders = [control, *idle[:max(0, len(pairs) - 1) // 8]]  # ceil(k/8) - 1 copies
+    fan = [cnot([(holders[i - (1 << (i.bit_length() - 1))], 1)], holders[i]) for i in range(1, len(holders))]
+    gates = [cnot([((div, n - 1 - u), 0) for u in range(1 << j)], control), *fan]
+    size, larger = divmod(len(pairs), len(holders))
+    starts = [b * size + min(b, larger) for b in range(len(holders) + 1)]
+    for b, holder in enumerate(holders):
+        gates += _controlled_swaps(pairs[starts[b]:starts[b + 1]], holder)
+    return gates + fan[::-1]
 
 
 def build_degree(m: int) -> Circuit:

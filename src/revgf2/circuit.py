@@ -315,9 +315,9 @@ class Circuit:
 
 
 # Gate lines per generated function.  Compiling the m = 16 Euclid iteration
-# (1 282 gates, 1 250 lines once SWAPs are relabellings, with its guarded
+# (1 264 gates, 1 232 lines once SWAPs are relabellings, with its guarded
 # blocks) as one function peaks at about 4.5 MB under tracemalloc on
-# Python 3.11, streamed into 128-line chunks at about 0.76 MB.  Longer
+# Python 3.11, streamed into 128-line chunks at about 0.79 MB.  Longer
 # chunks run fewer calls and loads, but the benchmark's peak RSS prices them:
 # at 2048 lines `invert-naive-m16` ran 13-26 % more inversions per second
 # and its peak RSS rose from 18.9 to 22.9 MB (+21 %), past the 10 % bound.

@@ -3,12 +3,14 @@
 The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
 (q, r) = divmod(B, A), as a fixed gate sequence:
 
-  1-2. normalize with `blocks.normalize_gates`, a binary search for A's
+  1-2. normalize with `blocks.normalize_stage`, a binary search for A's
      leading zeros (Warren, Hacker's Delight, section 5-3).  For j = L-1
      down to 0, bit j of a register S is set if the top 2^j wires of A
      are all zero, and A then shifts left by 2^j, over those zero wires,
      if that bit is set.  S ends as A's leading-zero count, and A's
-     leading coefficient, 1, sits at the top wire,
+     leading coefficient, 1, sits at the top wire.  Given wires at 0,
+     stage 0 copies S's bit 0 onto some of them and shares its m - 1
+     controlled swaps out over the copies,
   3. quotient rounds with fixed wiring, m+1 in the division and m in
      each of the Euclid iteration's two: round t copies B's bit m-t
      into the quotient register and conditionally subtracts the aligned
@@ -31,7 +33,8 @@ The division circuit realizes |A>|B>|0> <-> |A>|B+qA>|q| with
      becomes q itself.  Bit j costs n - gcd(n, 2^j) swaps.  In the Euclid
      iteration q has at most m bits, and the ring has n = m wires at
      even m: 49 swaps at m = 16, against 64 for m+1 wires,
-  5. the normalize gates reversed, which shift A back and clear S.
+  5. the normalize gates reversed, without copies, which shift A back
+     and clear S.
 
 In the Euclid iteration the forward division's S is the register s, and
 the reversed division's S starts on wires already clear: its top two bits
@@ -40,7 +43,14 @@ z^(m-1), 0 while A != 1 since deg(B mod A) <= deg(A) - 1 <= m - 2, and
 the rest on the s wires the forward division clears first.  The two
 divisions then overlap rather than run back to back.  A lane with A = 1
 may find them set and end with garbage; the driver gives such a lane its
-previous wires back.
+previous wires back.  The quotient ring is all 0 while the forward
+division normalizes A, before its rounds write q, and while the reversed
+division un-normalizes a, after its rounds clear q, so both of those
+normalizations fan stage 0 out onto q's wires; in between q holds the
+quotient, and the other two run without copies.  On a ring of n = 2^k
+wires both quotient rotations' top stages rotate by n/2, the same
+swaps left or right, so they run as one stage on the xor of the two
+counts' top bits.
 
 The inversion driver packs its inputs into lanes, one lane per input, and
 runs the iteration's kernel pass after pass, in place, on one resident wire
@@ -57,9 +67,10 @@ from __future__ import annotations
 
 import functools
 from operator import itemgetter, or_
+from typing import NamedTuple
 
-from .blocks import controlled_rotation_gates, log2_ceil, normalize_gates
-from .circuit import Circuit, cnot, gate_not, lane_values, pack_lanes, register_wires, run_wires, swap
+from .blocks import controlled_rotation_stage, log2_ceil, normalize_stage
+from .circuit import Circuit, Gate, cnot, gate_not, lane_values, pack_lanes, register_wires, run_wires, swap
 from .errors import InvariantViolation, ZeroElement
 from .field import FieldSpec, require_element
 
@@ -70,8 +81,29 @@ def _pattern_controls(wires, value: int):
     return [(w, (value >> i) & 1) for i, w in enumerate(wires)]
 
 
-def _division_gates(m: int, div: str, dvd: str, first: int = 0, last: int | None = None, n: int | None = None, s=None):
-    """Gate sequence for |div>|dvd>|0> <-> |div>|dvd+q*div>|q>.
+def _flat(stages) -> list[Gate]:
+    return [g for stage in stages for g in stage]
+
+
+def _undo(stages) -> list[Gate]:
+    """The stages' gates, last first, each stage's backwards."""
+    return [g for stage in reversed(stages) for g in reversed(stage)]
+
+
+class _Division(NamedTuple):
+    """A division's gates by section; `gates()` is the whole division."""
+
+    normalize: list[Gate]  # steps 1-2, stage 0's count bit fanned out over the idle wires
+    stages: list[list[Gate]]  # the normalization's stages L-1..0 with no copies; step 5 undoes them
+    rounds: list[Gate]  # step 3
+    rotation: list[list[Gate]]  # step 4, stage 0 first
+
+    def gates(self) -> list[Gate]:
+        return self.normalize + self.rounds + _flat(self.rotation) + _undo(self.stages)
+
+
+def _division(m: int, div: str, dvd: str, first: int = 0, last: int | None = None, n: int | None = None, s=None, idle=()) -> _Division:
+    """The gates of |div>|dvd>|0> <-> |div>|dvd+q*div>|q>, by section.
 
     div has m wires, the quotient q n (m+1 unless given), the leading-zero
     count ceil(log m), bit j on the wire s[j] (register s unless given), and
@@ -83,17 +115,19 @@ def _division_gates(m: int, div: str, dvd: str, first: int = 0, last: int | None
     bit, of z^(m-deg(div)), must be 0.  Ending at round m-1 drops round
     m's bit, of z^(-deg(div)), which only div = 1 has; the flag then
     ends at 0 only for deg(div) >= 1.
+    The normalization fans its stage 0 out over `idle` (wires at 0 that no
+    other gate of steps 1-2 touches, see `blocks.normalize_stage`); step 5,
+    where q holds the quotient, undoes it without copies.
     """
     last = m if last is None else last
     n = m + 1 if n is None else n
     s = register_wires("s", log2_ceil(m)) if s is None else s
     quo, flg = "q", ("flg", 0)  # the scratch, named alike in both layouts
-    gates = []
 
     # 1-2. s <- number of leading zeros of div (= m-1-deg); shift div left
     # by s (top coefficient to wire m-1).
-    normalize = normalize_gates(div, m, s)
-    gates.extend(normalize)
+    stages = [normalize_stage(div, m, s[j], j) for j in reversed(range(len(s)))]
+    normalize = _flat(stages[:-1]) + (normalize_stage(div, m, s[0], 0, idle) if idle else stages[-1])
 
     # 3. quotient rounds.  Round t examines dvd bit m-t; the flag starts 1
     # and flips to 0 when t passes the quotient length (t = s+2).  Round t's
@@ -102,26 +136,24 @@ def _division_gates(m: int, div: str, dvd: str, first: int = 0, last: int | None
     # rest of that rotation by relabelling, with no gates.  The subtractions
     # go from dvd bit m-t-1, round t+1's, down, and the one that clears
     # bit m-t, the copied bit, goes last.
-    gates.append(gate_not(flg))
+    rounds = [gate_not(flg)]
     for t in range(first, last + 1):
         qt = (quo, (1 - t) % n)
         flag = []  # the flag is 1 in rounds 0 and 1, whatever s holds: no control
         if t >= 2:
-            gates.append(cnot(_pattern_controls(s, t - 2), flg))
+            rounds.append(cnot(_pattern_controls(s, t - 2), flg))
             flag = [(flg, 1)]
-        gates.append(cnot(flag + [((dvd, m - t), 1)], qt))
+        rounds.append(cnot(flag + [((dvd, m - t), 1)], qt))
         # div wire j+t-1 is subtracted from dvd wire j; div's wire m-1 holds
         # its leading coefficient, 1 once normalized: no control
-        gates += [cnot([(qt, 1), ((div, j + t - 1), 1)], (dvd, j)) for j in reversed(range(max(0, 1 - t), m - t))]
-        gates.append(cnot([(qt, 1)], (dvd, m - t)))
-    gates.append(cnot(_pattern_controls(s, last - 1), flg))
+        rounds += [cnot([(qt, 1), ((div, j + t - 1), 1)], (dvd, j)) for j in reversed(range(max(0, 1 - t), m - t))]
+        rounds.append(cnot([(qt, 1)], (dvd, m - t)))
+    rounds.append(cnot(_pattern_controls(s, last - 1), flg))
 
     # 4. the stored quotient word is q rotated right by s; rotate it back.
-    gates.extend(controlled_rotation_gates(quo, n, s, "left"))
-
-    # 5. un-normalize div and uncompute s.
-    gates.extend(reversed(normalize))
-    return gates
+    # 5. (`gates()`) un-normalize div and uncompute s.
+    rotation = [controlled_rotation_stage(quo, n, s[j], j, "left") for j in range(len(s))]
+    return _Division(normalize, stages, rounds, rotation)
 
 
 def build_naive_long_division(m: int) -> Circuit:
@@ -135,7 +167,7 @@ def build_naive_long_division(m: int) -> Circuit:
     the division reads it, and goes when that benchmark is re-baselined.
     """
     layout = {"a": m, "b": m + 1, "q": m + 1, "s": log2_ceil(m), "anc": 1, "flg": 1}
-    return Circuit(layout, _division_gates(m, "a", "b"), ("a", "s", "anc", "flg"))
+    return Circuit(layout, _division(m, "a", "b").gates(), ("a", "s", "anc", "flg"))
 
 
 def euclid_iteration_layout(m: int) -> dict[str, int]:
@@ -161,19 +193,51 @@ def build_euclid_iteration(m: int) -> Circuit:
     runs m rounds, on distinct wires of a ring of n = m wires at even m.
     At odd m the ring keeps m + 1 wires, since a ring of odd length n
     makes each rotation stage one cycle, which pipelines worse: n = 163
-    makes the m = 163 iteration 3 601 deep, against 2 674 with n = 164.
+    makes the m = 163 iteration 3 455 deep, against 2 528 with n = 164.
     The reversed division counts a's leading zeros on wires already clear
     (see the module docstring): bit j on free[L-1-j] of
     free = (rb[m], rb[m-1], s_0, s_1, ...).  Its normalization computes
     bits L-1 down to 0, so the first two go on rb's top wires and the rest
-    on s in the order the forward un-normalization clears it: the m = 16
-    iteration is 253 deep, against 285 with both counts on s.
+    on s in the order the forward un-normalization clears it.  With both
+    counts on s the two divisions run back to back, and the m = 16
+    iteration is 270 deep, with no top stage to merge.
+    q is 0 while the forward division normalizes A and while the reversed
+    one un-normalizes a, so those two fan their stage 0 out onto q, from
+    q[2] up: the forward rounds write those wires last and the reversed
+    rounds clear them among the first (228 and 2 528 deep at m = 16 and
+    163, against 229 and 2 531 from q[0] up).  On a ring of 2^k wires
+    the two top rotation stages merge: after the forward stages 0..L-2
+    runs the reversed normalization's stage L-1, which puts s'_(L-1) on
+    rb[m] from a alone, then rb[m] ^= s_(L-1), the rotation by n/2 on rb[m],
+    and rb[m] ^= s_(L-1) again; then the forward un-normalization's
+    stages 0..L-2, the rest of the reversed normalization, the reversed
+    stages L-2..0 and last the forward un-normalization's stage L-1,
+    which shares no wire with the two sections it follows: no layer
+    moves, and the kernel's 128-line chunks load and store 333 and 281
+    wires per pass, against 341 and 298 with it before them.
+    Together the m = 16 iteration is 228 deep, Toffoli-depth 185, against
+    253 and 203 without them, with 18 gates fewer and the same wires.
     """
     layout = euclid_iteration_layout(m)
     n, L = layout["q"], layout["s"]
-    gates = _division_gates(m, "ra", "rb", last=m - 1, n=n)
+    idle = [("q", (2 + i) % n) for i in range(n)]  # from q[2] up: written last, cleared early
+    merged = not n & (n - 1)
+    fwd = _division(m, "ra", "rb", last=m - 1, n=n, idle=idle)
     free = [("rb", m), ("rb", m - 1), *register_wires("s", L)]
-    gates += reversed(_division_gates(m, "ka", "kb", first=1, n=n, s=free[L - 1::-1]))
+    rev = _division(m, "ka", "kb", first=1, n=n, s=free[L - 1::-1], idle=idle)
+    # the forward division, then the reversed one backwards
+    gates = fwd.normalize + fwd.rounds
+    if merged:
+        # both top stages rotate by n/2 on q: one stage on s_(L-1) xor s'_(L-1), once s' has it
+        top, rtop = ("s", L - 1), free[0]
+        flip = cnot([(top, 1)], rtop)
+        gates += _flat(fwd.rotation[:-1]) + rev.stages[0]
+        gates += [flip] + controlled_rotation_stage("q", n, rtop, L - 1, "left") + [flip]
+        # the forward un-normalization's stage L-1 goes last (see the docstring)
+        gates += _undo(fwd.stages[1:]) + _flat(rev.stages[1:]) + _undo(rev.rotation[:-1]) + _undo(fwd.stages[:1])
+    else:
+        gates += _flat(fwd.rotation) + _undo(fwd.stages) + _flat(rev.stages) + _undo(rev.rotation)
+    gates += rev.rounds[::-1] + rev.normalize[::-1]
     gates += [swap((a, i), (b, i)) for i in range(m) for a, b in (("ra", "rb"), ("ka", "kb"))]
     return Circuit(layout, gates, ("q", "s", "flg"))
 

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from revgf2 import blocks, naive
 from revgf2.blocks import (
     build_controlled_shift,
     build_cyclic_shift,
@@ -13,10 +14,11 @@ from revgf2.blocks import (
     build_swap,
     controlled_rotation_gates,
     log2_ceil,
+    normalize_gates,
     rotation_gates,
 )
-from revgf2.circuit import Circuit, register_wires, report, run_lanes, sweep
-from revgf2.errors import BadParameter
+from revgf2.circuit import Circuit, cnot, register_wires, report, run_lanes, sweep
+from revgf2.errors import BadParameter, InvariantViolation
 from revgf2.field import FieldSpec, default_field, field_mul, is_irreducible
 from revgf2.poly import degree
 from revgf2.verify import CheckResult, _compare, check_blocks
@@ -103,6 +105,59 @@ def test_decrement_inverts_increment():
         up = sweep(build_increment(w), ("k",))
         back = run_lanes(dec, {name: list(up.values(name)) for name in ("k", "anc")})
         assert list(zip(back.values("k"), back.values("anc"))) == [(k, 0) for k in range(1 << w)]
+
+
+def unfanned_normalization(n, s):
+    """normalize_gates("x", n, s), with no copies, spelled out: per stage j
+    from the top, the zero test, then each controlled swap as CNOT, Toffoli on
+    s_j, CNOT; the shift chain at j >= 1, the middle-out reflections at 0."""
+    x = lambda i: ("x", i)
+    gates = []
+    for j in reversed(range(len(s))):
+        gates.append(cnot([(x(n - 1 - u), 0) for u in range(1 << j)], s[j]))
+        if j:
+            pairs = [(i - (1 << j), i) for i in range(n - 1, (1 << j) - 1, -1)]
+        else:
+            pairs = [(i, n - 1 - i) for i in reversed(range(n // 2))] + [(i, n - i) for i in reversed(range(1, (n + 1) // 2))]
+        for a, b in pairs:
+            gates += [cnot([(x(b), 1)], x(a)), cnot([(s[j], 1), (x(a), 1)], x(b)), cnot([(x(b), 1)], x(a))]
+    return gates
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_fanned_normalization_matches_the_plain_one_and_clears_its_copies(n):
+    # steps 1-2 of the division as the Euclid iteration builds them: stage 0 fanned out onto idle wires
+    L = log2_ceil(n)
+    s, idle = register_wires("s", L), register_wires("idle", n)
+    plain = normalize_gates("x", n, s)
+    assert plain == unfanned_normalization(n, s)
+    assert naive._division(n, "x", "b").normalize == plain  # no idle wire: the same gates, in the same order
+    fanned = naive._division(n, "x", "b", idle=idle).normalize
+    copies = (n - 2) // 8  # ceil((n - 1)/8) - 1
+    assert len(fanned) == len(plain) + 2 * copies
+    assert (fanned == plain) == (copies == 0)
+    layout = {"x": n, "s": L, "idle": n}
+    want, got = sweep(Circuit(layout, plain), ("x",)), sweep(Circuit(layout, fanned), ("x",))
+    for name in ("x", "s"):
+        assert list(got.values(name))[1:] == list(want.values(name))[1:]  # every nonzero x
+    assert got.changed(("idle",)) == 0
+
+
+def test_a_copy_left_set_is_reported(monkeypatch):
+    # the m = 10 iteration fans stage 0 out onto one copy, on q[2]; drop the CNOT that clears it
+    def leaving_a_copy(div, n, control, j, idle=()):
+        gates = blocks.normalize_stage(div, n, control, j, idle)
+        if not idle:
+            return gates
+        assert gates[-1] == cnot([(control, 1)], idle[0])
+        return gates[:-1]
+
+    monkeypatch.setattr(naive, "normalize_stage", leaving_a_copy)
+    monkeypatch.setattr(naive, "build_euclid_iteration", naive.build_euclid_iteration.__wrapped__)  # uncached
+    field = default_field(10)
+    with pytest.raises(InvariantViolation, match="scratch q not restored"):
+        for c in field.nonzero_elements():
+            naive.run_naive_inversion(c, field)
 
 
 def test_degree_block_width_and_oracle():

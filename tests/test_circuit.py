@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -424,14 +425,19 @@ def check_every_guard_value(c, data, guard, rng):
     check_against_reference(Circuit(c.layout, [*ones, *c.gates]), data, rng)
 
 
-def test_controlled_swaps_run_in_guarded_blocks():
+def test_controlled_swaps_run_in_guarded_blocks(monkeypatch):
     rng = random.Random(13)
-    for n, k in ((3, 2), (5, 3), (6, 3)):
+    monkeypatch.setattr(circuit, "_CHUNK_GATES", 1 << 10)  # one chunk, so no chunk boundary splits a stage
+    # (8, 3) and (16, 4) are rings of 2^k wires, whose stages go round-robin over their cycles
+    for n, k in ((3, 2), (5, 3), (6, 3), (8, 3), (16, 4)):
         stages = [(j, d) for d in ("left", "right") for j in range(k) if (1 << j) % n]
         c = Circuit({"d": n, "s": k}, [g for j, d in stages for g in controlled_rotation_stage("d", n, ("s", j), j, d)])
         # one permutation branch and one guarded fallback per stage: its swaps share s_j
         assert guarded_blocks(c) == (len(stages), len(stages))
-        check_every_guard_value(c, ("d",), "s", rng)
+        if n <= 8:
+            check_every_guard_value(c, ("d",), "s", rng)
+        else:  # every count, and seeded data: a sweep of 16 data wires is 2^16 reference runs
+            check_against_reference(c, ("s",), rng, lanes=64)
     # a lone controlled swap runs under s, never under its middle gate's other control
     c = Circuit({"d": 2, "s": 1}, controlled_rotation_stage("d", 2, ("s", 0), 0, "left"))
     assert guarded_blocks(c) == (1, 1)
@@ -440,6 +446,47 @@ def test_controlled_swaps_run_in_guarded_blocks():
     c = Circuit({"d": 2, "s": 1}, 2 * controlled_rotation_stage("d", 2, ("s", 0), 0, "left"))
     assert guarded_blocks(c) == (1, 1)
     check_every_guard_value(c, ("d",), "s", rng)
+
+
+def swap_runs(c, monkeypatch):
+    """Each run of controlled swaps in the circuit's kernel, generated as one
+    chunk, in order: its guard wire and how many swaps its fallback runs."""
+    bodies = []
+    compile_chunk = circuit._compile
+
+    def recording(*body):
+        bodies.append(body)
+        return compile_chunk(*body)
+
+    monkeypatch.setattr(circuit, "_compile", recording)
+    monkeypatch.setattr(circuit, "_CHUNK_GATES", 1 << 16)
+    Circuit(c.layout, c.gates, c.restores)._kernel
+    wires = [(name, i) for name, width in c.layout.items() for i in range(width)]
+    lines = [line for body in bodies for line in body]
+    runs = []
+    for at, line in enumerate(lines):
+        if line.endswith(" == mask:"):  # if w{g} == mask:, the permutation, elif w{g}:, then the lines
+            body = takewhile(lambda x: x.startswith(" "), lines[at + 3:])
+            runs.append((wires[int(line[4:].split()[0])], sum(1 for _ in body) // 3))
+    return runs
+
+
+def test_iteration_fanned_and_merged_stages_run_as_one_block_per_control(monkeypatch):
+    # m = 16: the forward normalization's stage 0 runs 8 swaps on s_0 and 7 on
+    # its copy on q[2]; the two top rotation stages run as one, 8 swaps on rb[16];
+    # the reversed un-normalization's stage 0 runs 7 on q[2] and 8 on s_1, its count's bit 0
+    s = lambda j: ("s", j)
+    rb = lambda i: ("rb", i)
+    assert swap_runs(build_euclid_iteration(16), monkeypatch) == [
+        (s(3), 8), (s(2), 12), (s(1), 14), (s(0), 8), (("q", 2), 7),  # forward normalization
+        (s(0), 15), (s(1), 14), (s(2), 12),  # forward rotation, stages 0-2
+        (rb(16), 8), (rb(16), 8),  # reversed normalization's stage 3, on a; the merged stage 3, on q
+        (s(0), 15), (s(1), 14), (s(2), 12),  # forward un-normalization, stages 0-2
+        (rb(15), 12), (s(0), 14), (s(1), 15),  # the rest of the reversed normalization
+        (rb(15), 12), (s(0), 14), (s(1), 15),  # reversed rotation, stages 2-0
+        (s(3), 8),  # forward un-normalization, stage 3
+        (("q", 2), 7), (s(1), 8), (s(0), 14), (rb(15), 12), (rb(16), 8),  # reversed un-normalization
+    ]
 
 
 def test_a_toffoli_on_the_swap_guard_starts_its_own_run():

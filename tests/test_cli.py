@@ -50,7 +50,7 @@ def test_estimate(capsys):
     assert payload["formula_h0"] == 67
     # the naive Euclid iteration's report(), which the budget check ignores
     naive_cost = [payload[f"naive_iteration_{key}"] for key in ("width", "gates_total", "depth", "toffoli_depth")]
-    assert naive_cost == [86, 1282, 253, 203]
+    assert naive_cost == [86, 1264, 228, 185]
     assert main(["estimate", "--m", "4"]) == 0
     payload, _ = last_json(capsys)
     assert payload["formula_h0"] == 29

@@ -42,20 +42,20 @@ GOLDEN = {
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16),
         {
-            "width": 86, "depth": 253, "toffoli_depth": 203, "gates_total": 1282, "gates_not": 2,
-            "gates_cnot": 1248, "gates_swap": 32, "cnot_arity_1": 627,
-            "cnot_arity_2": 582, "cnot_arity_4": 35, "cnot_arity_8": 4,
+            "width": 86, "depth": 228, "toffoli_depth": 185, "gates_total": 1264, "gates_not": 2,
+            "gates_cnot": 1230, "gates_swap": 32, "cnot_arity_1": 617,
+            "cnot_arity_2": 574, "cnot_arity_4": 35, "cnot_arity_8": 4,
         },
-        "c70927e5ad1096abe49ced1cb7f5a7f63bbf684d492fc9d95d02a09903c4968a",
+        "2a122d283e22401f4ed49baffa351a7fbf89ce7f8cd14557aa88e4d215b4ebe0",
     ),
     "degree-m8": (
         lambda: build_degree(8),
         {
-            "width": 11, "depth": 48, "toffoli_depth": 32, "gates_total": 108, "gates_not": 3,
+            "width": 11, "depth": 45, "toffoli_depth": 32, "gates_total": 108, "gates_not": 3,
             "gates_cnot": 105, "gates_swap": 0, "cnot_arity_1": 69,
             "cnot_arity_2": 35, "cnot_arity_4": 1,
         },
-        "b0449093f9be02ea0800ed091666ce95d71c4c7ae3079a48c317429ab9894698",
+        "14ba2f7dca4786a4dd2b9e60955c542b820a357117ec3ac19e8d4c6e0cfbfb5e",
     ),
     "increment-w3": (
         lambda: build_increment(3),
@@ -112,7 +112,7 @@ KERNELS = {
     ),
     "euclid-iteration-m16": (
         lambda: build_euclid_iteration(16), 11,
-        "1b52fb8224dd6ba150d0810ba3782a9840ba3422b01d6b9e2d031616408595e2",
+        "22f25629fe315b683c4ce5de0de974e5b72d64bd3cc480b85a418455b574af87",
     ),
     "mul-accumulate-m8": (
         lambda: build_mul_accumulate(default_field(8)), 1,
@@ -166,8 +166,8 @@ CLI_REPORTS = {
         '{"cycles": 30, "formula": 72, "formula_h0": 67, "halting_counter_width": 5, '
         '"layout_width": 72, "m": 16, "multiplier_depth": 52, "multiplier_gates_total": 346, '
         '"multiplier_toffoli_depth": 39, "multiplier_width": 48, '
-        '"naive_iteration_depth": 253, "naive_iteration_gates_total": 1282, '
-        '"naive_iteration_toffoli_depth": 203, "naive_iteration_width": 86, '
+        '"naive_iteration_depth": 228, "naive_iteration_gates_total": 1264, '
+        '"naive_iteration_toffoli_depth": 185, "naive_iteration_width": 86, '
         '"term c": 2, "term degA": 4, "term degB": 4, '
         '"term deg_anc": 4, "term dega": 4, "term degb": 4, "term f": 1, "term h": 5, '
         '"term q": 12, "term rAa": 16, "term rBb": 16}\n'

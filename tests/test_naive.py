@@ -7,16 +7,11 @@ from pathlib import Path
 import pytest
 
 from revgf2 import naive
-from revgf2.blocks import log2_ceil
+from revgf2.blocks import log2_ceil, normalize_gates
 from revgf2.circuit import Circuit, cnot, gate_not, register_wires, report, run_lanes, run_one, sweep
 from revgf2.errors import BadParameter, InvariantViolation, ZeroElement
 from revgf2.field import FieldSpec, default_field, field_invert, field_mul, is_irreducible
-from revgf2.naive import (
-    build_euclid_iteration,
-    normalize_gates,
-    run_naive_inversion,
-    run_naive_inversions,
-)
+from revgf2.naive import build_euclid_iteration, run_naive_inversion, run_naive_inversions
 from revgf2.poly import degree, poly_divmod
 
 
@@ -155,11 +150,11 @@ def test_division_rounds_subtract_top_down(m):
 
 # m -> (division, iteration), each as (depth, Toffoli-depth)
 DEPTHS = {
-    4: ((38, 25), (56, 33)),
-    8: ((72, 59), (121, 89)),
-    16: ((150, 129), (253, 203)),
-    17: ((160, 129), (293, 241)),
-    32: ((312, 279), (527, 445)),
+    4: ((38, 25), (53, 32)),
+    8: ((72, 59), (112, 89)),
+    16: ((150, 129), (228, 185)),
+    17: ((160, 129), (284, 227)),
+    32: ((312, 279), (477, 394)),
 }
 
 
@@ -175,7 +170,8 @@ def test_iteration_quotient_is_an_even_ring(m):
     # quotient bits onto distinct wires of a ring of m wires at even m, m + 1
     # at odd m, and rotates it by its leading-zero count in n - gcd(n, 2^j)
     # swaps per stage j; the forward division counts on s, the reversed one
-    # on rb's two top wires and then s
+    # on rb's two top wires and then s.  On a ring of 2^k wires both top
+    # stages rotate by n/2 and run as one, on rb[m]: n/2 swaps fewer
     iteration = build_euclid_iteration(m)
     n = iteration.layout["q"]
     assert n == m + (m & 1)
@@ -187,7 +183,8 @@ def test_iteration_quotient_is_an_even_ring(m):
     for dvd in ("rb", "kb"):
         copied = [g.targets[0][1] for g in onto_q if g not in rotation and any(w[0] == dvd for w, _ in g.controls)]
         assert len(copied) == len(set(copied)) == m
-    assert len(swaps) == 2 * sum(n - math.gcd(n, 1 << j) for j in range(log2_ceil(m)))
+    merged = 0 if n & (n - 1) else n // 2
+    assert len(swaps) == 2 * sum(n - math.gcd(n, 1 << j) for j in range(log2_ceil(m))) - merged
 
 
 def test_iteration_coefficient_b_fits_m_wires():
@@ -255,8 +252,8 @@ def test_m163_iteration_cost():
     # 2k - 3 Toffolis per k-controlled NOT with k >= 2, as perfbench counts them
     rep = report(build_euclid_iteration(163))
     assert rep.to_json() == {
-        "width": 826, "depth": 2674, "toffoli_depth": 2466, "gates_total": 48203, "gates_not": 2,
-        "gates_cnot": 47875, "gates_swap": 326, "cnot_arity_1": 13865,
+        "width": 826, "depth": 2528, "toffoli_depth": 2313, "gates_total": 48283, "gates_not": 2,
+        "gates_cnot": 47955, "gates_swap": 326, "cnot_arity_1": 13945,
         "cnot_arity_2": 33661, "cnot_arity_4": 4, "cnot_arity_8": 329,
         "cnot_arity_16": 4, "cnot_arity_32": 4, "cnot_arity_64": 4, "cnot_arity_128": 4,
     }
